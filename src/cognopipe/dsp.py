@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import struct
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -94,43 +97,64 @@ class VadConfig:
 # ---------------------------------------------------------------------------
 # WAV I/O (RIFF/WAVE, PCM 16-bit, mono)
 
-def _parse_wav_header(raw: bytes, path: Path) -> tuple[int, int, int]:
-    """Return (sample_rate, data_offset, data_len_bytes) or raise."""
+_FORMAT_PCM = 1
+_FORMAT_EXTENSIBLE = 0xFFFE
+_FMT_EXTENSIBLE_LEN = 40
+_SUBFORMAT_PCM = uuid.UUID("00000001-0000-0010-8000-00aa00389b71")
+
+
+def _read_wav_header(fh: BinaryIO, path: Path) -> tuple[int, int, int]:
+    """Walk the RIFF chunks of an open file by seeking from header to header.
+
+    Returns (sample_rate, data_offset, data_len_bytes) or raises; only the
+    chunk headers and the fmt body are read.
+    """
 
     def bad(defect: str):
         return AudioFormatError("read_wav", f"{path}: {defect}")
 
-    if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(12)
+    if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise bad("not a RIFF/WAVE file")
     pos = 12
     fmt = None
     data = None
-    while pos + 8 <= len(raw):
-        chunk_id = raw[pos:pos + 4]
-        (chunk_len,) = struct.unpack_from("<I", raw, pos + 4)
+    while pos + 8 <= size:
+        fh.seek(pos)
+        chunk_id, chunk_len = struct.unpack("<4sI", fh.read(8))
         body = pos + 8
         if chunk_id == b"fmt ":
-            if chunk_len < 16 or body + 16 > len(raw):
+            if chunk_len < 16 or body + 16 > size:
                 raise bad("truncated fmt chunk")
-            fmt = struct.unpack_from("<HHIIHH", raw, body)
+            fmt = fh.read(min(chunk_len, _FMT_EXTENSIBLE_LEN))
         elif chunk_id == b"data":
             data = (body, chunk_len)
         pos = body + chunk_len + (chunk_len & 1)
     if fmt is None:
         raise bad("missing fmt chunk")
-    audio_format, channels, sample_rate, _byte_rate, _block_align, bits = fmt
-    if audio_format != 1:
+    audio_format, channels, sample_rate, _byte_rate, _block_align, bits = (
+        struct.unpack_from("<HHIIHH", fmt))
+    if audio_format == _FORMAT_EXTENSIBLE:
+        if len(fmt) < _FMT_EXTENSIBLE_LEN:
+            raise bad("truncated fmt chunk")
+        subformat = uuid.UUID(bytes_le=fmt[24:40])
+        if subformat != _SUBFORMAT_PCM:
+            raise bad(f"non-PCM format tag {audio_format} (subformat {subformat})")
+    elif audio_format != _FORMAT_PCM:
         raise bad(f"non-PCM format tag {audio_format}")
     if channels != 1:
         raise bad(f"multi-channel audio ({channels} channels)")
     if bits != 16:
         raise bad(f"{bits}-bit samples, expected 16-bit PCM")
+    if sample_rate == 0:
+        raise bad("invalid sample rate 0")
     if data is None:
         raise bad("missing data chunk")
     offset, length = data
-    if offset + length > len(raw):
+    if offset + length > size:
         raise bad(f"truncated data chunk (declares {length} bytes, "
-                  f"{len(raw) - offset} available)")
+                  f"{size - offset} available)")
     if length % 2:
         raise bad("data chunk length is not a whole number of 16-bit samples")
     return sample_rate, offset, length
@@ -139,19 +163,20 @@ def _parse_wav_header(raw: bytes, path: Path) -> tuple[int, int, int]:
 def read_wav_info(path: str | Path) -> tuple[int, int]:
     """Validate headers and return (sample_rate_hz, n_samples) without decoding."""
     path = Path(path)
-    raw = path.read_bytes()
-    sample_rate, _offset, length = _parse_wav_header(raw, path)
+    with open(path, "rb", buffering=0) as fh:
+        sample_rate, _offset, length = _read_wav_header(fh, path)
     return sample_rate, length // 2
 
 
 def read_wav(path: str | Path) -> AudioBuffer:
     """Read a PCM-16 mono WAV file; samples are scaled by 1/32768."""
     path = Path(path)
-    raw = path.read_bytes()
-    sample_rate, offset, length = _parse_wav_header(raw, path)
-    if length == 0:
-        raise AudioFormatError("read_wav", f"{path}: empty data chunk")
-    pcm = np.frombuffer(raw, dtype="<i2", count=length // 2, offset=offset)
+    with open(path, "rb", buffering=0) as fh:
+        sample_rate, offset, length = _read_wav_header(fh, path)
+        if length == 0:
+            raise AudioFormatError("read_wav", f"{path}: empty data chunk")
+        fh.seek(offset)
+        pcm = np.fromfile(fh, dtype="<i2", count=length // 2)
     return AudioBuffer(pcm.astype(np.float64) / 32768.0, sample_rate)
 
 

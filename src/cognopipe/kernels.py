@@ -1,155 +1,78 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels, one numpy implementation each.
 
-The three inner loops that dominate pipeline runtime live here: the
-radix-2 real FFT applied to every analysis frame, the normalized
-autocorrelation used for pitch tracking, and the stochastic subgradient
-loop of the linear SVM.  Each kernel has two interchangeable backends:
-
-* a scalar version compiled with ``numba.njit`` (default when numba is
-  importable), and
-* a vectorized pure-numpy fallback.
-
-Set ``COGNOPIPE_NO_NUMBA=1`` to force the numpy path (useful on platforms
-where numba is unavailable and for the backend benchmark in
-``benchmarks/bench_kernels.py``).  Both backends implement the same
-arithmetic, so results agree to float precision.
+The three inner loops that dominate pipeline runtime live here: the real
+FFT applied to every analysis frame, the normalized autocorrelation used
+for pitch tracking, and the stochastic subgradient loop of the linear SVM.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("COGNOPIPE_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and not _DISABLED
+# Read by the benchmark's environment probe; only the numpy path exists.
+USE_NUMBA = False
 
 
-def bit_reverse_indices(n: int) -> np.ndarray:
-    """Index permutation that reorders a length-n array (n a power of two)
-    into the input order expected by the iterative radix-2 butterflies."""
-    levels = int(n).bit_length() - 1
-    rev = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        x = i
-        r = 0
-        for _ in range(levels):
-            r = (r << 1) | (x & 1)
-            x >>= 1
-        rev[i] = r
-    return rev
+def rfft_pow2_batch(frames: np.ndarray) -> np.ndarray:
+    """Real FFT of each row; row length must be a power of two >= 2.
+
+    Returns the n//2 + 1 non-redundant bins, where bin b of row x is
+    sum_t x[t] * exp(-2*pi*i*b*t/n).
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    n = frames.shape[1]
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"FFT length must be a power of two >= 2, got {n}")
+    return np.fft.rfft(frames, axis=1)
 
 
-def _rfft_pow2_batch_np(frames: np.ndarray, rev: np.ndarray) -> np.ndarray:
-    m, n = frames.shape
-    a = frames[:, rev].astype(np.complex128)
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp((-2j * np.pi / size) * np.arange(half))
-        a = a.reshape(m, n // size, size)
-        lo = a[:, :, :half]
-        hi = a[:, :, half:] * tw
-        nxt = np.empty_like(a)
-        nxt[:, :, :half] = lo + hi
-        nxt[:, :, half:] = lo - hi
-        a = nxt.reshape(m, n)
-        size *= 2
-    return np.ascontiguousarray(a[:, : n // 2 + 1])
-
-
-def _rfft_pow2_batch_jit_py(frames, rev):  # compiled below when numba is on
-    m, n = frames.shape
-    out = np.empty((m, n // 2 + 1), dtype=np.complex128)
-    buf = np.empty(n, dtype=np.complex128)
-    for r in range(m):
-        for i in range(n):
-            buf[i] = complex(frames[r, rev[i]], 0.0)
-        size = 2
-        while size <= n:
-            half = size // 2
-            for j in range(half):
-                w = np.exp(-2j * np.pi / size * j)
-                for blk in range(0, n, size):
-                    t = w * buf[blk + j + half]
-                    u = buf[blk + j]
-                    buf[blk + j] = u + t
-                    buf[blk + j + half] = u - t
-            size *= 2
-        for i in range(n // 2 + 1):
-            out[r, i] = buf[i]
-    return out
-
-
-def _autocorr_norm_batch_np(frames: np.ndarray, min_lag: int, max_lag: int) -> np.ndarray:
+def autocorr_norm_batch(frames: np.ndarray, min_lag: int, max_lag: int) -> np.ndarray:
     """Normalized autocorrelation r(lag) per frame for lag in [min_lag, max_lag].
 
     r(lag) = sum_t x[t] x[t+lag] / sqrt(E_head(lag) * E_tail(lag)), the
     normalized cross-correlation between the frame and its lagged copy;
-    values lie in [-1, 1] and peak near 1 for periodic frames.
+    values lie in [-1, 1] and peak near 1 for periodic frames.  Lags >= n
+    and lags whose head or tail has no energy give 0.
+
+    The numerator is the inverse FFT of |X|^2 with X zero-padded to the
+    smallest power of two N >= n + min(max_lag, n - 1), so no lag wraps
+    around (Boersma 1993); the energies come from a cumulative sum.  The
+    numerator carries an absolute error of order eps * sum(x^2), so r is
+    accurate to about eps * sum(x^2) / denominator.
     """
+    frames = np.asarray(frames, dtype=np.float64)
     m, n = frames.shape
-    n_lags = max_lag - min_lag + 1
-    out = np.zeros((m, n_lags), dtype=np.float64)
-    sq = frames * frames
-    csum = np.cumsum(sq, axis=1)
-    total = csum[:, -1]
-    for k in range(n_lags):
-        lag = min_lag + k
-        if lag >= n:
-            continue
-        num = np.einsum("ij,ij->i", frames[:, : n - lag], frames[:, lag:])
-        e_head = csum[:, n - lag - 1]
-        e_tail = total - np.where(lag > 0, csum[:, lag - 1], 0.0)
-        denom = np.sqrt(e_head * e_tail)
-        good = denom > 0.0
-        out[good, k] = num[good] / denom[good]
+    out = np.zeros((m, max_lag - min_lag + 1), dtype=np.float64)
+    top = min(max_lag, n - 1)
+    if top < min_lag:
+        return out
+    nfft = 1 << (n + top - 1).bit_length()
+    spec = np.fft.rfft(frames, nfft, axis=1)
+    num = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, nfft, axis=1)[:, min_lag:top + 1]
+
+    csum = np.zeros((m, n + 1))
+    np.cumsum(frames * frames, axis=1, out=csum[:, 1:])
+    lags = np.arange(min_lag, top + 1)
+    e_head = csum[:, n - lags]
+    e_tail = csum[:, n:] - csum[:, lags]
+    denom = np.sqrt(e_head * e_tail)
+    np.divide(num, denom, out=out[:, : lags.size], where=denom > 0.0)
     return out
 
 
-def _autocorr_norm_batch_jit_py(frames, min_lag, max_lag):
-    m, n = frames.shape
-    n_lags = max_lag - min_lag + 1
-    out = np.zeros((m, n_lags), dtype=np.float64)
-    for r in range(m):
-        total = 0.0
-        for t in range(n):
-            total += frames[r, t] * frames[r, t]
-        for k in range(n_lags):
-            lag = min_lag + k
-            if lag >= n:
-                continue
-            num = 0.0
-            e_head = 0.0
-            for t in range(n - lag):
-                num += frames[r, t] * frames[r, t + lag]
-                e_head += frames[r, t] * frames[r, t]
-            e_tail = total
-            for t in range(lag):
-                e_tail -= frames[r, t] * frames[r, t]
-            denom = np.sqrt(e_head * e_tail)
-            if denom > 0.0:
-                out[r, k] = num / denom
-    return out
-
-
-def _pegasos_np(X: np.ndarray, y: np.ndarray, cw: np.ndarray, lam: float,
-                idx: np.ndarray) -> tuple[np.ndarray, float]:
+def pegasos(X: np.ndarray, y: np.ndarray, cw: np.ndarray, lam: float,
+            idx: np.ndarray) -> tuple[np.ndarray, float]:
     """Pegasos-style stochastic subgradient descent on the weighted hinge loss.
 
     Visits samples in the order given by ``idx`` with step 1/(lam*t) and
     returns the averaged iterate (w_bar, b_bar).  The bias is updated on
     margin violations but not shrunk by the regularizer.
     """
-    n, d = X.shape
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    cw = np.ascontiguousarray(cw, dtype=np.float64)
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    d = X.shape[1]
     w = np.zeros(d)
     b = 0.0
     w_sum = np.zeros(d)
@@ -165,75 +88,3 @@ def _pegasos_np(X: np.ndarray, y: np.ndarray, cw: np.ndarray, lam: float,
         w_sum += w
         b_sum += b
     return w_sum / idx.size, b_sum / idx.size
-
-
-def _pegasos_jit_py(X, y, cw, lam, idx):
-    n, d = X.shape
-    w = np.zeros(d)
-    w_sum = np.zeros(d)
-    b = 0.0
-    b_sum = 0.0
-    for t in range(1, idx.size + 1):
-        i = idx[t - 1]
-        eta = 1.0 / (lam * t)
-        dot = 0.0
-        for j in range(d):
-            dot += X[i, j] * w[j]
-        margin = y[i] * (dot + b)
-        shrink = 1.0 - eta * lam
-        if margin < 1.0:
-            scale = eta * cw[i] * y[i]
-            for j in range(d):
-                w[j] = shrink * w[j] + scale * X[i, j]
-            b += eta * cw[i] * y[i]
-        else:
-            for j in range(d):
-                w[j] = shrink * w[j]
-        for j in range(d):
-            w_sum[j] += w[j]
-        b_sum += b
-    return w_sum / idx.size, b_sum / idx.size
-
-
-if HAS_NUMBA:
-    _rfft_pow2_batch_nb = njit(cache=True)(_rfft_pow2_batch_jit_py)
-    _autocorr_norm_batch_nb = njit(cache=True)(_autocorr_norm_batch_jit_py)
-    _pegasos_nb = njit(cache=True)(_pegasos_jit_py)
-else:
-    _rfft_pow2_batch_nb = None
-    _autocorr_norm_batch_nb = None
-    _pegasos_nb = None
-
-
-def rfft_pow2_batch(frames: np.ndarray) -> np.ndarray:
-    """Real FFT of each row; row length must be a power of two >= 2.
-
-    Returns the n//2 + 1 non-redundant bins, where bin b of row x is
-    sum_t x[t] * exp(-2*pi*i*b*t/n).
-    """
-    frames = np.ascontiguousarray(frames, dtype=np.float64)
-    n = frames.shape[1]
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"FFT length must be a power of two >= 2, got {n}")
-    rev = bit_reverse_indices(n)
-    if USE_NUMBA:
-        return _rfft_pow2_batch_nb(frames, rev)
-    return _rfft_pow2_batch_np(frames, rev)
-
-
-def autocorr_norm_batch(frames: np.ndarray, min_lag: int, max_lag: int) -> np.ndarray:
-    frames = np.ascontiguousarray(frames, dtype=np.float64)
-    if USE_NUMBA:
-        return _autocorr_norm_batch_nb(frames, min_lag, max_lag)
-    return _autocorr_norm_batch_np(frames, min_lag, max_lag)
-
-
-def pegasos(X: np.ndarray, y: np.ndarray, cw: np.ndarray, lam: float,
-            idx: np.ndarray) -> tuple[np.ndarray, float]:
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    cw = np.ascontiguousarray(cw, dtype=np.float64)
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
-    if USE_NUMBA:
-        return _pegasos_nb(X, y, cw, lam, idx)
-    return _pegasos_np(X, y, cw, lam, idx)

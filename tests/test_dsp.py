@@ -1,5 +1,6 @@
 """WAV I/O, framing, speech detection, and SNR estimation."""
 
+import io
 import struct
 
 import numpy as np
@@ -60,6 +61,20 @@ def _wav_bytes(sr=8000, channels=1, bits=16, fmt=1, n=100, chop=0):
     return out[: len(out) - chop] if chop else out
 
 
+def _extensible_wav(subformat: bytes, channels=1, bits=16) -> bytes:
+    data = struct.pack("<3h", 5, -5, 7)
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", 0xFFFE, channels, 8000, 8000 * block, block, bits)
+    fmt += struct.pack("<HHI", 22, bits, 0x4) + subformat
+    body = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(data)) + data
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+_PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")
+_FLOAT_GUID = bytes.fromhex("0300000000001000800000aa00389b71")
+
+
 @pytest.mark.parametrize(
     "raw,defect",
     [
@@ -69,6 +84,10 @@ def _wav_bytes(sr=8000, channels=1, bits=16, fmt=1, n=100, chop=0):
         (_wav_bytes(fmt=3), "non-PCM"),
         (_wav_bytes(chop=50), "truncated"),
         (_wav_bytes()[:40], "data"),
+        (_extensible_wav(_FLOAT_GUID), "non-PCM format tag 65534 (subformat 00000003-"),
+        (_extensible_wav(_PCM_GUID, channels=2), "multi-channel"),
+        (_extensible_wav(_PCM_GUID, bits=24), "24-bit"),
+        (_extensible_wav(_PCM_GUID)[:56], "truncated fmt chunk"),
     ],
 )
 def test_read_wav_rejects_malformed(tmp_path, raw, defect):
@@ -92,6 +111,121 @@ def test_read_wav_skips_extra_chunks(tmp_path):
     audio = dsp.read_wav(p)
     assert audio.samples.size == 4
     assert audio.samples[2] == 200 / 32768.0
+
+
+def test_read_wav_accepts_extensible_pcm(tmp_path):
+    p = tmp_path / "ext.wav"
+    p.write_bytes(_extensible_wav(_PCM_GUID))
+    audio = dsp.read_wav(p)
+    assert audio.sample_rate_hz == 8000
+    assert np.array_equal(audio.samples, np.array([5, -5, 7]) / 32768.0)
+    assert dsp.read_wav_info(p) == (8000, 3)
+
+
+def test_read_wav_info_reads_only_headers(tmp_path, monkeypatch):
+    """A minute of audio is validated from a few dozen header bytes."""
+    p = tmp_path / "long.wav"
+    dsp.write_wav(p, np.zeros(60 * SR), SR)
+    read_sizes = []
+
+    class CountingFile(io.FileIO):
+        def read(self, size=-1):
+            out = super().read(size)
+            read_sizes.append(len(out))
+            return out
+
+    monkeypatch.setattr(dsp, "open", lambda path, mode, buffering: CountingFile(path, mode),
+                        raising=False)
+    assert dsp.read_wav_info(p) == (SR, 60 * SR)
+    assert 0 < sum(read_sizes) <= 64
+
+
+_UNKNOWN_IDS = [b"LIST", b"junk", b"fact", b"\x00\x00\x00\x00"]
+# Defects every parser must reject, then defects that may leave a readable file.
+_WAV_REJECTED = ["bad magic", "no fmt", "no data", "format 3", "float subformat", "stereo",
+                 "8-bit", "rate 0", "odd data", "empty data"]
+_WAV_DEFECTS = _WAV_REJECTED + ["truncated", "short fmt", "length past end", "no pad byte"]
+
+
+@st.composite
+def riff_files(draw):
+    """(RIFF/WAVE bytes, expected).  Without a defect the file has one fmt
+    and one data chunk among unknown chunks in random order, odd-length
+    bodies padded, and expected is its (sample_rate, samples).  Otherwise
+    the file carries one defect, and expected is "reject" for a defect in
+    _WAV_REJECTED and None for the others."""
+    defect = draw(st.none() | st.sampled_from(_WAV_DEFECTS))
+    tag = {"format 3": 3, "float subformat": 0xFFFE}.get(defect) or draw(
+        st.sampled_from([1, 0xFFFE]))
+    channels = 2 if defect == "stereo" else 1
+    bits = 8 if defect == "8-bit" else 16
+    sr = 0 if defect == "rate 0" else draw(st.sampled_from([8000, 16000]))
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", tag, channels, sr, sr * block, block, bits)
+    if tag == 0xFFFE or draw(st.booleans()):
+        guid = _FLOAT_GUID if defect == "float subformat" else _PCM_GUID
+        fmt += struct.pack("<HHI", 22, bits, 0x4) + guid
+    if defect == "short fmt":
+        fmt = fmt[: draw(st.integers(0, len(fmt) - 1))]
+    n = 0 if defect == "empty data" else draw(st.integers(1, 10))
+    data = draw(st.binary(min_size=2 * n, max_size=2 * n))
+    if defect == "odd data":
+        data += b"\x01"
+    chunks = []
+    if defect != "no fmt":
+        chunks.append((b"fmt ", fmt))
+    if defect != "no data":
+        chunks.append((b"data", data))
+    chunks += draw(st.lists(st.tuples(st.sampled_from(_UNKNOWN_IDS), st.binary(max_size=9)),
+                            max_size=3))
+    chunks = draw(st.permutations(chunks))
+    liar = draw(st.integers(0, len(chunks) - 1)) if chunks and defect == "length past end" else -1
+    body = b""
+    for i, (cid, payload) in enumerate(chunks):
+        declared = len(payload) + (draw(st.integers(1, 100)) if i == liar else 0)
+        pad = b"\x00" if len(payload) % 2 and defect != "no pad byte" else b""
+        body += cid + struct.pack("<I", declared) + payload + pad
+    magic = b"AVI " if defect == "bad magic" else b"WAVE"
+    raw = b"RIFF" + struct.pack("<I", 4 + len(body)) + magic + body
+    if defect == "truncated":
+        raw = raw[: draw(st.integers(0, len(raw) - 1))]
+    if defect is None:
+        return raw, (sr, np.frombuffer(data, "<i2") / 32768.0)
+    return raw, "reject" if defect in _WAV_REJECTED else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(riff_files())
+def test_wav_parser_fuzz(tmp_path_factory, case):
+    """read_wav decodes a well-formed file exactly, rejects a file with a
+    fatal defect, and on any file either decodes or raises a one-line
+    AudioFormatError; read_wav_info accepts exactly what read_wav accepts,
+    plus an empty data chunk."""
+    raw, expected = case
+    p = tmp_path_factory.mktemp("fuzz") / "f.wav"
+    p.write_bytes(raw)
+    try:
+        audio = dsp.read_wav(p)
+        err = None
+    except AudioFormatError as exc:
+        err = str(exc)
+        assert err.startswith(f"dsp.read_wav: {p}: ") and "\n" not in err
+    try:
+        info = dsp.read_wav_info(p)
+    except AudioFormatError:
+        info = None
+    if expected == "reject":
+        assert err is not None
+    elif expected is not None:
+        assert err is None
+        assert audio.sample_rate_hz == expected[0]
+        assert np.array_equal(audio.samples, expected[1])
+    if err is None:
+        assert info == (audio.sample_rate_hz, audio.samples.size)
+    elif err.endswith("empty data chunk"):
+        assert info is not None and info[1] == 0
+    else:
+        assert info is None
 
 
 def test_audio_buffer_validation():

@@ -1,11 +1,9 @@
-"""Kernel backends against independent oracles and each other."""
-
-import os
-import subprocess
-import sys
+"""Kernels against independent oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cognopipe import kernels
 
@@ -56,17 +54,7 @@ def reference_pegasos(X, y, cw, lam, idx):
 # ---------------------------------------------------------------------------
 # FFT
 
-def test_bit_reverse_indices_known():
-    assert kernels.bit_reverse_indices(8).tolist() == [0, 4, 2, 6, 1, 5, 3, 7]
-
-
-@pytest.mark.parametrize("n", [2, 4, 16, 128])
-def test_bit_reverse_is_an_involution(n):
-    rev = kernels.bit_reverse_indices(n)
-    assert np.array_equal(rev[rev], np.arange(n))
-
-
-@pytest.mark.parametrize("n", [2, 4, 8, 64, 256, 1024])
+@pytest.mark.parametrize("n", [2 ** k for k in range(1, 11)])
 def test_fft_matches_naive_dft(n):
     rng = np.random.default_rng(n)
     for _ in range(5):
@@ -125,6 +113,44 @@ def test_autocorr_matches_naive():
         assert np.max(np.abs(got[i] - want)) < 1e-10
 
 
+@st.composite
+def autocorr_cases(draw):
+    """Frames, lag range and oracle cases: 0 and 1 frames, any length,
+    min_lag == max_lag, max_lag >= n, silent frames and silent runs.
+
+    Samples are drawn with magnitudes in [0.5, 1.5] (or exactly 0), so every
+    non-zero head or tail energy is at least 0.25.  The FFT numerator has an
+    absolute error of order eps * sum(x^2); r differs from the oracle by
+    that error over the denominator, which this bound keeps far below 1e-10.
+    """
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(1, 300))
+    min_lag = draw(st.integers(0, n + 5))
+    max_lag = draw(st.one_of(st.just(min_lag), st.integers(min_lag, n + 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    frames = rng.choice([-1.0, 1.0], (m, n)) * rng.uniform(0.5, 1.5, (m, n))
+    for row in frames:
+        kind = draw(st.sampled_from(["dense", "silent", "head", "tail"]))
+        cut = draw(st.integers(0, n))
+        if kind == "silent":
+            row[:] = 0.0
+        elif kind == "head":
+            row[:cut] = 0.0
+        elif kind == "tail":
+            row[cut:] = 0.0
+    return frames, min_lag, max_lag
+
+
+@settings(max_examples=200, deadline=None)
+@given(autocorr_cases())
+def test_autocorr_matches_naive_property(case):
+    frames, min_lag, max_lag = case
+    got = kernels.autocorr_norm_batch(frames, min_lag, max_lag)
+    assert got.shape == (frames.shape[0], max_lag - min_lag + 1)
+    for row, x in zip(got, frames):
+        assert np.max(np.abs(row - naive_autocorr(x, min_lag, max_lag))) < 1e-10
+
+
 def test_autocorr_peaks_at_period():
     sr = 16000
     period = 80  # 200 Hz
@@ -153,52 +179,3 @@ def test_pegasos_matches_reference_loop():
     w_want, b_want = reference_pegasos(X, y, cw, 0.3, idx)
     assert np.max(np.abs(w_got - w_want)) < 1e-12
     assert abs(b_got - b_want) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# backend agreement
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-def test_backends_agree():
-    rng = np.random.default_rng(4)
-    frames = rng.standard_normal((8, 128))
-    rev = kernels.bit_reverse_indices(128)
-    assert np.max(np.abs(
-        kernels._rfft_pow2_batch_np(frames, rev) - kernels._rfft_pow2_batch_nb(frames, rev)
-    )) < 1e-9
-
-    assert np.max(np.abs(
-        kernels._autocorr_norm_batch_np(frames, 5, 60)
-        - kernels._autocorr_norm_batch_nb(frames, 5, 60)
-    )) < 1e-10
-
-    X = rng.standard_normal((20, 5))
-    y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
-    cw = np.ones(20)
-    idx = rng.integers(0, 20, 200)
-    w_np, b_np = kernels._pegasos_np(X, y, cw, 0.5, idx)
-    w_nb, b_nb = kernels._pegasos_nb(X, y, cw, 0.5, idx)
-    assert np.max(np.abs(w_np - w_nb)) < 1e-12
-    assert abs(b_np - b_nb) < 1e-12
-
-
-def test_env_flag_forces_numpy_backend():
-    """COGNOPIPE_NO_NUMBA=1 must select the numpy path and stay correct."""
-    code = (
-        "import numpy as np\n"
-        "from cognopipe import kernels\n"
-        "assert not kernels.USE_NUMBA\n"
-        "x = np.random.default_rng(0).standard_normal(64)\n"
-        "n = 64\n"
-        "k = np.arange(33)[:, None]; t = np.arange(n)[None, :]\n"
-        "want = (np.exp(-2j * np.pi * k * t / n) * x).sum(axis=1)\n"
-        "got = kernels.rfft_pow2_batch(x[None, :])[0]\n"
-        "assert np.max(np.abs(got - want)) < 1e-9\n"
-        "print('numpy-backend-ok')\n"
-    )
-    env = dict(os.environ, COGNOPIPE_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert "numpy-backend-ok" in out.stdout
