@@ -284,46 +284,32 @@ def extract_llds(
     return LldMatrix(np.vstack(blocks))
 
 
-def _functional(x: np.ndarray, name: str) -> float:
-    """One functional of one LLD track; empty tracks handled by caller."""
-    if name == "mean":
-        return float(np.mean(x))
-    if name == "std":
-        return float(np.std(x))
-    if name == "percentile20":
-        return float(np.percentile(x, 20))
-    if name == "percentile50":
-        return float(np.percentile(x, 50))
-    if name == "percentile80":
-        return float(np.percentile(x, 80))
-    if name == "range":
-        return float(np.max(x) - np.min(x))
-    if name == "slope":
-        if x.size < 2:
-            return 0.0
-        t = np.arange(x.size, dtype=np.float64)
-        tc = t - t.mean()
-        return float(np.sum(tc * (x - x.mean())) / np.sum(tc * tc))
-    if name == "riseRate":
-        d = np.diff(x)
-        pos = d[d > 0]
-        return float(np.mean(pos)) if pos.size else 0.0
-    if name == "fallRate":
-        d = np.diff(x)
-        neg = d[d < 0]
-        return float(np.mean(-neg)) if neg.size else 0.0
-    raise FeatureError("apply_functionals", f"unknown functional '{name}'")
+def functional_table(values: np.ndarray) -> np.ndarray:
+    """Every functional of every column, (n_columns, len(FUNCTIONAL_NAMES)).
 
-
-def _grid(values: np.ndarray, llds, functionals, column_of) -> np.ndarray:
-    out = np.empty(len(llds) * len(functionals))
-    i = 0
-    for lld in llds:
-        x = values[:, column_of[lld]]
-        for fn in functionals:
-            out[i] = _functional(x, fn)
-            i += 1
-    return out
+    Row j summarizes column j of a non-empty frames x columns array, in
+    FUNCTIONAL_NAMES order.  riseRate/fallRate are the mean positive /
+    mean negative frame-to-frame step (0 if no such step); slope is per
+    frame-step (0 for a single frame).
+    """
+    x = np.ascontiguousarray(np.asarray(values, dtype=np.float64).T)
+    mean = x.mean(axis=1)
+    table = np.empty((x.shape[0], len(FUNCTIONAL_NAMES)))
+    table[:, 0] = mean
+    table[:, 1] = x.std(axis=1)
+    table[:, 2:5] = np.percentile(x, (20, 50, 80), axis=1).T
+    table[:, 5] = x.max(axis=1) - x.min(axis=1)
+    if x.shape[1] >= 2:
+        tc = np.arange(x.shape[1], dtype=np.float64)
+        tc -= tc.mean()
+        table[:, 6] = np.sum(tc * (x - mean[:, None]), axis=1) / np.sum(tc * tc)
+    else:
+        table[:, 6] = 0.0
+    d = np.diff(x, axis=1)
+    rise, fall = d > 0, d < 0
+    table[:, 7] = np.where(rise, d, 0.0).sum(axis=1) / np.maximum(rise.sum(axis=1), 1)
+    table[:, 8] = np.where(fall, -d, 0.0).sum(axis=1) / np.maximum(fall.sum(axis=1), 1)
+    return table
 
 
 def apply_functionals(llds: LldMatrix, functionals=FUNCTIONAL_NAMES) -> FeatureVector:
@@ -331,9 +317,8 @@ def apply_functionals(llds: LldMatrix, functionals=FUNCTIONAL_NAMES) -> FeatureV
 
     Output order is LLD-major, functional-minor (all functionals of the
     first LLD, then the second, ...).  An empty matrix yields an
-    all-zero vector flagged empty_speech.  riseRate/fallRate are the
-    mean positive / mean negative frame-to-frame step (0 if no such
-    step); slope is per frame-step.
+    all-zero vector flagged empty_speech.  The functionals are those of
+    functional_table.
     """
     functionals = tuple(functionals)
     if not functionals:
@@ -344,9 +329,8 @@ def apply_functionals(llds: LldMatrix, functionals=FUNCTIONAL_NAMES) -> FeatureV
     dim = len(LLD_NAMES) * len(functionals)
     if llds.num_frames == 0:
         return FeatureVector(FeatureSetId.COMPARE_LIKE, np.zeros(dim), empty_speech=True)
-    column_of = {name: j for j, name in enumerate(LLD_NAMES)}
-    vals = _grid(llds.values, LLD_NAMES, functionals, column_of)
-    return FeatureVector(FeatureSetId.COMPARE_LIKE, vals)
+    cols = [FUNCTIONAL_NAMES.index(fn) for fn in functionals]
+    return FeatureVector(FeatureSetId.COMPARE_LIKE, functional_table(llds.values)[:, cols].ravel())
 
 
 def _load_data_json(filename: str) -> dict:
@@ -406,11 +390,9 @@ def egemaps_like(
     llds = extract_llds(audio, segments, config)
     if llds.num_frames == 0:
         return FeatureVector(FeatureSetId.EGEMAPS_LIKE_88, np.zeros(len(entries)), empty_speech=True)
-    column_of = {name: j for j, name in enumerate(LLD_NAMES)}
-    vals = np.empty(len(entries))
-    for i, e in enumerate(entries):
-        vals[i] = _functional(llds.values[:, column_of[e["lld"]]], e["functional"])
-    return FeatureVector(FeatureSetId.EGEMAPS_LIKE_88, vals)
+    rows = [LLD_NAMES.index(e["lld"]) for e in entries]
+    cols = [FUNCTIONAL_NAMES.index(e["functional"]) for e in entries]
+    return FeatureVector(FeatureSetId.EGEMAPS_LIKE_88, functional_table(llds.values)[rows, cols])
 
 
 def compare_like(
@@ -428,14 +410,17 @@ def compare_like(
     llds = extract_llds(audio, segments, config)
     if llds.num_frames == 0:
         return FeatureVector(FeatureSetId.COMPARE_LIKE, np.zeros(g.dim), empty_speech=True)
-    column_of = {name: j for j, name in enumerate(LLD_NAMES)}
-    parts = [_grid(llds.values, g.llds, g.functionals, column_of)]
+    cells = np.ix_(
+        [LLD_NAMES.index(name) for name in g.llds],
+        [FUNCTIONAL_NAMES.index(fn) for fn in g.functionals],
+    )
+    parts = [functional_table(llds.values)[cells].ravel()]
     if g.deltas:
         if llds.num_frames >= 2:
             deltas = np.diff(llds.values, axis=0)
         else:
             deltas = np.zeros((1, llds.values.shape[1]))
-        parts.append(_grid(deltas, g.llds, g.functionals, column_of))
+        parts.append(functional_table(deltas)[cells].ravel())
     return FeatureVector(FeatureSetId.COMPARE_LIKE, np.concatenate(parts))
 
 

@@ -15,17 +15,13 @@ gradient descent with Armijo backtracking; the linear SVM runs Pegasos
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from . import kernels
 from .errors import TrainingError
-
-MODEL_FORMAT_VERSION = "1.0"
 
 
 class ModelKind(enum.Enum):
@@ -271,43 +267,3 @@ def decision_score(x: np.ndarray, model: LinearModel):
         return predict_logistic(x, model) - 0.5
     return predict_svm(x, model)
 
-
-def save_model(model: LinearModel, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "kind": model.kind.value,
-        "dim": int(model.weights.size),
-        "weights": [float(v) for v in model.weights],
-        "bias": float(model.bias),
-        "l2_lambda": float(model.l2_lambda),
-        "class_weights": [float(model.class_weights[0]), float(model.class_weights[1])],
-        "training_meta": dict(model.training_meta),
-        "fitted_subjects": sorted(model.fitted_subjects),
-    }
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def load_model(path) -> LinearModel:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        if doc["format_version"] != MODEL_FORMAT_VERSION:
-            raise TrainingError(
-                "load_model", f"unsupported format_version '{doc['format_version']}'"
-            )
-        weights = np.array(doc["weights"], dtype=np.float64)
-        if weights.size != doc["dim"]:
-            raise TrainingError("load_model", f"dim mismatch in {path}")
-        return LinearModel(
-            kind=ModelKind(doc["kind"]),
-            weights=weights,
-            bias=float(doc["bias"]),
-            l2_lambda=float(doc["l2_lambda"]),
-            class_weights=(float(doc["class_weights"][0]), float(doc["class_weights"][1])),
-            training_meta=doc["training_meta"],
-            fitted_subjects=frozenset(doc["fitted_subjects"]),
-        )
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise TrainingError("load_model", f"malformed model file {path}: {exc}")

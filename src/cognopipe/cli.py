@@ -169,13 +169,7 @@ def cmd_train_eval(args, out: _OutputTracker) -> int:
     c = corpus.load_manifest(cfg.manifest)
     folds = corpus.stratified_folds(c, cfg.k, cfg.seed)
     workers = _effective_workers(cfg)
-    exp_cfg = evaluation.ExperimentConfig(
-        seed=cfg.seed,
-        l2_lambda=cfg.classifier.l2_lambda,
-        lr_max_iters=cfg.classifier.lr_max_iters,
-        lr_tol=cfg.classifier.lr_tol,
-        svm_epochs=cfg.classifier.svm_epochs,
-    )
+    exp_cfg = evaluation.ExperimentConfig(seed=cfg.seed, **dataclasses.asdict(cfg.classifier))
     experiments = []
     for task in cfg.tasks:
         for fsid in cfg.feature_sets:

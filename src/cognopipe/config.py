@@ -17,7 +17,7 @@ from .classifiers import ModelKind
 from .corpus import Task
 from .dsp import VadConfig
 from .errors import ConfigError
-from .evaluation import AveragingMode, TieBreak
+from .evaluation import TieBreak
 from .features import FeatureSetId
 
 
@@ -51,7 +51,6 @@ class RunConfig:
     k: int = 5
     seed: int = 7
     tie_break: TieBreak = TieBreak.SCORE_SUM
-    averaging: AveragingMode = AveragingMode.BINARY
     workers: int | None = None  # None = available parallelism
     vad: VadConfig = field(default_factory=VadConfig)
     acoustic: AcousticConfig = field(default_factory=AcousticConfig)
@@ -72,9 +71,11 @@ class RunConfig:
 
 
 def _parse_enum_list(raw, enum_cls, what: str) -> tuple:
+    items = raw.split(",") if isinstance(raw, str) else raw
+    if not isinstance(items, list) or not all(isinstance(item, str) for item in items):
+        raise ConfigError("parse", f"{what} must be a name or a list of names, got {raw!r}")
     out = []
     values = [e.value for e in enum_cls]
-    items = raw.split(",") if isinstance(raw, str) else list(raw)
     for item in items:
         item = item.strip()
         try:
@@ -88,15 +89,58 @@ def _parse_enum_list(raw, enum_cls, what: str) -> tuple:
     return tuple(out)
 
 
-def _build_nested(cls, doc: dict, where: str):
-    known = {f.name for f in fields(cls)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError("parse", f"unknown {where} keys: {sorted(unknown)}")
-    try:
-        return cls(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("parse", f"bad {where} section: {exc}")
+_ENUM_LISTS = {
+    "tasks": (Task, "task"),
+    "feature_sets": (FeatureSetId, "feature set"),
+    "classifiers": (ModelKind, "classifier"),
+}
+# Plain fields: their JSON types, None only where the default is None.
+_SCALARS = {
+    "manifest": (str, type(None)),
+    "out_dir": (str,),
+    "k": (int,),
+    "seed": (int,),
+    "workers": (int, type(None)),
+}
+_SECTIONS = {
+    "vad": VadConfig,
+    "acoustic": AcousticConfig,
+    "ngram": NgramConfig,
+    "classifier": ClassifierConfig,
+}
+
+
+def _coerce(key: str, value):
+    """One RunConfig field from its config-file or command-line value."""
+    if key in _ENUM_LISTS:
+        return _parse_enum_list(value, *_ENUM_LISTS[key])
+    if key == "tie_break":
+        parsed = _parse_enum_list(value, TieBreak, "tie_break")
+        if len(parsed) != 1:
+            raise ConfigError("parse", f"tie_break takes one value, got {value!r}")
+        return parsed[0]
+    if key in _SCALARS:
+        if isinstance(value, bool) or not isinstance(value, _SCALARS[key]):
+            raise ConfigError("parse", f"{key} must be {_SCALARS[key][0].__name__}, got {value!r}")
+        return value
+    if key in _SECTIONS:
+        cls = _SECTIONS[key]
+        if not isinstance(value, dict):
+            raise ConfigError("parse", f"{key} section must be an object, got {value!r}")
+        unknown = set(value) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError("parse", f"unknown {key} keys: {sorted(unknown)}")
+        for f in fields(cls):  # every section field is an int or a float
+            v = value.get(f.name, f.default)
+            is_float = isinstance(f.default, float)
+            if isinstance(v, bool) or not isinstance(v, (int, float) if is_float else int):
+                what = "a number" if is_float else "an integer"
+                raise ConfigError("parse", f"{key}.{f.name} must be {what}, got {v!r}")
+        try:
+            return cls(**value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("parse", f"bad {key} section: {exc}")
+    return value
 
 
 def load_config_file(path) -> dict:
@@ -111,48 +155,15 @@ def load_config_file(path) -> dict:
     unknown = set(doc) - known
     if unknown:
         raise ConfigError("load", f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in doc.items():
-        if key == "tasks":
-            kwargs[key] = _parse_enum_list(value, Task, "task")
-        elif key == "feature_sets":
-            kwargs[key] = _parse_enum_list(value, FeatureSetId, "feature set")
-        elif key == "classifiers":
-            kwargs[key] = _parse_enum_list(value, ModelKind, "classifier")
-        elif key == "tie_break":
-            kwargs[key] = _parse_enum_list(value, TieBreak, "tie_break")[0]
-        elif key == "averaging":
-            kwargs[key] = _parse_enum_list(value, AveragingMode, "averaging mode")[0]
-        elif key == "vad":
-            kwargs[key] = _build_nested(VadConfig, value, "vad")
-        elif key == "acoustic":
-            kwargs[key] = _build_nested(AcousticConfig, value, "acoustic")
-        elif key == "ngram":
-            kwargs[key] = _build_nested(NgramConfig, value, "ngram")
-        elif key == "classifier":
-            kwargs[key] = _build_nested(ClassifierConfig, value, "classifier")
-        else:
-            kwargs[key] = value
-    return kwargs
+    return {key: _coerce(key, value) for key, value in doc.items()}
 
 
 def merge_config(file_path=None, **flag_overrides) -> RunConfig:
     """Defaults, then config file values, then non-None flag values."""
     kwargs = load_config_file(file_path) if file_path else {}
     for key, value in flag_overrides.items():
-        if value is None:
-            continue
-        if key == "tasks":
-            value = _parse_enum_list(value, Task, "task")
-        elif key == "feature_sets":
-            value = _parse_enum_list(value, FeatureSetId, "feature set")
-        elif key == "classifiers":
-            value = _parse_enum_list(value, ModelKind, "classifier")
-        elif key == "tie_break" and isinstance(value, str):
-            value = _parse_enum_list(value, TieBreak, "tie_break")[0]
-        elif key == "averaging" and isinstance(value, str):
-            value = _parse_enum_list(value, AveragingMode, "averaging mode")[0]
-        kwargs[key] = value
+        if value is not None:
+            kwargs[key] = _coerce(key, value)
     try:
         return RunConfig(**kwargs)
     except TypeError as exc:
@@ -174,7 +185,6 @@ def config_echo(cfg: RunConfig) -> dict:
         "k": cfg.k,
         "seed": cfg.seed,
         "tie_break": cfg.tie_break.value,
-        "averaging": cfg.averaging.value,
         "vad": _dataclass_doc(cfg.vad),
         "acoustic": _dataclass_doc(cfg.acoustic),
         "ngram": _dataclass_doc(cfg.ngram),

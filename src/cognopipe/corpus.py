@@ -78,7 +78,6 @@ class SubjectRecord:
     gender: Gender
     ethnicity: str | None
     diagnosis: Diagnosis
-    questionnaire_scores: Mapping[str, int] | None = None
 
     @property
     def binary_label(self) -> Label:
@@ -130,18 +129,8 @@ class Corpus:
     def _by_id(self) -> dict[str, SubjectRecord]:
         return {s.subject_id: s for s in self.subjects}
 
-    @cached_property
-    def _rec_index(self) -> dict[tuple[str, Task], TaskRecording]:
-        return {(r.subject_id, r.task): r for r in self.recordings}
-
     def subject(self, subject_id: str) -> SubjectRecord:
         return self._by_id[subject_id]
-
-    def recording(self, subject_id: str, task: Task) -> TaskRecording | None:
-        return self._rec_index.get((subject_id, task))
-
-    def subjects_with_task(self, task: Task) -> tuple[str, ...]:
-        return tuple(sorted(sid for sid, t in self._rec_index if t is task))
 
     def diagnosis_counts(self) -> dict[Diagnosis, int]:
         counts = {d: 0 for d in Diagnosis}
@@ -420,35 +409,6 @@ def load_manifest(path) -> Corpus:
             diagnostics=ordered,
         )
     return Corpus(tuple(subjects), tuple(recordings))
-
-
-def write_manifest(corpus: Corpus, out_dir) -> Path:
-    """Write subjects.csv / recordings.csv so load_manifest round-trips.
-
-    Audio and transcript paths are written absolute, so the tables may
-    live anywhere relative to the media they point at.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / SUBJECTS_FILE, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SUBJECT_COLUMNS)
-        for s in corpus.subjects:
-            w.writerow(
-                [
-                    s.subject_id,
-                    "" if s.age is None else s.age,
-                    s.gender.value,
-                    s.ethnicity or "",
-                    s.diagnosis.value,
-                ]
-            )
-    with open(out / RECORDINGS_FILE, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(RECORDING_COLUMNS)
-        for r in corpus.recordings:
-            w.writerow([r.subject_id, r.task.value, r.audio_path, r.transcript_path or ""])
-    return out
 
 
 def summarize(corpus: Corpus, vad_config: dsp.VadConfig | None = None) -> CorpusStats:

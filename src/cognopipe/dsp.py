@@ -125,10 +125,14 @@ def _read_wav_header(fh: BinaryIO, path: Path) -> tuple[int, int, int]:
         chunk_id, chunk_len = struct.unpack("<4sI", fh.read(8))
         body = pos + 8
         if chunk_id == b"fmt ":
+            if fmt is not None:
+                raise bad("repeated fmt chunk")
             if chunk_len < 16 or body + 16 > size:
                 raise bad("truncated fmt chunk")
             fmt = fh.read(min(chunk_len, _FMT_EXTENSIBLE_LEN))
         elif chunk_id == b"data":
+            if data is not None:
+                raise bad("repeated data chunk")
             data = (body, chunk_len)
         pos = body + chunk_len + (chunk_len & 1)
     if fmt is None:

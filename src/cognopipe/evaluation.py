@@ -16,7 +16,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .corpus import Corpus, Diagnosis, FoldAssignment, Label, Task
 from .errors import EvaluationError
 from .features import FeatureSetId, FeatureVector
 
-REPORT_SCHEMA_VERSION = "1.0"
+REPORT_SCHEMA_VERSION = "1.1"
 
 DISCLAIMERS = (
     "speech segmentation uses energy-based voice activity detection",
@@ -68,7 +68,6 @@ class ExperimentConfig:
     lr_max_iters: int = 500
     lr_tol: float = 1e-6
     svm_epochs: int = 50
-    class_weights: tuple[float, float] | None = None  # None = inverse frequency
 
 
 @dataclass(frozen=True)
@@ -78,20 +77,6 @@ class TaskExperimentResult:
     classifier: classifiers.ModelKind
     predictions: tuple[FoldPrediction, ...]
     skipped_subjects: tuple[str, ...]  # no usable recording for this task
-
-
-class FeatureProvider(Protocol):
-    """Supplies per-fold train/test design matrices for one task."""
-
-    feature_set_id: FeatureSetId
-
-    def available_subjects(self) -> tuple[str, ...]: ...
-
-    def fold_features(
-        self, train_ids: Sequence[str], test_ids: Sequence[str], fold_name: str
-    ) -> tuple[np.ndarray, np.ndarray, frozenset[str]]:
-        """Returns (X_train, X_test, subjects_used_to_fit)."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -148,7 +133,7 @@ def _extract_one(args) -> tuple[str, FeatureVector]:
      vad_cfg, ac_cfg) = args
     fsid = FeatureSetId(feature_set_value)
     if fsid is FeatureSetId.LEXICAL:
-        return subject_id, linguistic.lexical_vector(transcript or "", duration_s)
+        return subject_id, linguistic.lexical_vector(transcript, duration_s)
     audio = dsp.read_wav(audio_path)
     segments = dsp.detect_speech(audio, vad_cfg)
     if fsid is FeatureSetId.EGEMAPS_LIKE_88:
@@ -168,12 +153,19 @@ def extract_task_features(
 ) -> dict[str, FeatureVector]:
     """Per-subject vectors for one task, in sorted-subject order.
 
+    Lexical vectors need a transcript, so a recording without one is
+    left out (its subject is then skipped, as under NgramTfidf).
     Recordings are independent, so extraction fans out over a process
     pool; results are reduced in subject order, making the output
     independent of worker count.
     """
     recs = sorted(
-        (r for r in corpus.recordings if r.task is task), key=lambda r: r.subject_id
+        (
+            r for r in corpus.recordings
+            if r.task is task
+            and (feature_set is not FeatureSetId.LEXICAL or r.transcript is not None)
+        ),
+        key=lambda r: r.subject_id,
     )
     jobs = [
         (r.subject_id, r.audio_path, r.transcript, r.duration_s, feature_set.value,
@@ -198,7 +190,7 @@ def build_provider(
     min_doc_freq: int = 2,
     workers: int = 1,
     precomputed: Mapping[str, FeatureVector] | None = None,
-) -> FeatureProvider:
+) -> PrecomputedProvider | TfidfProvider:
     """Make the right provider for a feature set (extracting if needed)."""
     if feature_set is FeatureSetId.NGRAM_TFIDF:
         transcripts = {
@@ -222,7 +214,7 @@ def fold_seed(base_seed: int, task: Task, feature_set: FeatureSetId,
 def run_task_experiment(
     corpus: Corpus,
     task: Task,
-    provider: FeatureProvider,
+    provider: PrecomputedProvider | TfidfProvider,
     classifier_kind: classifiers.ModelKind,
     folds: FoldAssignment,
     config: ExperimentConfig = ExperimentConfig(),
@@ -268,7 +260,6 @@ def run_task_experiment(
                 l2_lambda=config.l2_lambda,
                 max_iters=config.lr_max_iters,
                 tol=config.lr_tol,
-                class_weights=config.class_weights,
                 fitted_subjects=frozenset(train_ids),
             )
         else:
@@ -278,7 +269,6 @@ def run_task_experiment(
                 l2_lambda=config.l2_lambda,
                 epochs=config.svm_epochs,
                 seed=seed,
-                class_weights=config.class_weights,
                 fitted_subjects=frozenset(train_ids),
             )
 

@@ -10,7 +10,6 @@ turns train/test leakage into a structural impossibility.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -21,8 +20,6 @@ import numpy as np
 
 from .errors import LeakageError, TextError
 from .features import FeatureSetId, FeatureVector
-
-VOCAB_FORMAT_VERSION = "1.0"
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -196,52 +193,3 @@ def lexical_vector(
         ),
     )
 
-
-def write_vocabulary(vocab: Vocabulary, path) -> None:
-    """Persist as a versioned CSV: metadata lines, then ngram,index,idf rows."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["version", VOCAB_FORMAT_VERSION])
-        w.writerow(["n_range", vocab.n_range[0], vocab.n_range[1]])
-        w.writerow(["min_doc_freq", vocab.min_doc_freq])
-        w.writerow(["fitted_on", vocab.fitted_on])
-        w.writerow(["fitted_subjects"] + sorted(vocab.fitted_subjects))
-        w.writerow(["ngram", "index", "idf"])
-        order = sorted(vocab.index.items(), key=lambda kv: kv[1])
-        for gram, idx in order:
-            w.writerow([gram, idx, repr(float(vocab.idf[idx]))])
-
-
-def read_vocabulary(path) -> Vocabulary:
-    path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        r = csv.reader(fh)
-        try:
-            version = next(r)[1]
-            if version != VOCAB_FORMAT_VERSION:
-                raise TextError("read_vocabulary", f"unsupported version '{version}'")
-            nr_row = next(r)
-            n_range = (int(nr_row[1]), int(nr_row[2]))
-            min_doc_freq = int(next(r)[1])
-            fitted_row = next(r)
-            fitted_on = fitted_row[1] if len(fitted_row) > 1 else ""
-            fitted_subjects = frozenset(next(r)[1:])
-            next(r)  # column header
-            index: dict[str, int] = {}
-            idf_of: dict[int, float] = {}
-            for row in r:
-                index[row[0]] = int(row[1])
-                idf_of[int(row[1])] = float(row[2])
-        except (StopIteration, IndexError, ValueError) as exc:
-            raise TextError("read_vocabulary", f"malformed vocabulary file {path}: {exc}")
-    idf = np.array([idf_of[i] for i in range(len(index))])
-    return Vocabulary(
-        index=index,
-        idf=idf,
-        n_range=n_range,
-        min_doc_freq=min_doc_freq,
-        fitted_on=fitted_on,
-        fitted_subjects=fitted_subjects,
-    )

@@ -1,4 +1,4 @@
-"""Standardizer, logistic regression, linear SVM, model persistence.
+"""Standardizer, logistic regression, linear SVM.
 
 The gradient and equivalence tests lean on independent restatements of the
 objectives (plain loops, central differences) rather than the library's own
@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from cognopipe import classifiers as cl
-from cognopipe.classifiers import ModelKind
 from cognopipe.errors import TrainingError
 
 
@@ -294,33 +293,3 @@ def test_decision_score_sign_convention():
     # positive score iff the probability favors Case
     for x in X[:5]:
         assert (cl.decision_score(x, lr) > 0) == (cl.predict_logistic(x, lr) > 0.5)
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-def test_model_save_load_round_trip(tmp_path):
-    X, y01 = blobs(10, 1.5, 0.3, seed=9)
-    m = cl.train_logistic(
-        X, y01, l2_lambda=0.25, fitted_subjects=frozenset({"P001", "P002"})
-    )
-    p = tmp_path / "model.json"
-    cl.save_model(m, p)
-    back = cl.load_model(p)
-    assert back.kind is ModelKind.LOGISTIC_REGRESSION
-    assert np.array_equal(back.weights, m.weights)
-    assert back.bias == m.bias
-    assert back.l2_lambda == m.l2_lambda
-    assert back.class_weights == m.class_weights
-    assert dict(back.training_meta) == dict(m.training_meta)
-    assert back.fitted_subjects == m.fitted_subjects
-
-
-def test_load_model_rejects_malformed(tmp_path):
-    p = tmp_path / "m.json"
-    p.write_text("not json at all")
-    with pytest.raises(TrainingError):
-        cl.load_model(p)
-    p.write_text('{"format_version": 99}')
-    with pytest.raises(TrainingError):
-        cl.load_model(p)

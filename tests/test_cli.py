@@ -5,8 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from cognopipe import cli, config as cfgmod, evaluation
+from cognopipe import cli, config as cfgmod, evaluation, synth
 from cognopipe.corpus import (
     RECORDING_COLUMNS,
     RECORDINGS_FILE,
@@ -40,14 +42,28 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg_file.write_text(json.dumps({"vad": {"nope": 1}}))
     with pytest.raises(ConfigError):
         cfgmod.merge_config(cfg_file)
+    cfg_file.write_text(json.dumps({"averaging": "Macro"}))  # every report has all modes
+    with pytest.raises(ConfigError) as exc:
+        cfgmod.merge_config(cfg_file)
+    assert "unknown config keys: ['averaging']" in str(exc.value)
 
 
-def test_config_rejects_bad_enum_values():
+def test_config_rejects_bad_enum_values(tmp_path):
     with pytest.raises(ConfigError) as exc:
         cfgmod.merge_config(None, classifiers="bogus")
     assert "unknown classifier" in str(exc.value)
     with pytest.raises(ConfigError):
         cfgmod.merge_config(None, tasks="ShortTerm,ShortTerm")  # duplicate
+    with pytest.raises(ConfigError):
+        cfgmod.merge_config(None, tie_break="always_case,always_control")
+    cfg_file = tmp_path / "run.json"
+    for doc in ({"tasks": 5}, {"tie_break": 3}, {"vad": 5},
+                {"tie_break": ["always_case", "always_control"]}, {"seed": "x"},
+                {"ngram": {"n_lo": "a"}}, {"acoustic": {"n_mfcc": 2.5}}):
+        cfg_file.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as exc:
+            cfgmod.merge_config(cfg_file)
+        assert "\n" not in str(exc.value), doc
 
 
 def test_config_echo_excludes_workers():
@@ -192,6 +208,37 @@ def test_unknown_enum_flag_errors(small_manifest, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "unknown classifier" in err
+
+
+@pytest.fixture(scope="module")
+def shuffled_run(tmp_path_factory):
+    """(manifest, train-eval runner, report bytes for the generated row order)."""
+    root = tmp_path_factory.mktemp("roworder")
+    spec = synth.SynthSpec(n_case=6, n_control=6, seed=4, acoustic_separation=40.0,
+                           linguistic_separation=2.0, duration_s=1.0)
+    manifest = synth.generate(spec, root / "m")
+    out = root / "out"
+
+    def run() -> bytes:
+        rc = cli.main(["train-eval", "--manifest", str(manifest), "--out", str(out),
+                       "--features", "EgemapsLike88,NgramTfidf,Lexical",
+                       "--classifiers", "LogisticRegression", "--k", "3", "--workers", "1"])
+        assert rc == 0
+        return (out / "report.json").read_bytes()
+
+    return manifest, run, run()
+
+
+# Each example is a full train-eval run, so a failure is reported unshrunk.
+@settings(max_examples=4, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(data=st.data())
+def test_report_bytes_independent_of_manifest_row_order(shuffled_run, data):
+    manifest, run, want = shuffled_run
+    for name in (SUBJECTS_FILE, RECORDINGS_FILE):
+        header, *rows = (manifest / name).read_text(encoding="utf-8").splitlines()
+        rows = data.draw(st.permutations(rows), label=name)
+        (manifest / name).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    assert run() == want
 
 
 # ---------------------------------------------------------------------------

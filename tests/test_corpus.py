@@ -63,12 +63,13 @@ def test_load_manifest_good(good_manifest):
     assert a.age == 74 and a.gender is Gender.F and a.diagnosis is Diagnosis.MCI
     b = c.subject("B2")
     assert b.age is None and b.gender is Gender.UNDISCLOSED and b.ethnicity is None
-    rec = c.recording("A1", Task.SHORT_TERM)
+    recs = {(r.subject_id, r.task): r for r in c.recordings}
+    rec = recs[("A1", Task.SHORT_TERM)]
     assert rec.transcript == "hello there"
     assert rec.sample_rate_hz == SR
     assert abs(rec.duration_s - 0.5) < 1e-9
-    assert c.recording("A1", Task.LONG_TERM) is None
-    assert c.subjects_with_task(Task.SEMANTIC_FLUENCY) == ("A1", "B2")
+    assert ("A1", Task.LONG_TERM) not in recs
+    assert sorted(s for s, t in recs if t is Task.SEMANTIC_FLUENCY) == ["A1", "B2"]
 
 
 def test_load_manifest_missing_dir(tmp_path):
@@ -133,14 +134,6 @@ def test_load_manifest_malformed_row(tmp_path, good_manifest):
     with pytest.raises(ManifestError) as exc:
         corpus.load_manifest(good_manifest)
     assert any("malformed row" in str(d) for d in exc.value.diagnostics)
-
-
-def test_write_manifest_round_trips(good_manifest, tmp_path):
-    c1 = corpus.load_manifest(good_manifest)
-    out = corpus.write_manifest(c1, tmp_path / "copy")
-    c2 = corpus.load_manifest(out)
-    assert c1.subjects == c2.subjects
-    assert c1.recordings == c2.recordings
 
 
 # ---------------------------------------------------------------------------

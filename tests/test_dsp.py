@@ -71,6 +71,15 @@ def _extensible_wav(subformat: bytes, channels=1, bits=16) -> bytes:
     return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
 
 
+def _repeated_chunk_wav(chunk_id: bytes) -> bytes:
+    """fmt, a 2-sample data chunk, then a second fmt or a 1-sample data chunk."""
+    fmt = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
+    extra = fmt if chunk_id == b"fmt " else struct.pack("<h", 300)
+    chunks = [(b"fmt ", fmt), (b"data", struct.pack("<2h", 100, 200)), (chunk_id, extra)]
+    body = b"".join(cid + struct.pack("<I", len(payload)) + payload for cid, payload in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
 _PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")
 _FLOAT_GUID = bytes.fromhex("0300000000001000800000aa00389b71")
 
@@ -88,6 +97,8 @@ _FLOAT_GUID = bytes.fromhex("0300000000001000800000aa00389b71")
         (_extensible_wav(_PCM_GUID, channels=2), "multi-channel"),
         (_extensible_wav(_PCM_GUID, bits=24), "24-bit"),
         (_extensible_wav(_PCM_GUID)[:56], "truncated fmt chunk"),
+        (_repeated_chunk_wav(b"fmt "), "repeated fmt chunk"),
+        (_repeated_chunk_wav(b"data"), "repeated data chunk"),
     ],
 )
 def test_read_wav_rejects_malformed(tmp_path, raw, defect):
@@ -143,7 +154,7 @@ def test_read_wav_info_reads_only_headers(tmp_path, monkeypatch):
 _UNKNOWN_IDS = [b"LIST", b"junk", b"fact", b"\x00\x00\x00\x00"]
 # Defects every parser must reject, then defects that may leave a readable file.
 _WAV_REJECTED = ["bad magic", "no fmt", "no data", "format 3", "float subformat", "stereo",
-                 "8-bit", "rate 0", "odd data", "empty data"]
+                 "8-bit", "rate 0", "odd data", "empty data", "repeated fmt", "repeated data"]
 _WAV_DEFECTS = _WAV_REJECTED + ["truncated", "short fmt", "length past end", "no pad byte"]
 
 
@@ -176,6 +187,10 @@ def riff_files(draw):
         chunks.append((b"fmt ", fmt))
     if defect != "no data":
         chunks.append((b"data", data))
+    if defect == "repeated fmt":
+        chunks.append((b"fmt ", fmt))
+    if defect == "repeated data":
+        chunks.append((b"data", data[: 2 * draw(st.integers(0, n))]))
     chunks += draw(st.lists(st.tuples(st.sampled_from(_UNKNOWN_IDS), st.binary(max_size=9)),
                             max_size=3))
     chunks = draw(st.permutations(chunks))

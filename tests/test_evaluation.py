@@ -413,6 +413,28 @@ def test_tfidf_provider_fits_per_fold():
         prov.fold_features(("A", "B"), ("A",), "demo2")
 
 
+def test_text_sets_skip_a_missing_transcript_alike(small_manifest, tmp_path):
+    """A recording without a transcript drops its subject from NgramTfidf
+    and Lexical alike, instead of giving Lexical an all-zero vector."""
+    header, *rows = (small_manifest / corpusmod.RECORDINGS_FILE).read_text().splitlines()
+    lines = [header]
+    for row in rows:
+        sid, task, audio, transcript = row.split(",")
+        transcript = "" if (sid, task) == ("S000", "ShortTerm") else str(small_manifest / transcript)
+        lines.append(",".join([sid, task, str(small_manifest / audio), transcript]))
+    (tmp_path / corpusmod.RECORDINGS_FILE).write_text("\n".join(lines) + "\n")
+    (tmp_path / corpusmod.SUBJECTS_FILE).write_bytes(
+        (small_manifest / corpusmod.SUBJECTS_FILE).read_bytes())
+    corp = corpusmod.load_manifest(tmp_path)
+    folds = corpusmod.stratified_folds(corp, 3, seed=0)
+    for fsid in (FeatureSetId.NGRAM_TFIDF, FeatureSetId.LEXICAL):
+        provider = ev.build_provider(corp, Task.SHORT_TERM, fsid)
+        res = ev.run_task_experiment(corp, Task.SHORT_TERM, provider,
+                                     classifiers.ModelKind.LOGISTIC_REGRESSION, folds)
+        assert res.skipped_subjects == ("S000",), fsid
+        assert len(res.predictions) == len(corp.subjects) - 1, fsid
+
+
 def test_fold_seed_stable_and_distinct():
     args = (7, Task.SHORT_TERM, FeatureSetId.EGEMAPS_LIKE_88,
             classifiers.ModelKind.LOGISTIC_REGRESSION)

@@ -150,32 +150,3 @@ def test_load_fillers_default():
     fillers = linguistic.load_fillers()
     assert "um" in fillers
     assert any(" " in f for f in fillers)  # bigram entries exist
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-def test_vocabulary_round_trip(tmp_path):
-    vocab = linguistic.fit_vocabulary(
-        DOCS,
-        n_range=(1, 2),
-        min_doc_freq=1,
-        fitted_on="demo-train",
-        fitted_subjects=frozenset({"S1", "S2"}),
-    )
-    p = tmp_path / "vocab.csv"
-    linguistic.write_vocabulary(vocab, p)
-    back = linguistic.read_vocabulary(p)
-    assert back.index == dict(vocab.index)
-    assert np.array_equal(back.idf, vocab.idf)
-    assert back.n_range == vocab.n_range
-    assert back.min_doc_freq == vocab.min_doc_freq
-    assert back.fitted_on == vocab.fitted_on
-    assert back.fitted_subjects == vocab.fitted_subjects
-
-
-def test_read_vocabulary_rejects_garbage(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("version,99\n")
-    with pytest.raises(TextError):
-        linguistic.read_vocabulary(p)
