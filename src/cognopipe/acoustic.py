@@ -27,6 +27,8 @@ from . import dsp, kernels
 from .errors import FeatureError
 from .features import FeatureSetId, FeatureVector
 
+N_MFCC = 13
+
 LLD_NAMES = (
     "f0_hz",
     "voiced_flag",
@@ -42,7 +44,7 @@ LLD_NAMES = (
     "spectral_slope_500_1500",
     "alpha_ratio_db",
     "hammarberg_index_db",
-) + tuple(f"mfcc_{i}" for i in range(1, 14))
+) + tuple(f"mfcc_{i}" for i in range(1, N_MFCC + 1))
 
 FUNCTIONAL_NAMES = (
     "mean",
@@ -68,7 +70,6 @@ class AcousticConfig:
     f0_max_hz: float = 600.0
     voicing_threshold: float = 0.45
     n_mel_filters: int = 26
-    n_mfcc: int = 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,8 +252,8 @@ def _llds_for_frames(frames: np.ndarray, sr: int, cfg: AcousticConfig) -> np.nda
 
     fb = _mel_filterbank(cfg.n_mel_filters, nfft, sr)
     log_mel = np.log(power @ fb.T + _EPS)
-    mfcc = log_mel @ _dct_rows(cfg.n_mfcc, cfg.n_mel_filters).T
-    for i in range(cfg.n_mfcc):
+    mfcc = log_mel @ _dct_rows(N_MFCC, cfg.n_mel_filters).T
+    for i in range(N_MFCC):
         cols[f"mfcc_{i + 1}"] = mfcc[:, i]
 
     return np.column_stack([cols[name] for name in LLD_NAMES])
@@ -310,27 +311,6 @@ def functional_table(values: np.ndarray) -> np.ndarray:
     table[:, 7] = np.where(rise, d, 0.0).sum(axis=1) / np.maximum(rise.sum(axis=1), 1)
     table[:, 8] = np.where(fall, -d, 0.0).sum(axis=1) / np.maximum(fall.sum(axis=1), 1)
     return table
-
-
-def apply_functionals(llds: LldMatrix, functionals=FUNCTIONAL_NAMES) -> FeatureVector:
-    """Summarize every LLD column with the given functionals.
-
-    Output order is LLD-major, functional-minor (all functionals of the
-    first LLD, then the second, ...).  An empty matrix yields an
-    all-zero vector flagged empty_speech.  The functionals are those of
-    functional_table.
-    """
-    functionals = tuple(functionals)
-    if not functionals:
-        raise FeatureError("apply_functionals", "empty functional list")
-    for fn in functionals:
-        if fn not in FUNCTIONAL_NAMES:
-            raise FeatureError("apply_functionals", f"unknown functional '{fn}'")
-    dim = len(LLD_NAMES) * len(functionals)
-    if llds.num_frames == 0:
-        return FeatureVector(FeatureSetId.COMPARE_LIKE, np.zeros(dim), empty_speech=True)
-    cols = [FUNCTIONAL_NAMES.index(fn) for fn in functionals]
-    return FeatureVector(FeatureSetId.COMPARE_LIKE, functional_table(llds.values)[:, cols].ravel())
 
 
 def _load_data_json(filename: str) -> dict:
@@ -399,14 +379,13 @@ def compare_like(
     audio: dsp.AudioBuffer,
     segments: dsp.SegmentSet,
     config: AcousticConfig | None = None,
-    grid: CompareGrid | None = None,
 ) -> FeatureVector:
     """Config-derived grid vector: plain block, then delta block.
 
     Delta tracks are first differences of each LLD column; with fewer
     than two frames the delta block is zero.
     """
-    g = grid or default_compare_grid()
+    g = default_compare_grid()
     llds = extract_llds(audio, segments, config)
     if llds.num_frames == 0:
         return FeatureVector(FeatureSetId.COMPARE_LIKE, np.zeros(g.dim), empty_speech=True)
@@ -449,36 +428,3 @@ def write_feature_matrix(path, rows, feature_set_id: FeatureSetId, dim: int) -> 
                 [subject_id, task_value, int(vec.empty_speech)]
                 + [repr(float(v)) for v in vec.values]
             )
-
-
-def read_feature_matrix(path):
-    """Inverse of write_feature_matrix.
-
-    Returns (feature_set_id, dim, rows) with rows as
-    [(subject_id, task_value, FeatureVector), ...].
-    """
-    path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        r = csv.reader(fh)
-        try:
-            fsid = FeatureSetId(next(r)[1])
-            version = next(r)[1]
-            dim = int(next(r)[1])
-            header = next(r)
-        except (StopIteration, IndexError, ValueError) as exc:
-            raise FeatureError("read_feature_matrix", f"malformed header in {path}: {exc}")
-        if version != MANIFEST_VERSION:
-            raise FeatureError(
-                "read_feature_matrix", f"unsupported version '{version}' in {path}"
-            )
-        if len(header) != 3 + dim:
-            raise FeatureError("read_feature_matrix", f"header/dim mismatch in {path}")
-        rows = []
-        for line in r:
-            vec = FeatureVector(
-                fsid,
-                np.array([float(v) for v in line[3:]]),
-                empty_speech=bool(int(line[2])),
-            )
-            rows.append((line[0], line[1], vec))
-    return fsid, dim, rows

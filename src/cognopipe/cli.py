@@ -2,9 +2,8 @@
 
 Subcommands: validate, summarize, extract, train-eval, report, synth.
 Every hard error surfaces as one "module.operation: detail" line and a
-nonzero exit code; outputs are written atomically and partial files are
-removed when a command fails.  COGNOPIPE_LOG sets verbosity (DEBUG,
-INFO, WARNING, ...).
+nonzero exit code, and a failed command removes the output files it
+wrote.  COGNOPIPE_LOG sets verbosity (DEBUG, INFO, WARNING, ...).
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ def _stats_lines(stats: corpus.CorpusStats) -> list[str]:
 
 
 def cmd_summarize(args, out: _OutputTracker) -> int:
-    cfg = cfgmod.merge_config(args.config, manifest=args.manifest)
+    cfg = _run_config(args)
     c = corpus.load_manifest(cfg.manifest)
     stats = corpus.summarize(c, cfg.vad)
     text = "\n".join(_stats_lines(stats)) + "\n"
@@ -148,17 +147,13 @@ def cmd_extract(args, out: _OutputTracker) -> int:
 
 
 def _run_config(args) -> cfgmod.RunConfig:
-    cfg = cfgmod.merge_config(
-        args.config,
-        manifest=args.manifest,
-        out_dir=args.out,
-        seed=args.seed,
-        k=args.k,
-        tasks=args.tasks,
-        feature_sets=args.features,
-        classifiers=args.classifiers,
-        workers=args.workers,
-    )
+    """The config file merged with the subcommand's own flags."""
+    flags = {
+        _FIELD_OF_DEST.get(dest, dest): value
+        for dest, value in vars(args).items()
+        if dest not in ("command", "config")
+    }
+    cfg = cfgmod.merge_config(args.config, **flags)
     if not cfg.manifest:
         raise ConfigError("cli", "no manifest given (use --manifest or the config file)")
     return cfg
@@ -229,6 +224,19 @@ def cmd_synth(args, out: _OutputTracker) -> int:
     return 0
 
 
+# Run flags beyond --manifest/--config/--out, in help order; each sets the
+# RunConfig field of its name, except where _FIELD_OF_DEST says otherwise.
+_RUN_FLAGS = {
+    "--seed": {"type": int},
+    "--k": {"type": int},
+    "--tasks": {"help": "comma-separated task names"},
+    "--features": {"help": "comma-separated feature set names"},
+    "--classifiers": {"help": "comma-separated classifier names"},
+    "--workers": {"type": int},
+}
+_FIELD_OF_DEST = {"out": "out_dir", "features": "feature_sets"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cognopipe",
@@ -238,29 +246,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, manifest_required=False):
+    def run_flags(p, *flags, manifest_required=False):
         p.add_argument("--manifest", required=manifest_required,
                        help="manifest directory (subjects.csv + recordings.csv)")
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--tasks", help="comma-separated task names")
-        p.add_argument("--features", help="comma-separated feature set names")
-        p.add_argument("--classifiers", help="comma-separated classifier names")
-        p.add_argument("--workers", type=int)
+        for flag in flags:
+            p.add_argument(flag, **_RUN_FLAGS[flag])
 
     p = sub.add_parser("validate", help="check a manifest, listing every problem")
     p.add_argument("--manifest", required=True)
 
     p = sub.add_parser("summarize", help="corpus statistics table")
-    common(p, manifest_required=True)
+    run_flags(p, manifest_required=True)
 
     p = sub.add_parser("extract", help="persist per-task feature matrices")
-    common(p)
+    run_flags(p, "--tasks", "--features", "--workers")
 
     p = sub.add_parser("train-eval", help="cross-validated experiments + report")
-    common(p)
+    run_flags(p, *_RUN_FLAGS)
 
     p = sub.add_parser("report", help="pretty-print an existing report")
     p.add_argument("report_file", help="path to report.json")

@@ -8,8 +8,9 @@ the echo (reports stay byte-identical across --workers values).
 
 from __future__ import annotations
 
+import enum
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .acoustic import AcousticConfig
@@ -17,7 +18,7 @@ from .classifiers import ModelKind
 from .corpus import Task
 from .dsp import VadConfig
 from .errors import ConfigError
-from .evaluation import TieBreak
+from .evaluation import ClassifierConfig, TieBreak
 from .features import FeatureSetId
 
 
@@ -26,14 +27,6 @@ class NgramConfig:
     n_lo: int = 1
     n_hi: int = 2
     min_doc_freq: int = 2
-
-
-@dataclass(frozen=True)
-class ClassifierConfig:
-    l2_lambda: float = 1.0
-    lr_max_iters: int = 500
-    lr_tol: float = 1e-6
-    svm_epochs: int = 50
 
 
 DEFAULT_TASKS = tuple(Task)
@@ -170,23 +163,16 @@ def merge_config(file_path=None, **flag_overrides) -> RunConfig:
         raise ConfigError("merge", str(exc))
 
 
-def _dataclass_doc(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+def _echo(value):
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_echo(v) for v in value]
+    if is_dataclass(value):
+        return asdict(value)
+    return value
 
 
 def config_echo(cfg: RunConfig) -> dict:
     """JSON-able view of the effective config, minus execution details."""
-    return {
-        "manifest": cfg.manifest,
-        "out_dir": cfg.out_dir,
-        "tasks": [t.value for t in cfg.tasks],
-        "feature_sets": [f.value for f in cfg.feature_sets],
-        "classifiers": [c.value for c in cfg.classifiers],
-        "k": cfg.k,
-        "seed": cfg.seed,
-        "tie_break": cfg.tie_break.value,
-        "vad": _dataclass_doc(cfg.vad),
-        "acoustic": _dataclass_doc(cfg.acoustic),
-        "ngram": _dataclass_doc(cfg.ngram),
-        "classifier": _dataclass_doc(cfg.classifier),
-    }
+    return {f.name: _echo(getattr(cfg, f.name)) for f in fields(cfg) if f.name != "workers"}

@@ -201,9 +201,18 @@ def write_wav(path: str | Path, samples: np.ndarray, sample_rate_hz: int) -> Non
 
 def frame_signal(samples: np.ndarray, sample_rate_hz: int,
                  frame_len_s: float = 0.025, hop_s: float = 0.010) -> FrameSequence:
-    """Slice a signal into overlapping frames (num = 1 + floor((N-len)/hop))."""
+    """Slice a signal into overlapping frames (num = 1 + floor((N-len)/hop)).
+
+    Frame and hop must each round to at least one sample.
+    """
     flen = int(round(frame_len_s * sample_rate_hz))
     hop = int(round(hop_s * sample_rate_hz))
+    if flen < 1 or hop < 1:
+        raise AudioFormatError(
+            "frame_signal",
+            f"frame {frame_len_s} s / hop {hop_s} s at {sample_rate_hz} Hz is "
+            f"{flen} / {hop} samples; each must be at least 1",
+        )
     n = samples.size
     if n < flen:
         return FrameSequence(np.empty((0, flen)), frame_len_s, hop_s)

@@ -15,6 +15,11 @@ class PipelineError(Exception):
         self.message = message
         super().__init__(f"{self.module}.{op}: {message}")
 
+    def __reduce__(self):
+        # Errors raised in pool workers cross back by pickle; the default
+        # reduce would re-call __init__ with the formatted line alone.
+        return type(self), (self.op, self.message)
+
 
 class ConfigError(PipelineError):
     module = "config"
@@ -26,6 +31,9 @@ class ManifestError(PipelineError):
     def __init__(self, op: str, message: str, diagnostics=()):
         self.diagnostics = list(diagnostics)
         super().__init__(op, message)
+
+    def __reduce__(self):
+        return type(self), (self.op, self.message, self.diagnostics)
 
 
 class AudioFormatError(PipelineError):

@@ -25,7 +25,7 @@ from .corpus import Corpus, Diagnosis, FoldAssignment, Label, Task
 from .errors import EvaluationError
 from .features import FeatureSetId, FeatureVector
 
-REPORT_SCHEMA_VERSION = "1.1"
+REPORT_SCHEMA_VERSION = "1.2"
 
 DISCLAIMERS = (
     "speech segmentation uses energy-based voice activity detection",
@@ -62,12 +62,20 @@ class FoldPrediction:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    seed: int = 7
+class ClassifierConfig:
+    """Classifier hyper-parameters (the config file's classifier section)."""
+
     l2_lambda: float = 1.0
     lr_max_iters: int = 500
     lr_tol: float = 1e-6
     svm_epochs: int = 50
+
+
+@dataclass(frozen=True)
+class ExperimentConfig(ClassifierConfig):
+    """Classifier hyper-parameters plus the base of the per-fold seeds."""
+
+    seed: int = 7
 
 
 @dataclass(frozen=True)
@@ -189,7 +197,6 @@ def build_provider(
     ngram_range: tuple[int, int] = (1, 2),
     min_doc_freq: int = 2,
     workers: int = 1,
-    precomputed: Mapping[str, FeatureVector] | None = None,
 ) -> PrecomputedProvider | TfidfProvider:
     """Make the right provider for a feature set (extracting if needed)."""
     if feature_set is FeatureSetId.NGRAM_TFIDF:
@@ -199,9 +206,9 @@ def build_provider(
             if r.task is task and r.transcript is not None
         }
         return TfidfProvider(transcripts, ngram_range, min_doc_freq)
-    if precomputed is None:
-        precomputed = extract_task_features(corpus, task, feature_set, vad_cfg, ac_cfg, workers)
-    return PrecomputedProvider(feature_set, precomputed)
+    return PrecomputedProvider(
+        feature_set, extract_task_features(corpus, task, feature_set, vad_cfg, ac_cfg, workers)
+    )
 
 
 def fold_seed(base_seed: int, task: Task, feature_set: FeatureSetId,

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -128,12 +128,10 @@ class LexicalStats:
     filler_rate: float  # fillers per 100 words
 
 
-def load_fillers(path=None) -> tuple[str, ...]:
+@lru_cache(maxsize=1)
+def load_fillers() -> tuple[str, ...]:
     """Filler lexicon, one entry per line (entries may be bigrams)."""
-    if path is None:
-        text = resources.files("cognopipe.data").joinpath("fillers.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
+    text = resources.files("cognopipe.data").joinpath("fillers.txt").read_text("utf-8")
     return tuple(line.strip().lower() for line in text.splitlines() if line.strip())
 
 
@@ -145,11 +143,7 @@ def _count_fillers(tokens: Sequence[str], fillers: Sequence[str]) -> int:
     return count
 
 
-def lexical_stats(
-    text: str,
-    duration_s: float | None = None,
-    fillers: Sequence[str] | None = None,
-) -> LexicalStats:
+def lexical_stats(text: str, duration_s: float | None = None) -> LexicalStats:
     """Interpretable transcript statistics.
 
     words_per_second needs a positive duration and is None otherwise;
@@ -157,8 +151,6 @@ def lexical_stats(
     """
     tokens = tokenize(text)
     n = len(tokens)
-    if fillers is None:
-        fillers = load_fillers()
     if n == 0:
         return LexicalStats(0, 0.0, 0.0, None if not duration_s else 0.0, 0.0)
     wps = None
@@ -169,17 +161,13 @@ def lexical_stats(
         type_token_ratio=len(set(tokens)) / n,
         mean_word_length_chars=float(np.mean([len(t) for t in tokens])),
         words_per_second=wps,
-        filler_rate=100.0 * _count_fillers(tokens, fillers) / n,
+        filler_rate=100.0 * _count_fillers(tokens, load_fillers()) / n,
     )
 
 
-def lexical_vector(
-    text: str,
-    duration_s: float | None = None,
-    fillers: Sequence[str] | None = None,
-) -> FeatureVector:
+def lexical_vector(text: str, duration_s: float | None = None) -> FeatureVector:
     """LexicalStats flattened to a 5-vector (absent words_per_second -> 0)."""
-    s = lexical_stats(text, duration_s, fillers)
+    s = lexical_stats(text, duration_s)
     return FeatureVector(
         FeatureSetId.LEXICAL,
         np.array(

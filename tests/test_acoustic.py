@@ -1,5 +1,7 @@
 """Low-level descriptors, functionals, and the two acoustic feature sets."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -44,26 +46,23 @@ def naive_functional(x, name):
 def test_functionals_match_naive_oracle():
     rng = np.random.default_rng(0)
     mat = LldMatrix(rng.standard_normal((40, len(LLD_NAMES))))
-    vec = acoustic.apply_functionals(mat)
-    assert vec.dim == len(LLD_NAMES) * len(FUNCTIONAL_NAMES)
+    table = acoustic.functional_table(mat.values)
+    assert table.shape == (len(LLD_NAMES), len(FUNCTIONAL_NAMES))
     for i, lld in enumerate(LLD_NAMES):
         for j, fn in enumerate(FUNCTIONAL_NAMES):
             want = naive_functional(mat.values[:, i], fn)
-            got = vec.values[i * len(FUNCTIONAL_NAMES) + j]
-            assert abs(got - want) < 1e-12, (lld, fn)
+            assert abs(table[i, j] - want) < 1e-12, (lld, fn)
 
 
 def test_functionals_edge_cases():
-    one = LldMatrix(np.ones((1, len(LLD_NAMES))))
-    vec = acoustic.apply_functionals(one, functionals=("slope", "riseRate", "fallRate"))
-    assert np.all(vec.values == 0.0)  # no pairs, no steps
-    empty = LldMatrix(np.zeros((0, len(LLD_NAMES))))
-    v = acoustic.apply_functionals(empty)
-    assert v.empty_speech and np.all(v.values == 0.0)
-    with pytest.raises(FeatureError):
-        acoustic.apply_functionals(one, functionals=("median",))
-    with pytest.raises(FeatureError):
-        acoustic.apply_functionals(one, functionals=())
+    one = acoustic.functional_table(np.ones((1, len(LLD_NAMES))))
+    cols = [FUNCTIONAL_NAMES.index(fn) for fn in ("slope", "riseRate", "fallRate")]
+    assert np.all(one[:, cols] == 0.0)  # no pairs, no steps
+    # no speech: both acoustic sets give an all-zero vector flagged empty_speech
+    audio = dsp.AudioBuffer(tone(200.0, 0.5), SR)
+    for extract in (acoustic.egemaps_like, acoustic.compare_like):
+        v = extract(audio, dsp.SegmentSet(()))
+        assert v.empty_speech and v.dim > 0 and np.all(v.values == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +251,12 @@ def test_egemaps_dim_and_values(small_corpus):
     llds = acoustic.extract_llds(audio, segs)
     entries = acoustic.egemaps_manifest()
     e0 = entries[0]
-    want = acoustic.apply_functionals(llds, functionals=(e0["functional"],)).values[
-        LLD_NAMES.index(e0["lld"])
-    ]
+    want = naive_functional(llds.column(e0["lld"]), e0["functional"])
     assert abs(vec.values[0] - want) < 1e-12
+    table = acoustic.functional_table(llds.values)
+    for k, e in enumerate(entries):
+        row, col = LLD_NAMES.index(e["lld"]), FUNCTIONAL_NAMES.index(e["functional"])
+        assert vec.values[k] == table[row, col]
 
 
 def test_compare_like_dim_and_delta_block():
@@ -299,12 +300,16 @@ def test_feature_matrix_round_trip(tmp_path):
     ]
     p = tmp_path / "m.csv"
     acoustic.write_feature_matrix(p, rows, FeatureSetId.EGEMAPS_LIKE_88, 88)
-    fsid, dim, got = acoustic.read_feature_matrix(p)
-    assert fsid is FeatureSetId.EGEMAPS_LIKE_88 and dim == 88
-    assert [r[0] for r in got] == [r[0] for r in rows]
-    for (_, _, a), (_, _, b) in zip(rows, got):
-        assert np.array_equal(a.values, b.values)  # repr round-trips exactly
-        assert a.empty_speech == b.empty_speech
+    with open(p, encoding="utf-8", newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert lines[:3] == [["feature_set_id", "EgemapsLike88"],
+                         ["version", acoustic.MANIFEST_VERSION], ["dim", "88"]]
+    assert lines[3] == ["subject_id", "task", "empty_speech"] + [f"v{i}" for i in range(88)]
+    got = lines[4:]
+    assert [line[:2] for line in got] == [[sid, task] for sid, task, _ in rows]
+    for (_, _, vec), line in zip(rows, got):
+        assert np.array_equal(vec.values, [float(v) for v in line[3:]])  # repr round-trips
+        assert line[2] == str(int(vec.empty_speech))
 
 
 def test_feature_matrix_rejects_wrong_dim(tmp_path):
@@ -312,9 +317,3 @@ def test_feature_matrix_rejects_wrong_dim(tmp_path):
     with pytest.raises(FeatureError):
         acoustic.write_feature_matrix(tmp_path / "m.csv", rows, FeatureSetId.LEXICAL, 6)
 
-
-def test_read_feature_matrix_rejects_garbage(tmp_path):
-    p = tmp_path / "junk.csv"
-    p.write_text("not,a,matrix\n")
-    with pytest.raises(FeatureError):
-        acoustic.read_feature_matrix(p)

@@ -1,6 +1,7 @@
 """Command-line behavior through cli.main, plus config merging."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -46,6 +47,10 @@ def test_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ConfigError) as exc:
         cfgmod.merge_config(cfg_file)
     assert "unknown config keys: ['averaging']" in str(exc.value)
+    cfg_file.write_text(json.dumps({"acoustic": {"n_mfcc": 13}}))  # fixed at 13
+    with pytest.raises(ConfigError) as exc:
+        cfgmod.merge_config(cfg_file)
+    assert "unknown acoustic keys: ['n_mfcc']" in str(exc.value)
 
 
 def test_config_rejects_bad_enum_values(tmp_path):
@@ -59,7 +64,7 @@ def test_config_rejects_bad_enum_values(tmp_path):
     cfg_file = tmp_path / "run.json"
     for doc in ({"tasks": 5}, {"tie_break": 3}, {"vad": 5},
                 {"tie_break": ["always_case", "always_control"]}, {"seed": "x"},
-                {"ngram": {"n_lo": "a"}}, {"acoustic": {"n_mfcc": 2.5}}):
+                {"ngram": {"n_lo": "a"}}, {"acoustic": {"n_mel_filters": 2.5}}):
         cfg_file.write_text(json.dumps(doc))
         with pytest.raises(ConfigError) as exc:
             cfgmod.merge_config(cfg_file)
@@ -71,7 +76,37 @@ def test_config_echo_excludes_workers():
     echo = cfgmod.config_echo(cfg)
     assert "workers" not in echo
     assert echo["manifest"] == "m"
+    assert echo["tasks"] == [t.value for t in Task]
+    assert echo["tie_break"] == "score_sum"
+    assert echo["classifier"] == {"l2_lambda": 1.0, "lr_max_iters": 500, "lr_tol": 1e-6,
+                                  "svm_epochs": 50}
+    assert "n_mfcc" not in echo["acoustic"]
     json.dumps(echo)  # must be serializable as-is
+
+
+# ---------------------------------------------------------------------------
+# flags per subcommand
+
+_CONFIG_FLAGS = {"--manifest", "--config", "--out"}
+
+
+@pytest.mark.parametrize("command, flags, foreign", [
+    ("summarize", _CONFIG_FLAGS, ["--seed", "3"]),
+    ("extract", _CONFIG_FLAGS | {"--tasks", "--features", "--workers"},
+     ["--classifiers", "LinearSVM"]),
+    ("train-eval", _CONFIG_FLAGS | {"--seed", "--k", "--tasks", "--features",
+                                    "--classifiers", "--workers"}, None),
+])
+def test_subcommand_takes_only_the_flags_it_reads(command, flags, foreign, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"} == flags
+    if foreign is not None:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--manifest", "m", *foreign])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +243,26 @@ def test_unknown_enum_flag_errors(small_manifest, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "unknown classifier" in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("doc, error", [
+    ({"acoustic": {"hop_s": 0}}, "dsp.frame_signal:"),
+    ({"acoustic": {"hop_s": 1e-5}}, "dsp.frame_signal:"),  # rounds to 0 samples
+    ({"vad": {"frame_len_s": 0}}, "dsp.frame_signal:"),
+    ({"acoustic": {"n_mfcc": 13}}, "config.parse:"),
+])
+def test_train_eval_rejects_degenerate_frames(small_manifest, tmp_path, capsys,
+                                              doc, error, workers):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = cli.main(["train-eval", "--manifest", str(small_manifest), "--out", str(out),
+                   "--config", str(cfg_file), "--tasks", "ShortTerm", "--workers", workers])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith(f"error: {error}"), err
+    assert not (out / "report.json").exists()
 
 
 @pytest.fixture(scope="module")

@@ -267,6 +267,18 @@ def test_frame_signal_short_input():
     assert dsp.frame_signal(np.zeros(10), SR).num_frames == 0
 
 
+@pytest.mark.parametrize("frame_len_s, hop_s", [
+    (0.025, 0.0),
+    (0.025, 1e-5),  # 0.16 samples rounds to 0
+    (0.0, 0.010),
+])
+def test_frame_signal_rejects_sub_sample_frame_or_hop(frame_len_s, hop_s):
+    with pytest.raises(AudioFormatError) as exc:
+        dsp.frame_signal(np.zeros(1000), SR, frame_len_s, hop_s)
+    assert str(exc.value).startswith("dsp.frame_signal: ")
+    assert "\n" not in str(exc.value)
+
+
 def test_next_pow2():
     assert [dsp.next_pow2(n) for n in (1, 2, 3, 400, 512, 513)] == [1, 2, 4, 512, 512, 1024]
 
