@@ -9,7 +9,8 @@ with W = sum_i cw_i.  Normalizing by total class weight makes
 "duplicate every Case sample k times" and "weight Case by k" the same
 objective, which the tests exploit.  Logistic regression runs full-batch
 gradient descent with Armijo backtracking; the linear SVM runs Pegasos
-(stochastic subgradient, step 1/(lambda*t), averaged iterates).
+(stochastic subgradient, step 1/(lambda*t), averaged iterates), whose
+kernel works in Gram form and so holds an n x n matrix for n training rows.
 """
 
 from __future__ import annotations
@@ -147,11 +148,11 @@ def train_logistic(
     iters = 0
     converged = False
     for iters in range(1, max_iters + 1):
-        gnorm_sq = float(gw @ gw + gb * gb)
         if max(np.max(np.abs(gw)), abs(gb)) < tol:
             converged = True
             iters -= 1
             break
+        gnorm_sq = float(gw @ gw + gb * gb)
         # backtrack until the Armijo condition holds
         accepted = False
         for _ in range(60):

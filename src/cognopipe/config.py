@@ -61,6 +61,18 @@ class RunConfig:
             raise ConfigError("run_config", "no feature sets selected")
         if not self.classifiers:
             raise ConfigError("run_config", "no classifiers selected")
+        c, g = self.classifier, self.ngram
+        for name, value, ok, rule in (
+            ("classifier.l2_lambda", c.l2_lambda, c.l2_lambda > 0, "> 0"),
+            ("classifier.lr_max_iters", c.lr_max_iters, c.lr_max_iters >= 1, ">= 1"),
+            ("classifier.lr_tol", c.lr_tol, c.lr_tol > 0, "> 0"),
+            ("classifier.svm_epochs", c.svm_epochs, c.svm_epochs >= 1, ">= 1"),
+            ("ngram.n_lo", g.n_lo, g.n_lo >= 1, ">= 1"),
+            ("ngram.n_hi", g.n_hi, g.n_hi >= g.n_lo, ">= ngram.n_lo"),
+            ("ngram.min_doc_freq", g.min_doc_freq, g.min_doc_freq >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ConfigError("run_config", f"{name} must be {rule}, got {value!r}")
 
 
 def _parse_enum_list(raw, enum_cls, what: str) -> tuple:

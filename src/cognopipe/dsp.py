@@ -305,7 +305,6 @@ def detect_speech(audio: AudioBuffer, config: VadConfig | None = None) -> Segmen
             merged[-1][1] = max(merged[-1][1], seg[1])
         else:
             merged.append(seg)
-    dur = audio.duration_s
     kept = tuple((s, min(e, dur)) for s, e in merged if min(e, dur) - s >= cfg.min_segment_s)
     return SegmentSet(kept)
 

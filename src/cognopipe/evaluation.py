@@ -14,7 +14,7 @@ import enum
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -105,30 +105,38 @@ class PrecomputedProvider:
 
 @dataclass(frozen=True)
 class TfidfProvider:
-    """Fits a vocabulary per fold on training transcripts only."""
+    """Fits a vocabulary per fold on training transcripts only.
+
+    Each transcript's n-grams are counted once, when the provider is
+    made; every fold's fit and vectorization read those counts.
+    """
 
     transcripts: Mapping[str, str]
     n_range: tuple[int, int] = (1, 2)
     min_doc_freq: int = 2
     feature_set_id: FeatureSetId = FeatureSetId.NGRAM_TFIDF
+    counts: Mapping[str, Mapping[str, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        counts = {s: linguistic.ngram_counts(t, self.n_range) for s, t in self.transcripts.items()}
+        object.__setattr__(self, "counts", counts)
 
     def available_subjects(self) -> tuple[str, ...]:
         return tuple(sorted(self.transcripts))
 
     def fold_features(self, train_ids, test_ids, fold_name):
         vocab = linguistic.fit_vocabulary(
-            [self.transcripts[s] for s in train_ids],
-            n_range=self.n_range,
+            [self.counts[s] for s in train_ids],
             min_doc_freq=self.min_doc_freq,
             fitted_on=fold_name,
             fitted_subjects=frozenset(train_ids),
         )
         X_train = np.vstack(
-            [linguistic.vectorize_tfidf(self.transcripts[s], vocab).values for s in train_ids]
+            [linguistic.vectorize_tfidf(self.counts[s], vocab).values for s in train_ids]
         )
         X_test = np.vstack(
             [
-                linguistic.vectorize_tfidf(self.transcripts[s], vocab, subject_id=s).values
+                linguistic.vectorize_tfidf(self.counts[s], vocab, subject_id=s).values
                 for s in test_ids
             ]
         )

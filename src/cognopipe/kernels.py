@@ -2,7 +2,8 @@
 
 The three inner loops that dominate pipeline runtime live here: the real
 FFT applied to every analysis frame, the normalized autocorrelation used
-for pitch tracking, and the stochastic subgradient loop of the linear SVM.
+for pitch tracking, and the stochastic subgradient loop of the linear SVM,
+which runs in Gram form (margins from X X^T, n^2 floats for n rows).
 """
 
 from __future__ import annotations
@@ -67,24 +68,42 @@ def pegasos(X: np.ndarray, y: np.ndarray, cw: np.ndarray, lam: float,
     Visits samples in the order given by ``idx`` with step 1/(lam*t) and
     returns the averaged iterate (w_bar, b_bar).  The bias is updated on
     margin violations but not shrunk by the regularizer.
+
+    Runs in Gram form (Shalev-Shwartz et al. 2011, section 4).  With
+    eta_t = 1/(lam*t) the update gives t*w_t = (t-1)*w_{t-1} + v_t/lam,
+    where v_t = cw_i*y_i*x_i on a margin violation and 0 otherwise, so
+    w_t = u_t/(lam*t) with u_t the sum of the v's so far.  The margin test
+    needs only z_i = x_i . u, kept for every row and moved by cw_j*y_j*G[j]
+    on a violation at row j, with G = X X^T built once: a step without a
+    violation is scalar work.  A violation at step k adds v_k * sum_{t>=k}
+    1/(lam*t) to sum_t w_t, which is accumulated there, in step order.
+    G takes n^2 floats for n training rows.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     cw = np.ascontiguousarray(cw, dtype=np.float64)
     idx = np.ascontiguousarray(idx, dtype=np.int64)
-    d = X.shape[1]
-    w = np.zeros(d)
+    steps = idx.size
+    if steps == 0:
+        raise ValueError("pegasos needs at least one step, got an empty idx")
+    # einsum, not X @ X.T: BLAS threads spin for no gain at this size
+    cy = cw * y
+    cyG = np.einsum("ik,jk->ij", X, X)
+    cyG *= cy[:, None]  # row j is the z-update of a violation at j
+    # inv[t] = 1/(lam*t), with inv[0] = 0 so the first margin reads w_0 = 0
+    inv = np.zeros(steps + 1)
+    inv[1:] = 1.0 / (lam * np.arange(1, steps + 1))
+    tail = np.cumsum(inv[:0:-1])[::-1]  # tail[t-1] = sum_{s>=t} inv[s]
+    z = np.zeros(X.shape[0])
+    w_sum = np.zeros(X.shape[1])
     b = 0.0
-    w_sum = np.zeros(d)
     b_sum = 0.0
-    for t in range(1, idx.size + 1):
-        i = idx[t - 1]
-        eta = 1.0 / (lam * t)
-        margin = y[i] * (float(X[i] @ w) + b)
-        w *= 1.0 - eta * lam
-        if margin < 1.0:
-            w += (eta * cw[i] * y[i]) * X[i]
-            b += eta * cw[i] * y[i]
-        w_sum += w
+    inv_l, tail_l = inv.tolist(), tail.tolist()
+    y_l, cw_l, cy_l = y.tolist(), cw.tolist(), cy.tolist()
+    for t, i in enumerate(idx.tolist(), start=1):
+        if y_l[i] * (z.item(i) * inv_l[t - 1] + b) < 1.0:
+            z += cyG[i]
+            w_sum += (cy_l[i] * tail_l[t - 1]) * X[i]
+            b += inv_l[t] * cw_l[i] * y_l[i]
         b_sum += b
-    return w_sum / idx.size, b_sum / idx.size
+    return w_sum / steps, b_sum / steps

@@ -11,6 +11,7 @@ turns train/test leakage into a structural impossibility.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -29,13 +30,19 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def _ngrams(tokens: Sequence[str], n_range: tuple[int, int]) -> list[str]:
+def ngram_counts(text: str, n_range: tuple[int, int]) -> dict[str, int]:
+    """Occurrence count of every word n-gram of the text, lo <= n <= hi.
+
+    Tokenizing and counting once per document lets every fold's
+    vocabulary fit and vectorization read the same counts.
+    """
     lo, hi = n_range
-    out = []
-    for n in range(lo, hi + 1):
-        for i in range(len(tokens) - n + 1):
-            out.append(" ".join(tokens[i : i + n]))
-    return out
+    if lo < 1 or hi < lo:
+        raise TextError("ngram_counts", f"bad n_range {n_range}")
+    tokens = tokenize(text)
+    return Counter(
+        " ".join(tokens[i : i + n]) for n in range(lo, hi + 1) for i in range(len(tokens) - n + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -44,7 +51,6 @@ class Vocabulary:
 
     index: Mapping[str, int]
     idf: np.ndarray
-    n_range: tuple[int, int]
     min_doc_freq: int
     fitted_on: str
     fitted_subjects: frozenset[str]
@@ -59,33 +65,28 @@ class Vocabulary:
 
 
 def fit_vocabulary(
-    train_transcripts: Sequence[str],
-    n_range: tuple[int, int] = (1, 2),
+    train_counts: Sequence[Mapping[str, int]],
     min_doc_freq: int = 2,
     fitted_on: str = "",
     fitted_subjects: frozenset[str] = frozenset(),
 ) -> Vocabulary:
-    """Build an n-gram vocabulary from training transcripts only.
+    """Build an n-gram vocabulary from training documents' ngram_counts only.
 
     Kept n-grams appear in at least min_doc_freq documents; indices
     follow lexicographic n-gram order, so fitting is deterministic.
     """
-    if not train_transcripts:
+    if not train_counts:
         raise TextError("fit_vocabulary", "empty training transcript list")
-    lo, hi = n_range
-    if lo < 1 or hi < lo:
-        raise TextError("fit_vocabulary", f"bad n_range {n_range}")
     df: dict[str, int] = {}
-    for doc in train_transcripts:
-        for gram in set(_ngrams(tokenize(doc), n_range)):
+    for counts in train_counts:
+        for gram in counts:
             df[gram] = df.get(gram, 0) + 1
     kept = sorted(g for g, c in df.items() if c >= min_doc_freq)
-    n_docs = len(train_transcripts)
+    n_docs = len(train_counts)
     idf = np.array([np.log((1 + n_docs) / (1 + df[g])) + 1.0 for g in kept])
     return Vocabulary(
         index={g: i for i, g in enumerate(kept)},
         idf=idf,
-        n_range=(lo, hi),
         min_doc_freq=min_doc_freq,
         fitted_on=fitted_on,
         fitted_subjects=fitted_subjects,
@@ -93,9 +94,9 @@ def fit_vocabulary(
 
 
 def vectorize_tfidf(
-    text: str, vocab: Vocabulary, subject_id: str | None = None
+    counts: Mapping[str, int], vocab: Vocabulary, subject_id: str | None = None
 ) -> FeatureVector:
-    """tf·idf vector over the vocabulary, L2-normalized unless all-zero.
+    """tf·idf vector of a document's ngram_counts, L2-normalized unless all-zero.
 
     Passing the document's subject_id arms the leakage guard: a
     vocabulary fitted on a partition containing that subject refuses to
@@ -108,10 +109,10 @@ def vectorize_tfidf(
             f"('{vocab.fitted_on}')",
         )
     vals = np.zeros(vocab.size)
-    for gram in _ngrams(tokenize(text), vocab.n_range):
+    for gram, count in counts.items():
         idx = vocab.index.get(gram)
         if idx is not None:
-            vals[idx] += 1.0
+            vals[idx] = count
     vals *= vocab.idf
     norm = np.linalg.norm(vals)
     if norm > 0:

@@ -71,6 +71,25 @@ def test_config_rejects_bad_enum_values(tmp_path):
         assert "\n" not in str(exc.value), doc
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"classifier": {"l2_lambda": -1}}, "classifier.l2_lambda"),
+    ({"classifier": {"l2_lambda": 0.0}}, "classifier.l2_lambda"),
+    ({"classifier": {"lr_max_iters": 0}}, "classifier.lr_max_iters"),
+    ({"classifier": {"lr_tol": 0.0}}, "classifier.lr_tol"),
+    ({"classifier": {"svm_epochs": 0}}, "classifier.svm_epochs"),
+    ({"ngram": {"n_lo": 0, "n_hi": 1}}, "ngram.n_lo"),
+    ({"ngram": {"n_lo": 2, "n_hi": 1}}, "ngram.n_hi"),
+    ({"ngram": {"min_doc_freq": 0}}, "ngram.min_doc_freq"),
+])
+def test_config_rejects_out_of_range_sections(tmp_path, doc, field):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as exc:
+        cfgmod.merge_config(cfg_file)
+    assert str(exc.value).startswith(f"config.run_config: {field} must be ")
+    assert "\n" not in str(exc.value)
+
+
 def test_config_echo_excludes_workers():
     cfg = cfgmod.merge_config(None, manifest="m", workers=8)
     echo = cfgmod.config_echo(cfg)

@@ -1,11 +1,12 @@
 """Vote fusion, confusion tables, metrics, cross-validated experiments, reports."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cognopipe import classifiers, corpus as corpusmod, evaluation as ev
+from cognopipe import classifiers, corpus as corpusmod, evaluation as ev, linguistic
 from cognopipe.corpus import Diagnosis, FoldAssignment, Label, Task, label_of
 from cognopipe.errors import EvaluationError, LeakageError
 from cognopipe.evaluation import (
@@ -411,6 +412,56 @@ def test_tfidf_provider_fits_per_fold():
     # a test subject must trip the guard
     with pytest.raises(LeakageError):
         prov.fold_features(("A", "B"), ("A",), "demo2")
+
+
+def naive_fold_tfidf(transcripts, train_ids, test_ids, n_range, min_doc_freq):
+    """Re-tokenize and re-count every document of the fold from scratch."""
+    def grams(text):
+        toks = linguistic.tokenize(text)
+        return Counter(" ".join(toks[i:i + n]) for n in range(n_range[0], n_range[1] + 1)
+                       for i in range(len(toks) - n + 1))
+
+    df = Counter()
+    for s in train_ids:
+        df.update(set(grams(transcripts[s])))
+    kept = sorted(g for g, c in df.items() if c >= min_doc_freq)
+    idf = [np.log((1 + len(train_ids)) / (1 + df[g])) + 1.0 for g in kept]
+
+    def vec(text):
+        tf = grams(text)
+        v = np.array([tf[g] * w for g, w in zip(kept, idf)])
+        norm = np.linalg.norm(v)
+        return v / norm if norm > 0 else v
+
+    return (np.vstack([vec(transcripts[s]) for s in train_ids]),
+            np.vstack([vec(transcripts[s]) for s in test_ids]))
+
+
+@pytest.mark.parametrize("n_range", [(1, 1), (1, 2)])
+def test_tfidf_provider_matches_naive_oracle_every_fold(small_corpus, n_range):
+    folds = corpusmod.stratified_folds(small_corpus, 5, seed=0)
+    for task in TASKS:
+        transcripts = {r.subject_id: r.transcript for r in small_corpus.recordings
+                       if r.task is task}
+        prov = TfidfProvider(transcripts, n_range=n_range, min_doc_freq=2)
+        for f in range(folds.k):
+            train_ids, test_ids = folds.train_subjects(f), folds.test_subjects(f)
+            X_train, X_test, _ = prov.fold_features(train_ids, test_ids, f"fold{f}")
+            want_train, want_test = naive_fold_tfidf(
+                transcripts, train_ids, test_ids, n_range, 2)
+            assert X_train.shape[1] > 0
+            assert np.array_equal(X_train, want_train)
+            assert np.array_equal(X_test, want_test)
+
+
+def test_tfidf_counts_keep_the_leakage_guard():
+    prov = TfidfProvider({"A": "the cat sat", "B": "the dog sat"}, n_range=(1, 2),
+                         min_doc_freq=1)
+    vocab = linguistic.fit_vocabulary([prov.counts["A"]], fitted_on="f0",
+                                      fitted_subjects=frozenset({"A"}))
+    with pytest.raises(LeakageError):
+        linguistic.vectorize_tfidf(prov.counts["A"], vocab, subject_id="A")
+    linguistic.vectorize_tfidf(prov.counts["B"], vocab, subject_id="B")
 
 
 def test_text_sets_skip_a_missing_transcript_alike(small_manifest, tmp_path):

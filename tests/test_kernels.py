@@ -179,3 +179,58 @@ def test_pegasos_matches_reference_loop():
     w_want, b_want = reference_pegasos(X, y, cw, 0.3, idx)
     assert np.max(np.abs(w_got - w_want)) < 1e-12
     assert abs(b_got - b_want) < 1e-12
+
+
+@st.composite
+def pegasos_cases(draw):
+    """Problems in generic position (no margin lands on 1.0 by construction)
+    from a drawn seed, in one of three regimes: a generic mix; violating
+    (tiny rows, strong regularizer: nearly every margin stays below 1);
+    separable (rows far apart along one axis, weak regularizer: after the
+    first step almost no margin falls below 1).  idx is uniform, a single
+    repeated row, or a short pattern cycled."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 50))
+    steps = draw(st.integers(1, 500))
+    regime = draw(st.sampled_from(["mixed", "violating", "separable"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    cw = rng.uniform(0.2, 3.0, n)
+    X = rng.standard_normal((n, d))
+    if regime == "mixed":
+        lam = draw(st.floats(1e-3, 10.0))
+    elif regime == "violating":
+        # |b| <= max(cw) * sum_t 1/(lam*t) < 1 and |x.w| is tiny
+        lam = draw(st.floats(7.0, 10.0))
+        cw = rng.uniform(0.2, 1.0, n)
+        X *= 1e-3
+    else:
+        # x_i.x_j ~ +-1600 keeps every margin far above 1 for 500 steps
+        lam = draw(st.floats(1e-3, 1e-2))
+        X *= 0.1
+        X[:, 0] += 40.0 * y
+    pattern = draw(st.sampled_from(["uniform", "repeat", "cycle"]))
+    if pattern == "uniform":
+        idx = rng.integers(0, n, steps)
+    elif pattern == "repeat":
+        idx = np.full(steps, draw(st.integers(0, n - 1)))
+    else:
+        idx = np.resize(rng.integers(0, n, draw(st.integers(1, 5))), steps)
+    return X, y, cw, lam, idx
+
+
+@settings(max_examples=300, deadline=None)
+@given(pegasos_cases())
+def test_pegasos_matches_reference_property(case):
+    X, y, cw, lam, idx = case
+    w_got, b_got = kernels.pegasos(X, y, cw, lam, idx)
+    w_want, b_want = reference_pegasos(X, y, cw, lam, idx)
+    scale = max(np.max(np.abs(w_want)), abs(b_want), 1e-300)
+    assert np.max(np.abs(w_got - w_want)) <= 1e-12 * scale
+    assert abs(b_got - b_want) <= 1e-12 * scale
+
+
+def test_pegasos_rejects_empty_idx():
+    with pytest.raises(ValueError):
+        kernels.pegasos(np.ones((2, 3)), np.array([1.0, -1.0]), np.ones(2), 1.0,
+                        np.zeros(0, dtype=np.int64))

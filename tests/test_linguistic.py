@@ -35,8 +35,22 @@ DOCS = [
 ]
 
 
+def fit(docs, n_range=(1, 2), **kwargs):
+    return linguistic.fit_vocabulary([linguistic.ngram_counts(d, n_range) for d in docs], **kwargs)
+
+
+def vectorize(text, vocab, n_range=(1, 2), **kwargs):
+    return linguistic.vectorize_tfidf(linguistic.ngram_counts(text, n_range), vocab, **kwargs)
+
+
+def test_ngram_counts_counts_every_occurrence():
+    counts = linguistic.ngram_counts("the cat saw the cat", (1, 2))
+    assert counts == {"the": 2, "cat": 2, "saw": 1, "the cat": 2, "cat saw": 1, "saw the": 1}
+    assert linguistic.ngram_counts("one two", (3, 3)) == {}
+
+
 def test_fit_vocabulary_idf_formula():
-    vocab = linguistic.fit_vocabulary(DOCS, n_range=(1, 1), min_doc_freq=2)
+    vocab = fit(DOCS, n_range=(1, 1), min_doc_freq=2)
     # recount document frequencies independently
     df = Counter()
     for doc in DOCS:
@@ -50,7 +64,7 @@ def test_fit_vocabulary_idf_formula():
 
 
 def test_fit_vocabulary_bigrams():
-    vocab = linguistic.fit_vocabulary(DOCS, n_range=(1, 2), min_doc_freq=2)
+    vocab = fit(DOCS, min_doc_freq=2)
     assert "sat on" in vocab.index
     assert "cat sat" not in vocab.index  # appears in one document only
 
@@ -59,18 +73,18 @@ def test_fit_vocabulary_errors():
     with pytest.raises(TextError):
         linguistic.fit_vocabulary([])
     with pytest.raises(TextError):
-        linguistic.fit_vocabulary(DOCS, n_range=(2, 1))
+        linguistic.ngram_counts(DOCS[0], (2, 1))
     with pytest.raises(TextError):
-        linguistic.fit_vocabulary(DOCS, n_range=(0, 1))
+        linguistic.ngram_counts(DOCS[0], (0, 1))
 
 
 # ---------------------------------------------------------------------------
 # vectorization
 
-def naive_tfidf(text, vocab):
+def naive_tfidf(text, vocab, n_range=(1, 2)):
     counts = Counter()
     toks = linguistic.tokenize(text)
-    lo, hi = vocab.n_range
+    lo, hi = n_range
     for n in range(lo, hi + 1):
         for i in range(len(toks) - n + 1):
             counts[" ".join(toks[i : i + n])] += 1
@@ -83,30 +97,28 @@ def naive_tfidf(text, vocab):
 
 
 def test_tfidf_matches_naive_oracle():
-    vocab = linguistic.fit_vocabulary(DOCS, n_range=(1, 2), min_doc_freq=1)
+    vocab = fit(DOCS, min_doc_freq=1)
     for text in DOCS + ["the cat and the dog sat", "nothing in common here"]:
-        got = linguistic.vectorize_tfidf(text, vocab)
+        got = vectorize(text, vocab)
         assert got.feature_set_id is FeatureSetId.NGRAM_TFIDF
         assert np.max(np.abs(got.values - naive_tfidf(text, vocab))) < 1e-12
 
 
 def test_tfidf_unit_norm_or_zero():
-    vocab = linguistic.fit_vocabulary(DOCS, min_doc_freq=1)
-    v = linguistic.vectorize_tfidf("the cat", vocab)
+    vocab = fit(DOCS, min_doc_freq=1)
+    v = vectorize("the cat", vocab)
     assert abs(np.linalg.norm(v.values) - 1.0) < 1e-12
-    oov = linguistic.vectorize_tfidf("zyzzyva qwerty", vocab)
+    oov = vectorize("zyzzyva qwerty", vocab)
     assert np.all(oov.values == 0.0)
 
 
 def test_leakage_guard():
-    vocab = linguistic.fit_vocabulary(
-        DOCS, fitted_on="fold0-train", fitted_subjects=frozenset({"A", "B"})
-    )
+    vocab = fit(DOCS, fitted_on="fold0-train", fitted_subjects=frozenset({"A", "B"}))
     with pytest.raises(LeakageError) as exc:
-        linguistic.vectorize_tfidf("the cat", vocab, subject_id="A")
+        vectorize("the cat", vocab, subject_id="A")
     assert "fold0-train" in str(exc.value)
-    linguistic.vectorize_tfidf("the cat", vocab, subject_id="C")  # test subject: fine
-    linguistic.vectorize_tfidf("the cat", vocab)  # train-time use: unguarded
+    vectorize("the cat", vocab, subject_id="C")  # test subject: fine
+    vectorize("the cat", vocab)  # train-time use: unguarded
 
 
 # ---------------------------------------------------------------------------
