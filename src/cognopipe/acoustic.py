@@ -277,9 +277,9 @@ def extract_llds(
     for start_s, end_s in segments.speech:
         lo = int(round(start_s * sr))
         hi = int(round(end_s * sr))
-        fs = dsp.frame_signal(audio.samples[lo:hi], sr, cfg.frame_len_s, cfg.hop_s)
-        if fs.num_frames:
-            blocks.append(_llds_for_frames(fs.frames, sr, cfg))
+        frames = dsp.frame_signal(audio.samples[lo:hi], sr, cfg.frame_len_s, cfg.hop_s)
+        if frames.shape[0]:
+            blocks.append(_llds_for_frames(frames, sr, cfg))
     if not blocks:
         return _empty_llds()
     return LldMatrix(np.vstack(blocks))

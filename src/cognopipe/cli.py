@@ -113,9 +113,8 @@ def cmd_summarize(args, out: _OutputTracker) -> int:
     stats = corpus.summarize(c, cfg.vad)
     text = "\n".join(_stats_lines(stats)) + "\n"
     print(text, end="")
-    if args.out:
-        out.atomic_write(Path(args.out) / "summary.csv", text)
-        log.info("wrote %s", Path(args.out) / "summary.csv")
+    out.atomic_write(Path(cfg.out_dir) / "summary.csv", text)
+    log.info("wrote %s", Path(cfg.out_dir) / "summary.csv")
     return 0
 
 

@@ -63,6 +63,7 @@ class RunConfig:
             raise ConfigError("run_config", "no classifiers selected")
         c, g = self.classifier, self.ngram
         for name, value, ok, rule in (
+            ("seed", self.seed, self.seed >= 0, ">= 0"),
             ("classifier.l2_lambda", c.l2_lambda, c.l2_lambda > 0, "> 0"),
             ("classifier.lr_max_iters", c.lr_max_iters, c.lr_max_iters >= 1, ">= 1"),
             ("classifier.lr_tol", c.lr_tol, c.lr_tol > 0, "> 0"),
@@ -115,6 +116,21 @@ _SECTIONS = {
 }
 
 
+def number_field_problem(cls, doc: dict) -> str | None:
+    """The first field of dataclass cls whose value in doc has the wrong type.
+
+    Returns "name must be ..., got ..." or None.  A field with an int
+    default takes an int; one with a float default takes an int or a
+    float; a bool is neither.  Missing fields keep their defaults.
+    """
+    for f in fields(cls):
+        v = doc.get(f.name, f.default)
+        is_float = isinstance(f.default, float)
+        if isinstance(v, bool) or not isinstance(v, (int, float) if is_float else int):
+            return f"{f.name} must be {'a number' if is_float else 'an integer'}, got {v!r}"
+    return None
+
+
 def _coerce(key: str, value):
     """One RunConfig field from its config-file or command-line value."""
     if key in _ENUM_LISTS:
@@ -135,12 +151,9 @@ def _coerce(key: str, value):
         unknown = set(value) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError("parse", f"unknown {key} keys: {sorted(unknown)}")
-        for f in fields(cls):  # every section field is an int or a float
-            v = value.get(f.name, f.default)
-            is_float = isinstance(f.default, float)
-            if isinstance(v, bool) or not isinstance(v, (int, float) if is_float else int):
-                what = "a number" if is_float else "an integer"
-                raise ConfigError("parse", f"{key}.{f.name} must be {what}, got {v!r}")
+        problem = number_field_problem(cls, value)  # every section field is an int or a float
+        if problem:
+            raise ConfigError("parse", f"{key}.{problem}")
         try:
             return cls(**value)
         except (TypeError, ValueError) as exc:

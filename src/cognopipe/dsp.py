@@ -39,19 +39,6 @@ class AudioBuffer:
 
 
 @dataclass(frozen=True)
-class FrameSequence:
-    """Frames laid out as a (num_frames, frame_len) matrix."""
-
-    frames: np.ndarray
-    frame_len_s: float
-    hop_s: float
-
-    @property
-    def num_frames(self) -> int:
-        return self.frames.shape[0]
-
-
-@dataclass(frozen=True)
 class SegmentSet:
     """Sorted, non-overlapping speech intervals in seconds."""
 
@@ -200,9 +187,11 @@ def write_wav(path: str | Path, samples: np.ndarray, sample_rate_hz: int) -> Non
 # Framing and FFT
 
 def frame_signal(samples: np.ndarray, sample_rate_hz: int,
-                 frame_len_s: float = 0.025, hop_s: float = 0.010) -> FrameSequence:
-    """Slice a signal into overlapping frames (num = 1 + floor((N-len)/hop)).
+                 frame_len_s: float = 0.025, hop_s: float = 0.010) -> np.ndarray:
+    """Overlapping frames as a read-only (num, frame_len) view of samples.
 
+    num = 1 + floor((N - len) / hop), or 0 for a signal shorter than one
+    frame.  Row i is samples[i*hop : i*hop + len]; nothing is copied.
     Frame and hop must each round to at least one sample.
     """
     flen = int(round(frame_len_s * sample_rate_hz))
@@ -213,12 +202,9 @@ def frame_signal(samples: np.ndarray, sample_rate_hz: int,
             f"frame {frame_len_s} s / hop {hop_s} s at {sample_rate_hz} Hz is "
             f"{flen} / {hop} samples; each must be at least 1",
         )
-    n = samples.size
-    if n < flen:
-        return FrameSequence(np.empty((0, flen)), frame_len_s, hop_s)
-    num = 1 + (n - flen) // hop
-    idx = np.arange(flen)[None, :] + hop * np.arange(num)[:, None]
-    return FrameSequence(samples[idx], frame_len_s, hop_s)
+    if samples.size < flen:
+        return np.empty((0, flen))
+    return np.lib.stride_tricks.sliding_window_view(samples, flen)[::hop]
 
 
 def next_pow2(n: int) -> int:
@@ -248,8 +234,6 @@ def fft_real(x: np.ndarray, n: int) -> np.ndarray:
 
 def frame_energies_db(frames: np.ndarray) -> np.ndarray:
     """Per-frame RMS energy in dB, floored at -120 dB."""
-    if frames.shape[0] == 0:
-        return np.empty(0)
     return 10.0 * np.log10(np.mean(frames * frames, axis=1) + _LOG_FLOOR)
 
 
@@ -264,49 +248,34 @@ def detect_speech(audio: AudioBuffer, config: VadConfig | None = None) -> Segmen
     (see VadConfig).
     """
     cfg = config or VadConfig()
-    fs = frame_signal(audio.samples, audio.sample_rate_hz, cfg.frame_len_s, cfg.hop_s)
-    if fs.num_frames == 0:
+    frames = frame_signal(audio.samples, audio.sample_rate_hz, cfg.frame_len_s, cfg.hop_s)
+    if frames.shape[0] == 0:
         return SegmentSet(())
-    energies = frame_energies_db(fs.frames)
+    energies = frame_energies_db(frames)
     lo = np.percentile(energies, cfg.noise_floor_percentile)
     hi = np.percentile(energies, 90.0)
     if hi - lo < cfg.homogeneous_range_db:
-        if np.median(energies) > cfg.homogeneous_speech_floor_db:
-            mask = np.ones(energies.size, dtype=bool)
-        else:
-            mask = np.zeros(energies.size, dtype=bool)
+        mask = np.full(energies.size, np.median(energies) > cfg.homogeneous_speech_floor_db)
     else:
         mask = energies > lo + cfg.threshold_margin_db
     if not mask.any():
         return SegmentSet(())
 
-    # frame runs -> raw intervals
-    intervals: list[list[float]] = []
-    in_run = False
-    start = 0
-    for i, flag in enumerate(mask):
-        if flag and not in_run:
-            start = i
-            in_run = True
-        elif not flag and in_run:
-            intervals.append([start * cfg.hop_s, (i - 1) * cfg.hop_s + cfg.frame_len_s])
-            in_run = False
-    if in_run:
-        intervals.append([start * cfg.hop_s, (mask.size - 1) * cfg.hop_s + cfg.frame_len_s])
+    # speech runs are frames [i, j): the padded mask changes value at i and j
+    bounds = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    starts = bounds[0::2] * cfg.hop_s
+    ends = (bounds[1::2] - 1) * cfg.hop_s + cfg.frame_len_s
     dur = audio.duration_s
     if mask[-1]:
         # the tail beyond the last full frame cannot be classified; it
         # inherits the final frame's label
-        intervals[-1][1] = dur
-
-    merged: list[list[float]] = []
-    for seg in intervals:
-        if merged and seg[0] - merged[-1][1] < cfg.bridge_gap_s:
-            merged[-1][1] = max(merged[-1][1], seg[1])
-        else:
-            merged.append(seg)
-    kept = tuple((s, min(e, dur)) for s, e in merged if min(e, dur) - s >= cfg.min_segment_s)
-    return SegmentSet(kept)
+        ends[-1] = dur
+    # a run that starts under bridge_gap_s after the previous one ends joins it
+    first = np.flatnonzero(np.append(True, starts[1:] - ends[:-1] >= cfg.bridge_gap_s))
+    last = np.append(first[1:] - 1, ends.size - 1)
+    starts, ends = starts[first], np.minimum(ends[last], dur)
+    keep = ends - starts >= cfg.min_segment_s
+    return SegmentSet(tuple(zip(starts[keep].tolist(), ends[keep].tolist())))
 
 
 def estimate_snr(audio: AudioBuffer, segments: SegmentSet) -> float:

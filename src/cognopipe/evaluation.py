@@ -11,17 +11,18 @@ screening label.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import acoustic, classifiers, dsp, linguistic
-from .corpus import Corpus, Diagnosis, FoldAssignment, Label, Task
+from .corpus import Corpus, Diagnosis, FoldAssignment, Label, Task, TaskRecording
 from .errors import EvaluationError
 from .features import FeatureSetId, FeatureVector
 
@@ -143,20 +144,34 @@ class TfidfProvider:
         return X_train, X_test, vocab.fitted_subjects
 
 
-def _extract_one(args) -> tuple[str, FeatureVector]:
+def _extract_one(rec: TaskRecording, feature_set: FeatureSetId,
+                 vad_cfg: dsp.VadConfig | None,
+                 ac_cfg: acoustic.AcousticConfig | None) -> tuple[str, FeatureVector]:
     """Worker: one recording -> one acoustic/lexical feature vector."""
-    (subject_id, audio_path, transcript, duration_s, feature_set_value,
-     vad_cfg, ac_cfg) = args
-    fsid = FeatureSetId(feature_set_value)
-    if fsid is FeatureSetId.LEXICAL:
-        return subject_id, linguistic.lexical_vector(transcript, duration_s)
-    audio = dsp.read_wav(audio_path)
+    if feature_set is FeatureSetId.LEXICAL:
+        return rec.subject_id, linguistic.lexical_vector(rec.transcript, rec.duration_s)
+    audio = dsp.read_wav(rec.audio_path)
     segments = dsp.detect_speech(audio, vad_cfg)
-    if fsid is FeatureSetId.EGEMAPS_LIKE_88:
-        return subject_id, acoustic.egemaps_like(audio, segments, ac_cfg)
-    if fsid is FeatureSetId.COMPARE_LIKE:
-        return subject_id, acoustic.compare_like(audio, segments, ac_cfg)
-    raise EvaluationError("extract_task_features", f"no extractor for {fsid.value}")
+    if feature_set is FeatureSetId.EGEMAPS_LIKE_88:
+        return rec.subject_id, acoustic.egemaps_like(audio, segments, ac_cfg)
+    if feature_set is FeatureSetId.COMPARE_LIKE:
+        return rec.subject_id, acoustic.compare_like(audio, segments, ac_cfg)
+    raise EvaluationError("extract_task_features", f"no extractor for {feature_set.value}")
+
+
+def _task_recordings(corpus: Corpus, task: Task, feature_set: FeatureSetId
+                     ) -> list[TaskRecording]:
+    """The task's recordings that a feature set reads, in subject order.
+
+    The text sets (NgramTfidf, Lexical) read the transcript, so they leave
+    out a recording without one; its subject is then skipped.
+    """
+    text = feature_set in (FeatureSetId.NGRAM_TFIDF, FeatureSetId.LEXICAL)
+    return sorted(
+        (r for r in corpus.recordings
+         if r.task is task and not (text and r.transcript is None)),
+        key=lambda r: r.subject_id,
+    )
 
 
 def extract_task_features(
@@ -169,31 +184,18 @@ def extract_task_features(
 ) -> dict[str, FeatureVector]:
     """Per-subject vectors for one task, in sorted-subject order.
 
-    Lexical vectors need a transcript, so a recording without one is
-    left out (its subject is then skipped, as under NgramTfidf).
-    Recordings are independent, so extraction fans out over a process
-    pool; results are reduced in subject order, making the output
+    Each recording the feature set reads (see _task_recordings) is one
+    job.  Jobs are independent, so with workers > 1 they fan out over a
+    process pool; results are reduced in subject order, making the output
     independent of worker count.
     """
-    recs = sorted(
-        (
-            r for r in corpus.recordings
-            if r.task is task
-            and (feature_set is not FeatureSetId.LEXICAL or r.transcript is not None)
-        ),
-        key=lambda r: r.subject_id,
-    )
-    jobs = [
-        (r.subject_id, r.audio_path, r.transcript, r.duration_s, feature_set.value,
-         vad_cfg, ac_cfg)
-        for r in recs
-    ]
-    if workers <= 1 or len(jobs) <= 1:
-        results = [_extract_one(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_extract_one, jobs, chunksize=4))
-    return dict(results)
+    recs = _task_recordings(corpus, task, feature_set)
+    job = functools.partial(_extract_one, feature_set=feature_set, vad_cfg=vad_cfg,
+                            ac_cfg=ac_cfg)
+    if workers <= 1 or len(recs) <= 1:
+        return dict(map(job, recs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return dict(pool.map(job, recs, chunksize=4))
 
 
 def build_provider(
@@ -209,9 +211,7 @@ def build_provider(
     """Make the right provider for a feature set (extracting if needed)."""
     if feature_set is FeatureSetId.NGRAM_TFIDF:
         transcripts = {
-            r.subject_id: r.transcript
-            for r in corpus.recordings
-            if r.task is task and r.transcript is not None
+            r.subject_id: r.transcript for r in _task_recordings(corpus, task, feature_set)
         }
         return TfidfProvider(transcripts, ngram_range, min_doc_freq)
     return PrecomputedProvider(
@@ -458,46 +458,34 @@ class MetricSet:
     zero_division: bool  # some cell had no predicted/true positives
 
 
-def _prf_counts(preds: Sequence[FoldPrediction], positive: Label):
-    tp = sum(1 for p in preds if p.true_label is positive and p.predicted_label is positive)
-    fp = sum(1 for p in preds if p.true_label is not positive and p.predicted_label is positive)
-    fn = sum(1 for p in preds if p.true_label is positive and p.predicted_label is not positive)
-    support = sum(1 for p in preds if p.true_label is positive)
-    return tp, fp, fn, support
+def _prf(table: np.ndarray, mode: AveragingMode):
+    """(precision, recall, f1, zero_division_hit) of a 2x2 count table.
 
-
-def _prf(preds: Sequence[FoldPrediction], mode: AveragingMode):
-    """(precision, recall, f1, zero_division_hit) under the averaging mode."""
+    table[t, p] counts the predictions of true class t as class p, where
+    index 0 is Case and 1 is Control; the table holds at least one count.
+    Each mode averages the per-class scores with its own weights: Binary
+    takes Case alone, Macro both alike, Weighted each by its support.
+    """
+    t = table.tolist()
     per_class = []
     flagged = False
-    for positive in (Label.CASE, Label.CONTROL):
-        tp, fp, fn, support = _prf_counts(preds, positive)
+    for c in (0, 1):
+        tp, fp, fn = t[c][c], t[1 - c][c], t[c][1 - c]
         if tp + fp == 0 or tp + fn == 0:
             flagged = True
         prec = tp / (tp + fp) if tp + fp else 0.0
         rec = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-        per_class.append((prec, rec, f1, support))
+        per_class.append((prec, rec, f1, tp + fn))
     if mode is AveragingMode.BINARY:
-        prec, rec, f1, _ = per_class[0]
-        return prec, rec, f1, flagged
-    if mode is AveragingMode.MACRO:
-        return (
-            float(np.mean([c[0] for c in per_class])),
-            float(np.mean([c[1] for c in per_class])),
-            float(np.mean([c[2] for c in per_class])),
-            flagged,
-        )
-    total = sum(c[3] for c in per_class)
-    if total == 0:
-        return 0.0, 0.0, 0.0, True
-    weights = [c[3] / total for c in per_class]
-    return (
-        float(sum(w * c[0] for w, c in zip(weights, per_class))),
-        float(sum(w * c[1] for w, c in zip(weights, per_class))),
-        float(sum(w * c[2] for w, c in zip(weights, per_class))),
-        flagged,
-    )
+        weights = (1.0, 0.0)
+    elif mode is AveragingMode.MACRO:
+        weights = (0.5, 0.5)
+    else:
+        total = sum(c[3] for c in per_class)
+        weights = [c[3] / total for c in per_class]
+    prec, rec, f1 = (float(sum(w * c[i] for w, c in zip(weights, per_class))) for i in range(3))
+    return prec, rec, f1, flagged
 
 
 def metrics(
@@ -507,23 +495,25 @@ def metrics(
 ) -> MetricSet:
     """Precision/recall/F1 under the averaging mode, with across-fold stds.
 
+    One pass over the predictions counts each fold's true-by-predicted
+    2x2 table; the pooled metrics score the sum of those tables, and the
+    stds are the population std of the metric over the fold tables.
     Sensitivity and specificity always come from the collapsed 2x2 table
-    (Case positive).  Stds are the population std of the per-fold metric
-    values.  Cells with an empty denominator score 0 and set the
-    zero_division flag.
+    cb (Case positive).  Cells with an empty denominator score 0 and set
+    the zero_division flag.
     """
     if not predictions:
         raise EvaluationError("metrics", "no predictions")
-    precision, recall, f1, flagged = _prf(predictions, mode)
-    per_fold = {}
+    folds = sorted({p.fold for p in predictions})
+    tables = np.zeros((len(folds), 2, 2), dtype=np.int64)
     for p in predictions:
-        per_fold.setdefault(p.fold, []).append(p)
-    fold_vals = []
-    for f in sorted(per_fold):
-        pf, rf, ff, flag_f = _prf(per_fold[f], mode)
-        flagged = flagged or flag_f
-        fold_vals.append((pf, rf, ff))
-    arr = np.array(fold_vals)
+        # int(): a bare bool index would act as a mask
+        tables[folds.index(p.fold), int(p.true_label is Label.CONTROL),
+               int(p.predicted_label is Label.CONTROL)] += 1
+    precision, recall, f1, flagged = _prf(tables.sum(axis=0), mode)
+    per_fold = [_prf(t, mode) for t in tables]
+    flagged = flagged or any(v[3] for v in per_fold)
+    arr = np.array([v[:3] for v in per_fold])
     sens = cb.tp / (cb.tp + cb.fn) if cb.tp + cb.fn else 0.0
     spec = cb.tn / (cb.tn + cb.fp) if cb.tn + cb.fp else 0.0
     return MetricSet(
@@ -540,26 +530,6 @@ def metrics(
     )
 
 
-def _metric_block(cb: ConfusionBreakdown, preds: Sequence[FoldPrediction]) -> dict:
-    return {
-        mode.value: _metricset_doc(metrics(cb, preds, mode)) for mode in AveragingMode
-    }
-
-
-def _metricset_doc(m: MetricSet) -> dict:
-    return {
-        "precision": m.precision,
-        "recall": m.recall,
-        "f1": m.f1,
-        "precision_std": m.precision_std,
-        "recall_std": m.recall_std,
-        "f1_std": m.f1_std,
-        "sensitivity": m.sensitivity,
-        "specificity": m.specificity,
-        "zero_division": m.zero_division,
-    }
-
-
 def _prediction_rows(preds: Sequence[FoldPrediction]) -> list[list]:
     return [
         [
@@ -574,11 +544,32 @@ def _prediction_rows(preds: Sequence[FoldPrediction]) -> list[list]:
     ]
 
 
-_CSV_METRIC_COLS = "precision,recall,f1,precision_std,recall_std,f1_std,sensitivity,specificity"
+def _cell_block(keys: Mapping, preds: Sequence[FoldPrediction], corpus: Corpus) -> dict:
+    """One report block: keys, confusion tables, every metric mode, predictions."""
+    cb = confusion(preds, corpus)
+    docs = {mode.value: asdict(metrics(cb, preds, mode)) for mode in AveragingMode}
+    for doc in docs.values():
+        del doc["averaging_mode"]  # the key it sits under
+    return {
+        **keys,
+        "confusion_3x2": [list(r) for r in cb.three_by_two],
+        "confusion_2x2": [list(r) for r in cb.two_by_two],
+        "metrics": docs,
+        "predictions": _prediction_rows(preds),
+    }
 
 
-def _csv_line(parts) -> str:
-    return ",".join(str(v) for v in parts)
+_CSV_METRIC_COLS = ("precision", "recall", "f1", "precision_std", "recall_std", "f1_std",
+                    "sensitivity", "specificity")
+
+
+def _csv(blocks: Sequence[dict], key_cols: tuple[str, ...]) -> str:
+    """One line per block: its key columns, then its Binary metrics."""
+    lines = [",".join(key_cols + _CSV_METRIC_COLS)]
+    for b in blocks:
+        row = [b[k] for k in key_cols] + [b["metrics"]["Binary"][k] for k in _CSV_METRIC_COLS]
+        lines.append(",".join(str(v) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def build_report(
@@ -599,67 +590,34 @@ def build_report(
     experiments = sorted(
         experiments, key=lambda e: (e.task.value, e.feature_set.value, e.classifier.value)
     )
-    per_task_rows = []
-    per_task_csv = [f"task,feature_set,classifier,{_CSV_METRIC_COLS}"]
-    chart = []
-    for e in experiments:
-        cb = confusion(e.predictions, corpus)
-        block = {
-            "task": e.task.value,
-            "feature_set": e.feature_set.value,
-            "classifier": e.classifier.value,
-            "n_predictions": len(e.predictions),
-            "skipped_subjects": list(e.skipped_subjects),
-            "confusion_3x2": [list(r) for r in cb.three_by_two],
-            "confusion_2x2": [list(r) for r in cb.two_by_two],
-            "metrics": _metric_block(cb, e.predictions),
-            "predictions": _prediction_rows(e.predictions),
-        }
-        per_task_rows.append(block)
-        binary = block["metrics"]["Binary"]
-        per_task_csv.append(
-            _csv_line(
-                [e.task.value, e.feature_set.value, e.classifier.value]
-                + [binary[k] for k in _CSV_METRIC_COLS.split(",")]
-            )
-        )
-        chart.append(
+    per_task = [
+        _cell_block(
             {
                 "task": e.task.value,
                 "feature_set": e.feature_set.value,
                 "classifier": e.classifier.value,
-                "f1": binary["f1"],
-            }
+                "n_predictions": len(e.predictions),
+                "skipped_subjects": list(e.skipped_subjects),
+            },
+            e.predictions,
+            corpus,
         )
-
-    cells: dict[tuple[FeatureSetId, classifiers.ModelKind], list[TaskExperimentResult]] = {}
+        for e in experiments
+    ]
+    cells: dict[tuple[str, str], list[TaskExperimentResult]] = {}
     for e in experiments:
-        cells.setdefault((e.feature_set, e.classifier), []).append(e)
-    fused_rows = []
-    fused_csv = [f"feature_set,classifier,n_tasks,{_CSV_METRIC_COLS}"]
-    for (fsid, kind) in sorted(cells, key=lambda c: (c[0].value, c[1].value)):
-        cell = cells[(fsid, kind)]
+        cells.setdefault((e.feature_set.value, e.classifier.value), []).append(e)
+    fused_blocks = []
+    for (feature_set, classifier), cell in sorted(cells.items()):
         fused, excluded = fuse_predictions(cell, tie_break)
-        cb = confusion(fused, corpus)
-        block = {
-            "feature_set": fsid.value,
-            "classifier": kind.value,
+        keys = {
+            "feature_set": feature_set,
+            "classifier": classifier,
             "n_tasks": len(cell),
             "n_subjects": len(fused),
             "excluded_subjects": list(excluded),
-            "confusion_3x2": [list(r) for r in cb.three_by_two],
-            "confusion_2x2": [list(r) for r in cb.two_by_two],
-            "metrics": _metric_block(cb, fused),
-            "predictions": _prediction_rows(fused),
         }
-        fused_rows.append(block)
-        binary = block["metrics"]["Binary"]
-        fused_csv.append(
-            _csv_line(
-                [fsid.value, kind.value, len(cell)]
-                + [binary[k] for k in _CSV_METRIC_COLS.split(",")]
-            )
-        )
+        fused_blocks.append(_cell_block(keys, fused, corpus))
 
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -684,11 +642,17 @@ def build_report(
             "sizes": list(folds.fold_sizes()),
             "assignment": dict(sorted(folds.fold_of_subject.items())),
         },
-        "per_task": per_task_rows,
-        "fused": fused_rows,
-        "per_task_csv": "\n".join(per_task_csv) + "\n",
-        "fused_csv": "\n".join(fused_csv) + "\n",
-        "chart_data": {"per_task_f1": chart},
+        "per_task": per_task,
+        "fused": fused_blocks,
+        "per_task_csv": _csv(per_task, ("task", "feature_set", "classifier")),
+        "fused_csv": _csv(fused_blocks, ("feature_set", "classifier", "n_tasks")),
+        "chart_data": {
+            "per_task_f1": [
+                {k: b[k] for k in ("task", "feature_set", "classifier")}
+                | {"f1": b["metrics"]["Binary"]["f1"]}
+                for b in per_task
+            ]
+        },
     }
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, dsp
+from .config import number_field_problem
 from .errors import SynthError
 
 _SHARED_WORDS = (
@@ -52,6 +53,8 @@ class SynthSpec:
     sample_rate_hz: int = 16000
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise SynthError("spec", f"seed must be >= 0, got {self.seed}")
         if self.n_case < 1 or self.n_control < 1:
             raise SynthError("spec", "need at least one subject per class")
         if self.acoustic_separation < 0 or self.linguistic_separation < 0:
@@ -68,10 +71,14 @@ def load_spec(path) -> SynthSpec:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise SynthError("load_spec", f"cannot read spec {path}: {exc}")
-    known = set(SynthSpec.__dataclass_fields__)
-    unknown = set(doc) - known
+    if not isinstance(doc, dict):
+        raise SynthError("load_spec", f"spec root must be an object, got {type(doc).__name__}")
+    unknown = set(doc) - set(SynthSpec.__dataclass_fields__)
     if unknown:
         raise SynthError("load_spec", f"unknown spec fields: {sorted(unknown)}")
+    problem = number_field_problem(SynthSpec, doc)
+    if problem:
+        raise SynthError("load_spec", problem)
     return SynthSpec(**doc)
 
 

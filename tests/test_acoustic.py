@@ -179,7 +179,7 @@ def test_llds_restricted_to_segments():
     audio = dsp.AudioBuffer(x, SR)
     segs = dsp.SegmentSet(((0.0, 1.0), (2.0, 3.0)))
     llds = acoustic.extract_llds(audio, segs)
-    per_second = dsp.frame_signal(np.zeros(SR), SR).num_frames
+    per_second = dsp.frame_signal(np.zeros(SR), SR).shape[0]
     assert llds.num_frames == 2 * per_second
     # silence contributes nothing, so every frame is loud
     assert llds.column("log_energy_db").min() > -40.0
@@ -190,7 +190,7 @@ def test_pairwise_descriptors_reset_at_segment_starts():
     audio = dsp.AudioBuffer(x, SR)
     one = acoustic.extract_llds(audio, dsp.SegmentSet(((0.0, 1.0),)))
     two = acoustic.extract_llds(audio, dsp.SegmentSet(((0.0, 0.5), (0.5, 1.0))))
-    per_half = dsp.frame_signal(np.zeros(SR // 2), SR).num_frames
+    per_half = dsp.frame_signal(np.zeros(SR // 2), SR).shape[0]
     # first frame of the second segment has no predecessor
     assert two.column("spectral_flux")[per_half] == 0.0
     assert two.num_frames == 2 * per_half

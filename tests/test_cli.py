@@ -80,6 +80,7 @@ def test_config_rejects_bad_enum_values(tmp_path):
     ({"ngram": {"n_lo": 0, "n_hi": 1}}, "ngram.n_lo"),
     ({"ngram": {"n_lo": 2, "n_hi": 1}}, "ngram.n_hi"),
     ({"ngram": {"min_doc_freq": 0}}, "ngram.min_doc_freq"),
+    ({"seed": -1}, "seed"),
 ])
 def test_config_rejects_out_of_range_sections(tmp_path, doc, field):
     cfg_file = tmp_path / "run.json"
@@ -174,6 +175,15 @@ def test_summarize_prints_and_writes(small_manifest, tmp_path, capsys):
     assert "subjects,10" in out
     written = (tmp_path / "summary.csv").read_text(encoding="utf-8")
     assert written == out
+
+
+def test_summarize_writes_into_the_config_out_dir(small_manifest, tmp_path, capsys):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"out_dir": str(tmp_path / "from_config")}))
+    rc = cli.main(["summarize", "--manifest", str(small_manifest), "--config", str(cfg_file)])
+    assert rc == 0
+    written = (tmp_path / "from_config" / "summary.csv").read_text(encoding="utf-8")
+    assert written == capsys.readouterr().out
 
 
 def test_extract_writes_feature_matrices(small_manifest, tmp_path, capsys):
@@ -340,10 +350,25 @@ def test_synth_command(tmp_path, capsys):
 
 def test_synth_rejects_bad_spec(tmp_path, capsys):
     spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps({"n_case": 0}))
-    rc = cli.main(["synth", "--config", str(spec_file), "--out", str(tmp_path / "c")])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    for doc, seed, line in [
+        ({"n_case": 0}, None, "synth.spec: "),
+        ({}, "-1", "synth.spec: seed must be >= 0, got -1"),
+        ({"n_case": "5"}, None, "synth.load_spec: n_case must be an integer, got '5'"),
+        ({"duration_s": None}, None, "synth.load_spec: duration_s must be a number, got None"),
+        ({"snr_db_target": "x"}, None, "synth.load_spec: snr_db_target must be a number, got 'x'"),
+        ({"n_case": 1e9}, None, "synth.load_spec: n_case must be an integer, got 1000000000.0"),
+        ({"sample_rate_hz": 16000.5}, None, "synth.load_spec: sample_rate_hz must be an integer"),
+        ({"n_case": True}, None, "synth.load_spec: n_case must be an integer, got True"),
+        ([1, 2], None, "synth.load_spec: spec root must be an object, got list"),
+    ]:
+        spec_file.write_text(json.dumps(doc))
+        argv = ["synth", "--config", str(spec_file), "--out", str(tmp_path / "c")]
+        rc = cli.main(argv + (["--seed", seed] if seed else []))
+        assert rc == 1, doc
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {line}"), err
+        assert err.count("\n") == 1, err
+        assert not (tmp_path / "c" / RECORDINGS_FILE).exists()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cognopipe import dsp
@@ -257,14 +257,19 @@ def test_audio_buffer_validation():
 
 def test_frame_signal_layout():
     x = np.arange(1000, dtype=float)
-    fs = dsp.frame_signal(x, SR, 0.025, 0.010)  # len 400, hop 160
-    assert fs.num_frames == 1 + (1000 - 400) // 160
-    assert np.array_equal(fs.frames[0], x[:400])
-    assert np.array_equal(fs.frames[1], x[160:560])
+    frames = dsp.frame_signal(x, SR, 0.025, 0.010)  # len 400, hop 160
+    assert frames.shape == (1 + (1000 - 400) // 160, 400)
+    assert np.array_equal(frames[0], x[:400])
+    assert np.array_equal(frames[1], x[160:560])
+    assert np.array_equal(frames[-1], x[3 * 160 : 3 * 160 + 400])
+    # a view of the signal, which cannot be written through
+    assert np.shares_memory(frames, x)
+    with pytest.raises(ValueError):
+        frames[0, 0] = 1.0
 
 
 def test_frame_signal_short_input():
-    assert dsp.frame_signal(np.zeros(10), SR).num_frames == 0
+    assert dsp.frame_signal(np.zeros(10), SR).shape[0] == 0
 
 
 @pytest.mark.parametrize("frame_len_s, hop_s", [
@@ -429,20 +434,73 @@ def test_wav_round_trip_property(n, seed):
     assert np.max(np.abs(got - x)) <= 0.5 / 32768 + 1e-12
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_detect_speech_output_invariants(seed):
+def naive_detect_speech(audio, config=None):
+    """Reference VAD: frame runs and gap bridging with explicit loops."""
+    cfg = config or dsp.VadConfig()
+    frames = dsp.frame_signal(audio.samples, audio.sample_rate_hz, cfg.frame_len_s, cfg.hop_s)
+    if frames.shape[0] == 0:
+        return dsp.SegmentSet(())
+    energies = dsp.frame_energies_db(frames)
+    lo = np.percentile(energies, cfg.noise_floor_percentile)
+    hi = np.percentile(energies, 90.0)
+    if hi - lo < cfg.homogeneous_range_db:
+        if np.median(energies) > cfg.homogeneous_speech_floor_db:
+            mask = np.ones(energies.size, dtype=bool)
+        else:
+            mask = np.zeros(energies.size, dtype=bool)
+    else:
+        mask = energies > lo + cfg.threshold_margin_db
+    if not mask.any():
+        return dsp.SegmentSet(())
+
+    intervals = []
+    in_run = False
+    start = 0
+    for i, flag in enumerate(mask):
+        if flag and not in_run:
+            start = i
+            in_run = True
+        elif not flag and in_run:
+            intervals.append([start * cfg.hop_s, (i - 1) * cfg.hop_s + cfg.frame_len_s])
+            in_run = False
+    if in_run:
+        intervals.append([start * cfg.hop_s, (mask.size - 1) * cfg.hop_s + cfg.frame_len_s])
+    dur = audio.duration_s
+    if mask[-1]:
+        intervals[-1][1] = dur
+
+    merged = []
+    for seg in intervals:
+        if merged and seg[0] - merged[-1][1] < cfg.bridge_gap_s:
+            merged[-1][1] = max(merged[-1][1], seg[1])
+        else:
+            merged.append(seg)
+    kept = tuple((s, min(e, dur)) for s, e in merged if min(e, dur) - s >= cfg.min_segment_s)
+    return dsp.SegmentSet(kept)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(["bursts", "tone", "silent"]))
+@example(seed=0, kind="tone")
+@example(seed=0, kind="silent")
+def test_detect_speech_output_invariants(seed, kind):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(100, 3 * SR))
     x = np.zeros(n)
-    # random bursts of tone
-    for _ in range(int(rng.integers(0, 4))):
-        a = int(rng.integers(0, n))
-        b = min(n, a + int(rng.integers(1, SR)))
-        t = np.arange(b - a) / SR
-        x[a:b] += 0.3 * np.sin(2 * np.pi * 180 * t)
+    if kind == "bursts":  # random bursts of tone
+        for _ in range(int(rng.integers(0, 4))):
+            a = int(rng.integers(0, n))
+            b = min(n, a + int(rng.integers(1, SR)))
+            t = np.arange(b - a) / SR
+            x[a:b] += 0.3 * np.sin(2 * np.pi * 180 * t)
+    elif kind == "tone":  # homogeneous and loud: all speech
+        x += rng.uniform(0.01, 0.9) * np.sin(2 * np.pi * rng.uniform(80, 400) * np.arange(n) / SR)
     audio = dsp.AudioBuffer(x + 1e-6, SR)
     segs = dsp.detect_speech(audio)
+    assert segs.speech == naive_detect_speech(audio).speech
+    if kind != "bursts" and audio.duration_s >= dsp.VadConfig().min_segment_s:
+        # each outcome of the homogeneous-input branch
+        assert segs.speech == (((0.0, audio.duration_s),) if kind == "tone" else ())
     prev_end = -1.0
     for s, e in segs.speech:
         assert 0.0 <= s < e <= audio.duration_s + 1e-9

@@ -230,7 +230,7 @@ def naive_mode(preds, mode):
     )
 
 
-def _random_predictions(n=40, seed=5, k=4):
+def _random_predictions(n=40, seed=5, fold_ids=(0, 1, 2, 3)):
     rng = np.random.default_rng(seed)
     preds = []
     for i in range(n):
@@ -240,39 +240,41 @@ def _random_predictions(n=40, seed=5, k=4):
             Label.CONTROL if truth is Label.CASE else Label.CASE
         )
         preds.append(
-            pred(f"S{i:03d}", truth, predicted, rng.normal(), fold=int(rng.integers(k)))
+            pred(f"S{i:03d}", truth, predicted, rng.normal(),
+                 fold=fold_ids[int(rng.integers(len(fold_ids)))])
         )
     return preds
 
 
 @pytest.mark.parametrize("mode", list(AveragingMode))
 def test_metrics_match_naive_recount(mode):
-    preds = _random_predictions()
-    cb_corp = memory_corpus(20, 20)
-    # metrics only needs the 2x2 table; derive it from the predictions
-    t = sum(p.true_label is Label.CASE and p.predicted_label is Label.CASE for p in preds)
-    fn = sum(p.true_label is Label.CASE and p.predicted_label is Label.CONTROL for p in preds)
-    fp = sum(p.true_label is Label.CONTROL and p.predicted_label is Label.CASE for p in preds)
-    tn = sum(p.true_label is Label.CONTROL and p.predicted_label is Label.CONTROL for p in preds)
-    cb = ev.ConfusionBreakdown(
-        three_by_two=((0, 0), (t, fn), (fp, tn)), two_by_two=((t, fn), (fp, tn))
-    )
-    del cb_corp
-    m = ev.metrics(cb, preds, mode)
-    prec, rec, f1 = naive_mode(preds, mode)
-    assert abs(m.precision - prec) < 1e-12
-    assert abs(m.recall - rec) < 1e-12
-    assert abs(m.f1 - f1) < 1e-12
-    # across-fold population std, recounted independently
-    folds = sorted({p.fold for p in preds})
-    per_fold = np.array(
-        [naive_mode([p for p in preds if p.fold == f], mode) for f in folds]
-    )
-    assert abs(m.precision_std - per_fold[:, 0].std()) < 1e-12
-    assert abs(m.recall_std - per_fold[:, 1].std()) < 1e-12
-    assert abs(m.f1_std - per_fold[:, 2].std()) < 1e-12
-    assert abs(m.sensitivity - t / (t + fn)) < 1e-12
-    assert abs(m.specificity - tn / (tn + fp)) < 1e-12
+    for fold_ids in ((0, 1, 2, 3), (1, 4, 7)):  # contiguous and gapped fold ids
+        preds = _random_predictions(fold_ids=fold_ids)
+        # metrics only needs the 2x2 table; derive it from the predictions
+        t = sum(p.true_label is Label.CASE and p.predicted_label is Label.CASE for p in preds)
+        fn = sum(p.true_label is Label.CASE and p.predicted_label is Label.CONTROL for p in preds)
+        fp = sum(p.true_label is Label.CONTROL and p.predicted_label is Label.CASE for p in preds)
+        tn = sum(p.true_label is Label.CONTROL and p.predicted_label is Label.CONTROL
+                 for p in preds)
+        cb = ev.ConfusionBreakdown(
+            three_by_two=((0, 0), (t, fn), (fp, tn)), two_by_two=((t, fn), (fp, tn))
+        )
+        m = ev.metrics(cb, preds, mode)
+        prec, rec, f1 = naive_mode(preds, mode)
+        assert abs(m.precision - prec) < 1e-12
+        assert abs(m.recall - rec) < 1e-12
+        assert abs(m.f1 - f1) < 1e-12
+        # across-fold population std, recounted independently
+        folds = sorted({p.fold for p in preds})
+        assert folds == list(fold_ids)
+        per_fold = np.array(
+            [naive_mode([p for p in preds if p.fold == f], mode) for f in folds]
+        )
+        assert abs(m.precision_std - per_fold[:, 0].std()) < 1e-12
+        assert abs(m.recall_std - per_fold[:, 1].std()) < 1e-12
+        assert abs(m.f1_std - per_fold[:, 2].std()) < 1e-12
+        assert abs(m.sensitivity - t / (t + fn)) < 1e-12
+        assert abs(m.specificity - tn / (tn + fp)) < 1e-12
 
 
 def test_metrics_order_invariant():
@@ -553,6 +555,28 @@ def test_report_metric_blocks_have_all_modes(tiny_report):
         }
         tbl = np.array(block["confusion_3x2"])
         assert tbl.shape == (3, 2) and tbl.sum() == block["n_predictions" if "n_predictions" in block else "n_subjects"]
+
+
+def test_report_csv_and_chart_read_the_blocks(tiny_report):
+    *_, rep = tiny_report
+    cols = ["precision", "recall", "f1", "precision_std", "recall_std", "f1_std",
+            "sensitivity", "specificity"]
+    for csv_key, block_key, keys in (
+        ("per_task_csv", "per_task", ["task", "feature_set", "classifier"]),
+        ("fused_csv", "fused", ["feature_set", "classifier", "n_tasks"]),
+    ):
+        header, *rows = rep[csv_key].splitlines()
+        assert header == ",".join(keys + cols)
+        assert len(rows) == len(rep[block_key])
+        for row, block in zip(rows, rep[block_key]):
+            binary = block["metrics"]["Binary"]
+            values = [block[k] for k in keys] + [binary[c] for c in cols]
+            assert row == ",".join(str(v) for v in values)
+    bars = rep["chart_data"]["per_task_f1"]
+    assert len(bars) == len(rep["per_task"])
+    for bar, block in zip(bars, rep["per_task"]):
+        assert bar == {"task": block["task"], "feature_set": block["feature_set"],
+                       "classifier": block["classifier"], "f1": block["metrics"]["Binary"]["f1"]}
 
 
 def test_report_round_trip_and_byte_identity(tiny_report, tmp_path):
