@@ -187,16 +187,6 @@ def train_logistic(
     )
 
 
-def predict_logistic(x: np.ndarray, model: LinearModel):
-    """Probability of Case; scalar for a single vector, array for a matrix."""
-    if model.kind is not ModelKind.LOGISTIC_REGRESSION:
-        raise TrainingError("predict_logistic", f"model kind is {model.kind.value}")
-    x = np.asarray(x, dtype=np.float64)
-    z = x @ model.weights + model.bias
-    p = _sigmoid(np.atleast_1d(z))
-    return float(p[0]) if z.ndim == 0 else p
-
-
 def svm_objective(
     X: np.ndarray, y: np.ndarray, cw: np.ndarray, lam: float, w: np.ndarray, b: float
 ) -> float:
@@ -253,18 +243,11 @@ def train_linear_svm(
     )
 
 
-def predict_svm(x: np.ndarray, model: LinearModel):
-    """Signed margin; the label is its sign (0 counts as Case)."""
-    if model.kind is not ModelKind.LINEAR_SVM:
-        raise TrainingError("predict_svm", f"model kind is {model.kind.value}")
-    x = np.asarray(x, dtype=np.float64)
-    z = x @ model.weights + model.bias
-    return float(z) if z.ndim == 0 else z
-
-
 def decision_score(x: np.ndarray, model: LinearModel):
-    """Unified score: positive favors Case.  LR gives p - 0.5, SVM the margin."""
+    """Positive favors Case: LR gives its Case probability - 0.5, the SVM its
+    signed margin.  A scalar for a single vector, an array for a matrix."""
+    z = np.asarray(x, dtype=np.float64) @ model.weights + model.bias
+    score = np.atleast_1d(z)
     if model.kind is ModelKind.LOGISTIC_REGRESSION:
-        return predict_logistic(x, model) - 0.5
-    return predict_svm(x, model)
-
+        score = _sigmoid(score) - 0.5
+    return float(score[0]) if np.ndim(z) == 0 else score

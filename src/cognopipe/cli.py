@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 from . import acoustic, config as cfgmod, corpus, evaluation, synth
-from .classifiers import ModelKind
 from .errors import ConfigError, ManifestError, PipelineError
 from .features import FeatureSetId
 
@@ -177,11 +176,10 @@ def cmd_train_eval(args, out: _OutputTracker) -> int:
                 cfg.ngram.min_doc_freq,
                 workers,
             )
-            for kind in cfg.classifiers:
-                log.info("experiment %s / %s / %s", task.value, fsid.value, kind.value)
-                experiments.append(
-                    evaluation.run_task_experiment(c, task, provider, kind, folds, exp_cfg)
-                )
+            log.info("experiment %s / %s", task.value, fsid.value)
+            experiments.extend(
+                evaluation.run_task_experiments(c, task, provider, cfg.classifiers, folds, exp_cfg)
+            )
     report = evaluation.build_report(
         c, folds, experiments, cfgmod.config_echo(cfg), cfg.tie_break
     )

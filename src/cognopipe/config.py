@@ -61,9 +61,15 @@ class RunConfig:
             raise ConfigError("run_config", "no feature sets selected")
         if not self.classifiers:
             raise ConfigError("run_config", "no classifiers selected")
-        c, g = self.classifier, self.ngram
+        c, g, a, v = self.classifier, self.ngram, self.acoustic, self.vad
         for name, value, ok, rule in (
             ("seed", self.seed, self.seed >= 0, ">= 0"),
+            ("vad.noise_floor_percentile", v.noise_floor_percentile,
+             0 <= v.noise_floor_percentile <= 100, "in [0, 100]"),
+            ("acoustic.f0_min_hz", a.f0_min_hz, a.f0_min_hz > 0, "> 0"),
+            ("acoustic.f0_max_hz", a.f0_max_hz, a.f0_max_hz > a.f0_min_hz,
+             "> acoustic.f0_min_hz"),
+            ("acoustic.n_mel_filters", a.n_mel_filters, a.n_mel_filters >= 1, ">= 1"),
             ("classifier.l2_lambda", c.l2_lambda, c.l2_lambda > 0, "> 0"),
             ("classifier.lr_max_iters", c.lr_max_iters, c.lr_max_iters >= 1, ">= 1"),
             ("classifier.lr_tol", c.lr_tol, c.lr_tol > 0, "> 0"),

@@ -1,11 +1,12 @@
 """Cross-validated experiments, majority-vote fusion, metrics, reports.
 
-An experiment is one (task, feature set, classifier) cell evaluated over
-subject-level folds.  Per-fold artifacts (standardizer, vocabulary,
-model) each record the subjects they were fitted on, and every fold is
-audited so that no fitted artifact ever saw a test subject.  The four
-per-task predictions of a subject fuse by majority vote into the final
-screening label.
+An experiment is one (task, feature set) evaluated over subject-level
+folds and scored for each classifier: a fold's features and standardizer
+are built once and shared by every classifier trained on it.  Per-fold
+artifacts (standardizer, vocabulary, model) each record the subjects
+they were fitted on, and every fit is audited so that no fitted artifact
+ever saw a test subject.  The four per-task predictions of a subject fuse
+by majority vote into the final screening label.
 """
 
 from __future__ import annotations
@@ -226,6 +227,83 @@ def fold_seed(base_seed: int, task: Task, feature_set: FeatureSetId,
     return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
 
 
+def run_task_experiments(
+    corpus: Corpus,
+    task: Task,
+    provider: PrecomputedProvider | TfidfProvider,
+    classifier_kinds: Sequence[classifiers.ModelKind],
+    folds: FoldAssignment,
+    config: ExperimentConfig = ExperimentConfig(),
+) -> tuple[TaskExperimentResult, ...]:
+    """Train and predict every fold of one (task, feature set), per classifier.
+
+    Each fold's features and standardizer are built once; every kind is
+    then trained, audited and scored on them, in the order given, and
+    gets one result.  Subjects without a usable recording for the task
+    are skipped and listed.  A fold whose training partition collapses to
+    a single class is a hard error naming the fold.  After each fit, the
+    fitted artifacts are audited for train/test disjointness.
+    """
+    available = set(provider.available_subjects())
+    skipped = tuple(sorted(set(folds.fold_of_subject) - available))
+    predictions: list[list[FoldPrediction]] = [[] for _ in classifier_kinds]
+    for f in range(folds.k):
+        train_ids = tuple(s for s in folds.train_subjects(f) if s in available)
+        test_ids = tuple(s for s in folds.test_subjects(f) if s in available)
+        if not test_ids:
+            continue
+        y_train = np.array([float(corpus.subject(s).binary_label is Label.CASE)
+                            for s in train_ids])
+        if y_train.size == 0 or len(set(y_train.tolist())) < 2:
+            raise EvaluationError(
+                "run_task_experiment",
+                f"fold {f} training partition for task {task.value} is single-class",
+            )
+        train_set = frozenset(train_ids)
+        fold_name = f"{task.value}/{provider.feature_set_id.value}/fold{f}-train"
+        X_train, X_test, fitted_on = provider.fold_features(train_ids, test_ids, fold_name)
+
+        std = classifiers.fit_standardizer(X_train, fitted_subjects=train_set)
+        Xs_train = classifiers.apply_standardizer(X_train, std)
+        Xs_test = classifiers.apply_standardizer(X_test, std)
+        true_labels = [corpus.subject(sid).binary_label for sid in test_ids]
+        for kind, kind_predictions in zip(classifier_kinds, predictions):
+            if kind is classifiers.ModelKind.LOGISTIC_REGRESSION:
+                model = classifiers.train_logistic(
+                    Xs_train, y_train, l2_lambda=config.l2_lambda,
+                    max_iters=config.lr_max_iters, tol=config.lr_tol, fitted_subjects=train_set,
+                )
+            else:
+                seed = fold_seed(config.seed, task, provider.feature_set_id, kind, f)
+                model = classifiers.train_linear_svm(
+                    Xs_train, 2.0 * y_train - 1.0, l2_lambda=config.l2_lambda,
+                    epochs=config.svm_epochs, seed=seed, fitted_subjects=train_set,
+                )
+            audit_no_leakage((std.fitted_subjects, model.fitted_subjects, fitted_on), test_ids)
+            scores = classifiers.decision_score(Xs_test, model)
+            kind_predictions.extend(
+                FoldPrediction(
+                    subject_id=sid,
+                    task=task,
+                    fold=f,
+                    true_label=true_label,
+                    predicted_label=Label.CASE if score >= 0 else Label.CONTROL,
+                    score=float(score),
+                )
+                for sid, true_label, score in zip(test_ids, true_labels, scores)
+            )
+    return tuple(
+        TaskExperimentResult(
+            task=task,
+            feature_set=provider.feature_set_id,
+            classifier=kind,
+            predictions=tuple(kind_predictions),
+            skipped_subjects=skipped,
+        )
+        for kind, kind_predictions in zip(classifier_kinds, predictions)
+    )
+
+
 def run_task_experiment(
     corpus: Corpus,
     task: Task,
@@ -234,81 +312,9 @@ def run_task_experiment(
     folds: FoldAssignment,
     config: ExperimentConfig = ExperimentConfig(),
 ) -> TaskExperimentResult:
-    """Train and predict every fold of one (task, feature set, classifier).
-
-    Subjects without a usable recording for the task are skipped and
-    listed.  A fold whose training partition collapses to a single class
-    is a hard error naming the fold.  After each fold, the fitted
-    artifacts are audited for train/test disjointness.
-    """
-    available = set(provider.available_subjects())
-    skipped = tuple(sorted(set(folds.fold_of_subject) - available))
-    predictions: list[FoldPrediction] = []
-    for f in range(folds.k):
-        train_ids = tuple(s for s in folds.train_subjects(f) if s in available)
-        test_ids = tuple(s for s in folds.test_subjects(f) if s in available)
-        if not test_ids:
-            continue
-        y_train = np.array(
-            [
-                1.0 if corpus.subject(s).binary_label is Label.CASE else 0.0
-                for s in train_ids
-            ]
-        )
-        if y_train.size == 0 or len(set(y_train.tolist())) < 2:
-            raise EvaluationError(
-                "run_task_experiment",
-                f"fold {f} training partition for task {task.value} is single-class",
-            )
-        fold_name = f"{task.value}/{provider.feature_set_id.value}/fold{f}-train"
-        X_train, X_test, fitted_on = provider.fold_features(train_ids, test_ids, fold_name)
-
-        std = classifiers.fit_standardizer(X_train, fitted_subjects=frozenset(train_ids))
-        Xs_train = classifiers.apply_standardizer(X_train, std)
-        Xs_test = classifiers.apply_standardizer(X_test, std)
-
-        seed = fold_seed(config.seed, task, provider.feature_set_id, classifier_kind, f)
-        if classifier_kind is classifiers.ModelKind.LOGISTIC_REGRESSION:
-            model = classifiers.train_logistic(
-                Xs_train,
-                y_train,
-                l2_lambda=config.l2_lambda,
-                max_iters=config.lr_max_iters,
-                tol=config.lr_tol,
-                fitted_subjects=frozenset(train_ids),
-            )
-        else:
-            model = classifiers.train_linear_svm(
-                Xs_train,
-                2.0 * y_train - 1.0,
-                l2_lambda=config.l2_lambda,
-                epochs=config.svm_epochs,
-                seed=seed,
-                fitted_subjects=frozenset(train_ids),
-            )
-
-        audit_no_leakage((std.fitted_subjects, model.fitted_subjects, fitted_on), test_ids)
-
-        scores = np.atleast_1d(classifiers.decision_score(Xs_test, model))
-        for sid, score in zip(test_ids, scores):
-            predicted = Label.CASE if score >= 0 else Label.CONTROL
-            predictions.append(
-                FoldPrediction(
-                    subject_id=sid,
-                    task=task,
-                    fold=f,
-                    true_label=corpus.subject(sid).binary_label,
-                    predicted_label=predicted,
-                    score=float(score),
-                )
-            )
-    return TaskExperimentResult(
-        task=task,
-        feature_set=provider.feature_set_id,
-        classifier=classifier_kind,
-        predictions=tuple(predictions),
-        skipped_subjects=skipped,
-    )
+    """run_task_experiments for a single classifier kind."""
+    (result,) = run_task_experiments(corpus, task, provider, (classifier_kind,), folds, config)
+    return result
 
 
 def audit_no_leakage(

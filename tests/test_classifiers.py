@@ -119,7 +119,7 @@ def test_logistic_gradient_matches_central_differences():
 def test_logistic_separable_blobs():
     X, y = blobs(15, 1.5, 0.3, seed=2)
     m = cl.train_logistic(X, y, l2_lambda=0.01)
-    p = cl.predict_logistic(X, m)
+    p = cl.decision_score(X, m) + 0.5
     assert np.all((p > 0.5) == (y == 1.0))
     J0 = cl.logistic_objective_grad(
         X, y, np.ones(30), 0.01, np.zeros(2), 0.0
@@ -269,27 +269,23 @@ def _tiny_models():
 
 def test_predict_scalar_and_batch_shapes():
     X, lr, svm = _tiny_models()
-    p_one = cl.predict_logistic(X[0], lr)
+    p_one = cl.decision_score(X[0], lr) + 0.5
     assert isinstance(p_one, float) and 0.0 < p_one < 1.0
-    p_all = cl.predict_logistic(X, lr)
+    p_all = cl.decision_score(X, lr) + 0.5
     assert p_all.shape == (20,) and p_all[0] == p_one
-    s_one = cl.predict_svm(X[0], svm)
+    s_one = cl.decision_score(X[0], svm)
     assert isinstance(s_one, float)
-    assert cl.predict_svm(X, svm).shape == (20,)
-
-
-def test_predict_kind_mismatch():
-    X, lr, svm = _tiny_models()
-    with pytest.raises(TrainingError):
-        cl.predict_logistic(X[0], svm)
-    with pytest.raises(TrainingError):
-        cl.predict_svm(X[0], lr)
+    s_all = cl.decision_score(X, svm)
+    assert s_all.shape == (20,) and s_all[0] == pytest.approx(s_one, rel=1e-12)
 
 
 def test_decision_score_sign_convention():
     X, lr, svm = _tiny_models()
-    assert cl.decision_score(X[0], lr) == cl.predict_logistic(X[0], lr) - 0.5
-    assert cl.decision_score(X[0], svm) == cl.predict_svm(X[0], svm)
-    # positive score iff the probability favors Case
+    # LR: Case probability - 0.5 from the sigmoid; SVM: the signed margin
+    z_lr = X @ lr.weights + lr.bias
+    assert np.allclose(cl.decision_score(X, lr), 1.0 / (1.0 + np.exp(-z_lr)) - 0.5,
+                       rtol=0, atol=1e-15)
+    assert cl.decision_score(X[0], svm) == X[0] @ svm.weights + svm.bias
+    # positive score iff the probability favors Case, i.e. iff the margin is positive
     for x in X[:5]:
-        assert (cl.decision_score(x, lr) > 0) == (cl.predict_logistic(x, lr) > 0.5)
+        assert (cl.decision_score(x, lr) > 0) == (x @ lr.weights + lr.bias > 0)

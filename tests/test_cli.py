@@ -81,6 +81,13 @@ def test_config_rejects_bad_enum_values(tmp_path):
     ({"ngram": {"n_lo": 2, "n_hi": 1}}, "ngram.n_hi"),
     ({"ngram": {"min_doc_freq": 0}}, "ngram.min_doc_freq"),
     ({"seed": -1}, "seed"),
+    ({"acoustic": {"f0_min_hz": 0}}, "acoustic.f0_min_hz"),
+    ({"acoustic": {"f0_max_hz": 0}}, "acoustic.f0_max_hz"),
+    ({"acoustic": {"f0_min_hz": 700}}, "acoustic.f0_max_hz"),  # above the 600 Hz default
+    ({"acoustic": {"n_mel_filters": 0}}, "acoustic.n_mel_filters"),
+    ({"acoustic": {"n_mel_filters": -3}}, "acoustic.n_mel_filters"),
+    ({"vad": {"noise_floor_percentile": 150}}, "vad.noise_floor_percentile"),
+    ({"vad": {"noise_floor_percentile": -1}}, "vad.noise_floor_percentile"),
 ])
 def test_config_rejects_out_of_range_sections(tmp_path, doc, field):
     cfg_file = tmp_path / "run.json"
@@ -256,6 +263,24 @@ def test_train_eval_then_report(small_manifest, tmp_path, capsys):
     assert f"schema {report['schema_version']}" in out2
     assert "note:" in out2
     assert "confusion 3x2" in out2
+
+
+def test_train_eval_blocks_do_not_depend_on_the_other_classifiers(small_manifest, tmp_path):
+    """A classifier's per-task and fused blocks are the same whether or not
+    another classifier shares its folds."""
+    def lr_blocks(classifiers: str) -> list:
+        out = tmp_path / classifiers.replace(",", "_")
+        rc = cli.main(["train-eval", "--manifest", str(small_manifest), "--out", str(out),
+                       "--tasks", "ShortTerm,LongTerm", "--features", "Lexical,NgramTfidf",
+                       "--classifiers", classifiers, "--k", "3", "--workers", "1"])
+        assert rc == 0
+        report = evaluation.read_report(out / "report.json")
+        return [b for section in ("per_task", "fused") for b in report[section]
+                if b["classifier"] == "LogisticRegression"]
+
+    alone = lr_blocks("LogisticRegression")
+    assert len(alone) == 6  # 2 tasks x 2 sets, then 2 fused cells
+    assert alone == lr_blocks("LogisticRegression,LinearSVM")
 
 
 def test_train_eval_without_manifest_errors(capsys):

@@ -390,6 +390,64 @@ def test_leakage_audit_rejects_cheating_provider():
     assert "test subjects" in str(exc.value)
 
 
+class _CountingProvider:
+    """Counts fold_features calls and passes them through."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.feature_set_id = inner.feature_set_id
+        self.calls = 0
+
+    def available_subjects(self):
+        return self.inner.available_subjects()
+
+    def fold_features(self, train_ids, test_ids, fold_name):
+        self.calls += 1
+        return self.inner.fold_features(train_ids, test_ids, fold_name)
+
+
+BOTH_KINDS = (classifiers.ModelKind.LOGISTIC_REGRESSION, classifiers.ModelKind.LINEAR_SVM)
+
+
+def test_run_task_experiments_builds_each_fold_once():
+    corp = memory_corpus(6, 6)
+    provider = _CountingProvider(_vector_provider(corp))
+    folds = corpusmod.stratified_folds(corp, 3, seed=0)
+    results = ev.run_task_experiments(corp, Task.SHORT_TERM, provider, BOTH_KINDS, folds)
+    assert provider.calls == folds.k
+    assert tuple(r.classifier for r in results) == BOTH_KINDS
+    assert all(len(r.predictions) == 12 for r in results)
+
+
+def test_run_task_experiments_match_one_kind_runs(small_corpus):
+    folds = corpusmod.stratified_folds(small_corpus, 3, seed=0)
+    cfg = ExperimentConfig(seed=5)
+    providers = (
+        _vector_provider(small_corpus),
+        ev.build_provider(small_corpus, Task.SHORT_TERM, FeatureSetId.NGRAM_TFIDF),
+    )
+    for provider in providers:
+        together = ev.run_task_experiments(small_corpus, Task.SHORT_TERM, provider,
+                                           BOTH_KINDS, folds, cfg)
+        alone = tuple(ev.run_task_experiment(small_corpus, Task.SHORT_TERM, provider, kind,
+                                             folds, cfg) for kind in BOTH_KINDS)
+        assert together == alone, provider.feature_set_id
+
+
+def test_trainers_leave_their_inputs_unchanged():
+    """Every kind of a fold reads the same standardized matrices."""
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(12, 4))
+    y01 = np.array([1.0, 0.0] * 6)
+    X0, y0 = X.copy(), y01.copy()
+    classifiers.train_logistic(X, y01)
+    assert np.array_equal(X, X0) and np.array_equal(y01, y0)
+    y_pm = 2.0 * y01 - 1.0
+    y_pm0 = y_pm.copy()
+    classifiers.train_linear_svm(X, y_pm, epochs=3)
+    assert np.array_equal(X, X0) and np.array_equal(y_pm, y_pm0)
+
+
 def test_audit_no_leakage_direct():
     ev.audit_no_leakage([frozenset({"A", "B"})], ["C", "D"])  # disjoint: fine
     with pytest.raises(EvaluationError):
