@@ -7,10 +7,12 @@ penalty on the weights (never the bias):
 
 with W = sum_i cw_i.  Normalizing by total class weight makes
 "duplicate every Case sample k times" and "weight Case by k" the same
-objective, which the tests exploit.  Logistic regression runs full-batch
-gradient descent with Armijo backtracking; the linear SVM runs Pegasos
-(stochastic subgradient, step 1/(lambda*t), averaged iterates), whose
-kernel works in Gram form and so holds an n x n matrix for n training rows.
+objective, which the tests exploit.  Logistic regression runs Newton with
+Armijo backtracking; its Hessian is solved in n x n by Woodbury, for n
+training rows, so a step costs one n x n solve whatever the feature count.
+The linear SVM runs Pegasos (stochastic subgradient, step 1/(lambda*t),
+averaged iterates), whose kernel works in Gram form and so holds an n x n
+matrix as well.
 """
 
 from __future__ import annotations
@@ -119,6 +121,39 @@ def logistic_objective_grad(
     return J, grad_w, grad_b
 
 
+def _newton_direction(X: np.ndarray, G: np.ndarray, s: np.ndarray, lam: float,
+                      gw: np.ndarray, gb: float) -> tuple[np.ndarray, float]:
+    """Newton direction (dw, db) of the logistic objective, or -gradient.
+
+    Solves H [dw; db] = -[gw; gb] for the Hessian
+        H = [[A, u], [u^T, sum(s)]],  A = X^T S X + lam I,  u = X^T s,
+    with S = diag(s), s_i = cw_i p_i (1 - p_i) / W, without forming H.
+    With r = sqrt(s) and the n x n SPD K = lam I + R G R, G = X X^T, Woodbury
+    gives A^-1 v = (v - X^T R K^-1 R X v) / lam, and since u = X^T R r:
+        A^-1 u = X^T R K^-1 r,   u^T A^-1 v = r . K^-1 R X v,
+    so the unpenalized bias's Schur complement sum(s) - u^T A^-1 u equals
+    lam * r . K^-1 r, free of cancellation.  One solve with two right-hand
+    sides gives the step.  It falls back to -gradient where the step does
+    not exist in floats: every s_i is 0 (all p(1 - p) underflowed), the
+    Schur complement is not positive, or the direction is not finite or
+    not a descent direction.
+    """
+    r = np.sqrt(s)
+    K = r[:, None] * G * r
+    K.flat[:: K.shape[0] + 1] += lam
+    t_g, t_r = np.linalg.solve(K, np.column_stack((r * (X @ gw), r))).T
+    schur = lam * float(r @ t_r)
+    if schur > 0.0:
+        a_g, a_u = (X.T @ (r[:, None] * np.column_stack((t_g, t_r)))).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            db = (float(r @ t_g) - gb) / schur
+            dw = (a_g - gw) / lam - db * a_u
+            slope = float(gw @ dw) + gb * db
+        if np.isfinite(slope) and np.all(np.isfinite(dw)) and slope < 0.0:
+            return dw, db
+    return -gw, -gb
+
+
 def train_logistic(
     X: np.ndarray,
     y: np.ndarray,
@@ -128,53 +163,61 @@ def train_logistic(
     class_weights: tuple[float, float] | None = None,
     fitted_subjects: frozenset[str] = frozenset(),
 ) -> LinearModel:
-    """Full-batch gradient descent with Armijo backtracking line search.
+    """Newton with Armijo backtracking; Hessian solved in n x n by Woodbury.
 
-    y is {0, 1} with Case = 1.  Stops when the gradient infinity-norm
-    drops below tol or after max_iters accepted steps.  The objective is
-    asserted non-increasing at every accepted step.
+    y is {0, 1} with Case = 1.  Each step moves along the Newton direction
+    of _newton_direction, halving the step from 1 until the Armijo
+    condition holds; G = X X^T is built once per fit.  Stops when the
+    gradient infinity-norm drops below tol or after max_iters accepted
+    Newton steps.  The objective is asserted non-increasing at every
+    accepted step.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_training_inputs("train_logistic", X, y, (0.0, 1.0))
+    if l2_lambda <= 0:
+        raise TrainingError("train_logistic", f"l2_lambda must be > 0, got {l2_lambda}")
     if class_weights is None:
         class_weights = balanced_class_weights(int(y.sum()), int((1 - y).sum()))
     cw = np.where(y == 1.0, class_weights[0], class_weights[1])
+    # einsum, not X @ X.T: BLAS threads spin for no gain at this size
+    G = np.einsum("ik,jk->ij", X, X)
+    W = cw.sum()
 
     w = np.zeros(X.shape[1])
     b = 0.0
-    step = 1.0
     J, gw, gb = logistic_objective_grad(X, y, cw, l2_lambda, w, b)
     iters = 0
     converged = False
-    for iters in range(1, max_iters + 1):
+    while True:
         if max(np.max(np.abs(gw)), abs(gb)) < tol:
             converged = True
-            iters -= 1
             break
-        gnorm_sq = float(gw @ gw + gb * gb)
+        if iters == max_iters:
+            break
+        p = _sigmoid(X @ w + b)
+        dw, db = _newton_direction(X, G, cw * p * (1.0 - p) / W, l2_lambda, gw, gb)
+        slope = float(gw @ dw) + gb * db
+        step = 1.0
         # backtrack until the Armijo condition holds
-        accepted = False
         for _ in range(60):
-            w_new = w - step * gw
-            b_new = b - step * gb
+            w_new = w + step * dw
+            b_new = b + step * db
             J_new, gw_new, gb_new = logistic_objective_grad(
                 X, y, cw, l2_lambda, w_new, b_new
             )
-            if J_new <= J - 1e-4 * step * gnorm_sq:
-                accepted = True
+            if J_new <= J + 1e-4 * step * slope:
                 break
             step *= 0.5
-        if not accepted:
+        else:
             converged = True  # no descent possible at float resolution
-            iters -= 1
             break
         if J_new > J + 1e-12:
             raise TrainingError(
                 "train_logistic", f"objective increased ({J} -> {J_new}) on an accepted step"
             )
         w, b, J, gw, gb = w_new, b_new, J_new, gw_new, gb_new
-        step *= 2.0  # optimistic growth, backtracking will trim it
+        iters += 1
 
     return LinearModel(
         kind=ModelKind.LOGISTIC_REGRESSION,

@@ -27,7 +27,7 @@ from .corpus import Corpus, Diagnosis, FoldAssignment, Label, Task, TaskRecordin
 from .errors import EvaluationError
 from .features import FeatureSetId, FeatureVector
 
-REPORT_SCHEMA_VERSION = "1.2"
+REPORT_SCHEMA_VERSION = "1.3"
 
 DISCLAIMERS = (
     "speech segmentation uses energy-based voice activity detection",
@@ -87,6 +87,7 @@ class TaskExperimentResult:
     classifier: classifiers.ModelKind
     predictions: tuple[FoldPrediction, ...]
     skipped_subjects: tuple[str, ...]  # no usable recording for this task
+    not_converged_folds: tuple[int, ...] = ()  # LR fits stopped at lr_max_iters
 
 
 @dataclass(frozen=True)
@@ -242,11 +243,13 @@ def run_task_experiments(
     gets one result.  Subjects without a usable recording for the task
     are skipped and listed.  A fold whose training partition collapses to
     a single class is a hard error naming the fold.  After each fit, the
-    fitted artifacts are audited for train/test disjointness.
+    fitted artifacts are audited for train/test disjointness.  Folds whose
+    logistic fit stopped without converging are listed per kind.
     """
     available = set(provider.available_subjects())
     skipped = tuple(sorted(set(folds.fold_of_subject) - available))
     predictions: list[list[FoldPrediction]] = [[] for _ in classifier_kinds]
+    not_converged: list[list[int]] = [[] for _ in classifier_kinds]
     for f in range(folds.k):
         train_ids = tuple(s for s in folds.train_subjects(f) if s in available)
         test_ids = tuple(s for s in folds.test_subjects(f) if s in available)
@@ -267,12 +270,16 @@ def run_task_experiments(
         Xs_train = classifiers.apply_standardizer(X_train, std)
         Xs_test = classifiers.apply_standardizer(X_test, std)
         true_labels = [corpus.subject(sid).binary_label for sid in test_ids]
-        for kind, kind_predictions in zip(classifier_kinds, predictions):
+        for kind, kind_predictions, kind_not_converged in zip(
+            classifier_kinds, predictions, not_converged
+        ):
             if kind is classifiers.ModelKind.LOGISTIC_REGRESSION:
                 model = classifiers.train_logistic(
                     Xs_train, y_train, l2_lambda=config.l2_lambda,
                     max_iters=config.lr_max_iters, tol=config.lr_tol, fitted_subjects=train_set,
                 )
+                if not model.training_meta["converged"]:
+                    kind_not_converged.append(f)
             else:
                 seed = fold_seed(config.seed, task, provider.feature_set_id, kind, f)
                 model = classifiers.train_linear_svm(
@@ -299,8 +306,11 @@ def run_task_experiments(
             classifier=kind,
             predictions=tuple(kind_predictions),
             skipped_subjects=skipped,
+            not_converged_folds=tuple(kind_not_converged),
         )
-        for kind, kind_predictions in zip(classifier_kinds, predictions)
+        for kind, kind_predictions, kind_not_converged in zip(
+            classifier_kinds, predictions, not_converged
+        )
     )
 
 
@@ -604,6 +614,7 @@ def build_report(
                 "classifier": e.classifier.value,
                 "n_predictions": len(e.predictions),
                 "skipped_subjects": list(e.skipped_subjects),
+                "not_converged_folds": list(e.not_converged_folds),
             },
             e.predictions,
             corpus,

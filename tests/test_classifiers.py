@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cognopipe import classifiers as cl
 from cognopipe.errors import TrainingError
@@ -40,6 +42,21 @@ def central_diff_grad(X, y, cw, lam, w, b, eps=1e-6):
         - naive_logistic_objective(X, y, cw, lam, w, b - eps)
     ) / (2 * eps)
     return gw, gb
+
+
+def naive_newton_direction(X, s, lam, gw, gb):
+    """Dense solve of the full (d+1)x(d+1) Hessian system, built entry by entry."""
+    n, d = X.shape
+    H = np.zeros((d + 1, d + 1))
+    for i in range(n):
+        row = list(X[i]) + [1.0]
+        for j in range(d + 1):
+            for k in range(d + 1):
+                H[j, k] += s[i] * row[j] * row[k]
+    for j in range(d):
+        H[j, j] += lam
+    sol = np.linalg.solve(H, -np.append(gw, gb))
+    return sol[:d], sol[d]
 
 
 def blobs(n_per_class, loc, scale, seed):
@@ -162,6 +179,73 @@ def test_logistic_rejects_bad_inputs():
     Xn[0, 0] = np.nan
     with pytest.raises(TrainingError):
         cl.train_logistic(Xn, np.array([0.0, 1.0, 0.0, 1.0]))
+    with pytest.raises(TrainingError):
+        cl.train_logistic(X, np.array([0.0, 1.0, 0.0, 1.0]), l2_lambda=0.0)
+
+
+@pytest.mark.parametrize("n, d, n_dup, lam", [
+    (30, 5, 0, 0.1),     # d < n
+    (10, 60, 0, 0.1),    # d > n
+    (12, 450, 0, 1e-3),  # d >> n
+    (20, 4, 6, 0.1),     # duplicated rows: G is singular
+    (8, 30, 4, 1e-2),
+])
+def test_newton_direction_matches_dense_hessian_solve(n, d, n_dup, lam):
+    rng = np.random.default_rng(n * 1000 + d)
+    X = rng.normal(size=(n, d))
+    X = np.concatenate([X, X[:n_dup]])
+    y = (rng.random(len(X)) < 0.5).astype(float)
+    y[:2] = (1.0, 0.0)
+    cw = np.where(y == 1.0, 1.4, 0.7)
+    w = rng.normal(scale=0.3, size=d)
+    b = 0.25
+    _, gw, gb = cl.logistic_objective_grad(X, y, cw, lam, w, b)
+    p = 1.0 / (1.0 + np.exp(-(X @ w + b)))
+    s = cw * p * (1.0 - p) / cw.sum()
+    G = np.array([[float(np.dot(xi, xj)) for xj in X] for xi in X])
+    dw, db = cl._newton_direction(X, G, s, lam, gw, gb)
+    dw_ref, db_ref = naive_newton_direction(X, s, lam, gw, gb)
+    got, want = np.append(dw, db), np.append(dw_ref, db_ref)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_newton_direction_falls_back_to_gradient_when_saturated():
+    # margins of +-1000: every p is exactly 0 or 1, so every p(1-p) is 0,
+    # the Hessian has no curvature along the bias and the Schur complement is 0
+    X, y = blobs(6, 2.0, 0.1, seed=3)
+    w = np.array([1000.0, 1000.0])
+    cw = np.ones(12)
+    _, gw, gb = cl.logistic_objective_grad(X, y, cw, 0.5, w, 0.0)
+    p = cl._sigmoid(X @ w)
+    s = cw * p * (1.0 - p) / cw.sum()
+    assert not s.any()
+    dw, db = cl._newton_direction(X, X @ X.T, s, 0.5, gw, gb)
+    assert np.array_equal(dw, -gw) and db == -gb
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(40, 2), (200, 3), (30, 30), (12, 300), (8, 450)]),
+    case_share=st.sampled_from([0.5, 0.25, 0.1]),
+    separation=st.sampled_from([0.0, 0.5, 3.0, 10.0]),
+    lam=st.sampled_from([1.0, 1e-2, 1e-4, 1e-6, 1e-8]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_logistic_converges_to_the_optimum(shape, case_share, separation, lam, seed):
+    """Separable or not, d << n or d >> n, balanced or not: every fit
+    reaches the gradient tolerance within the default step budget."""
+    n, d = shape
+    rng = np.random.default_rng(seed)
+    y = np.zeros(n)
+    y[: max(1, round(case_share * n))] = 1.0
+    X = rng.normal(size=(n, d)) + separation * np.outer(2.0 * y - 1.0, rng.normal(size=d))
+    m = cl.train_logistic(X, y, l2_lambda=lam)
+    cw = np.where(y == 1.0, *m.class_weights)
+    J, gw, gb = cl.logistic_objective_grad(X, y, cw, lam, m.weights, m.bias)
+    J0 = cl.logistic_objective_grad(X, y, cw, lam, np.zeros(d), 0.0)[0]
+    assert m.training_meta["converged"] is True
+    assert max(np.max(np.abs(gw)), abs(gb)) < 1e-6
+    assert m.training_meta["final_objective"] == J <= J0
 
 
 # ---------------------------------------------------------------------------

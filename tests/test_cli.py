@@ -283,6 +283,20 @@ def test_train_eval_blocks_do_not_depend_on_the_other_classifiers(small_manifest
     assert alone == lr_blocks("LogisticRegression,LinearSVM")
 
 
+def test_train_eval_logistic_fits_all_converge(small_manifest, tmp_path):
+    """Every fold's logistic fit reaches lr_tol within lr_max_iters, on
+    feature sets from d = 5 (Lexical) to d = 450 (CompareLike) > n."""
+    rc = cli.main(["train-eval", "--manifest", str(small_manifest), "--out", str(tmp_path),
+                   "--tasks", "ShortTerm", "--features", "EgemapsLike88,CompareLike,Lexical",
+                   "--classifiers", "LogisticRegression", "--k", "5", "--seed", "7",
+                   "--workers", "1"])
+    assert rc == 0
+    report = evaluation.read_report(tmp_path / "report.json")
+    assert len(report["per_task"]) == 3
+    for block in report["per_task"]:
+        assert block["not_converged_folds"] == [], block["feature_set"]
+
+
 def test_train_eval_without_manifest_errors(capsys):
     rc = cli.main(["train-eval", "--out", "x"])
     err = capsys.readouterr().err

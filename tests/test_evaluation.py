@@ -419,6 +419,18 @@ def test_run_task_experiments_builds_each_fold_once():
     assert all(len(r.predictions) == 12 for r in results)
 
 
+def test_run_task_experiments_list_the_folds_that_did_not_converge():
+    corp = memory_corpus(6, 6)
+    folds = corpusmod.stratified_folds(corp, 3, seed=0)
+    provider = _vector_provider(corp)
+    lr, svm = ev.run_task_experiments(corp, Task.SHORT_TERM, provider, BOTH_KINDS, folds,
+                                      ExperimentConfig(lr_max_iters=1))
+    assert lr.not_converged_folds == (0, 1, 2)  # one Newton step reaches no fold's lr_tol
+    assert svm.not_converged_folds == ()
+    lr, svm = ev.run_task_experiments(corp, Task.SHORT_TERM, provider, BOTH_KINDS, folds)
+    assert lr.not_converged_folds == svm.not_converged_folds == ()
+
+
 def test_run_task_experiments_match_one_kind_runs(small_corpus):
     folds = corpusmod.stratified_folds(small_corpus, 3, seed=0)
     cfg = ExperimentConfig(seed=5)
@@ -591,6 +603,7 @@ def test_report_structure(tiny_report):
     assert rep["folds"]["k"] == 3
     assert sorted(rep["folds"]["sizes"]) == [4, 4, 4]
     assert len(rep["per_task"]) == 2
+    assert [b["not_converged_folds"] for b in rep["per_task"]] == [[], []]
     assert len(rep["fused"]) == 1  # one (feature set, classifier) cell
     fused = rep["fused"][0]
     assert fused["n_tasks"] == 2 and fused["n_subjects"] == 12
