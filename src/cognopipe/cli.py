@@ -8,10 +8,17 @@ wrote.  COGNOPIPE_LOG sets verbosity (DEBUG, INFO, WARNING, ...).
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread per process, pool workers included, set before numpy
+# loads: parallelism comes only from --workers, and idle BLAS threads of
+# several processes would spin on the same CPUs.  A value already set wins.
+for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import dataclasses
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -33,7 +40,12 @@ def _setup_logging() -> None:
 
 
 def _effective_workers(cfg: cfgmod.RunConfig) -> int:
-    return cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
+    """--workers, else the CPUs this process may run on."""
+    if cfg.workers is not None:
+        return cfg.workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class _OutputTracker:
@@ -126,21 +138,19 @@ def cmd_extract(args, out: _OutputTracker) -> int:
             "cannot be extracted standalone; select acoustic or Lexical sets",
         )
     c = corpus.load_manifest(cfg.manifest)
-    workers = _effective_workers(cfg)
     out_dir = Path(cfg.out_dir)
-    for task in cfg.tasks:
-        for fsid in cfg.feature_sets:
-            vectors = evaluation.extract_task_features(
-                c, task, fsid, cfg.vad, cfg.acoustic, workers
-            )
-            if not vectors:
-                log.info("no recordings for %s/%s", task.value, fsid.value)
-                continue
-            dim = next(iter(vectors.values())).dim
-            path = out_dir / f"features_{task.value}_{fsid.value}.csv"
-            rows = [(sid, task.value, vec) for sid, vec in sorted(vectors.items())]
-            acoustic.write_feature_matrix(out.track(path), rows, fsid, dim)
-            print(f"wrote {path} ({len(rows)} rows, dim {dim})")
+    vectors = evaluation.extract_task_features(
+        c, cfg.tasks, cfg.feature_sets, cfg.vad, cfg.acoustic, _effective_workers(cfg)
+    )
+    for (task, fsid), cell in vectors.items():
+        if not cell:
+            log.info("no recordings for %s/%s", task.value, fsid.value)
+            continue
+        dim = next(iter(cell.values())).dim
+        path = out_dir / f"features_{task.value}_{fsid.value}.csv"
+        rows = [(sid, task.value, vec) for sid, vec in sorted(cell.items())]
+        acoustic.write_feature_matrix(out.track(path), rows, fsid, dim)
+        print(f"wrote {path} ({len(rows)} rows, dim {dim})")
     return 0
 
 
@@ -161,25 +171,23 @@ def cmd_train_eval(args, out: _OutputTracker) -> int:
     cfg = _run_config(args)
     c = corpus.load_manifest(cfg.manifest)
     folds = corpus.stratified_folds(c, cfg.k, cfg.seed)
-    workers = _effective_workers(cfg)
     exp_cfg = evaluation.ExperimentConfig(seed=cfg.seed, **dataclasses.asdict(cfg.classifier))
+    providers = evaluation.build_providers(
+        c,
+        cfg.tasks,
+        cfg.feature_sets,
+        cfg.vad,
+        cfg.acoustic,
+        (cfg.ngram.n_lo, cfg.ngram.n_hi),
+        cfg.ngram.min_doc_freq,
+        _effective_workers(cfg),
+    )
     experiments = []
-    for task in cfg.tasks:
-        for fsid in cfg.feature_sets:
-            provider = evaluation.build_provider(
-                c,
-                task,
-                fsid,
-                cfg.vad,
-                cfg.acoustic,
-                (cfg.ngram.n_lo, cfg.ngram.n_hi),
-                cfg.ngram.min_doc_freq,
-                workers,
-            )
-            log.info("experiment %s / %s", task.value, fsid.value)
-            experiments.extend(
-                evaluation.run_task_experiments(c, task, provider, cfg.classifiers, folds, exp_cfg)
-            )
+    for (task, fsid), provider in providers:
+        log.info("experiment %s / %s", task.value, fsid.value)
+        experiments.extend(
+            evaluation.run_task_experiments(c, task, provider, cfg.classifiers, folds, exp_cfg)
+        )
     report = evaluation.build_report(
         c, folds, experiments, cfgmod.config_echo(cfg), cfg.tie_break
     )

@@ -18,7 +18,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -146,18 +146,19 @@ class TfidfProvider:
         return X_train, X_test, vocab.fitted_subjects
 
 
-def _extract_one(rec: TaskRecording, feature_set: FeatureSetId,
+def _extract_one(job: tuple[TaskRecording, FeatureSetId],
                  vad_cfg: dsp.VadConfig | None,
-                 ac_cfg: acoustic.AcousticConfig | None) -> tuple[str, FeatureVector]:
-    """Worker: one recording -> one acoustic/lexical feature vector."""
+                 ac_cfg: acoustic.AcousticConfig | None) -> FeatureVector:
+    """Worker: one (recording, feature set) job -> one feature vector."""
+    rec, feature_set = job
     if feature_set is FeatureSetId.LEXICAL:
-        return rec.subject_id, linguistic.lexical_vector(rec.transcript, rec.duration_s)
+        return linguistic.lexical_vector(rec.transcript, rec.duration_s)
     audio = dsp.read_wav(rec.audio_path)
     segments = dsp.detect_speech(audio, vad_cfg)
     if feature_set is FeatureSetId.EGEMAPS_LIKE_88:
-        return rec.subject_id, acoustic.egemaps_like(audio, segments, ac_cfg)
+        return acoustic.egemaps_like(audio, segments, ac_cfg)
     if feature_set is FeatureSetId.COMPARE_LIKE:
-        return rec.subject_id, acoustic.compare_like(audio, segments, ac_cfg)
+        return acoustic.compare_like(audio, segments, ac_cfg)
     raise EvaluationError("extract_task_features", f"no extractor for {feature_set.value}")
 
 
@@ -178,26 +179,61 @@ def _task_recordings(corpus: Corpus, task: Task, feature_set: FeatureSetId
 
 def extract_task_features(
     corpus: Corpus,
-    task: Task,
-    feature_set: FeatureSetId,
+    tasks: Sequence[Task],
+    feature_sets: Sequence[FeatureSetId],
     vad_cfg: dsp.VadConfig | None = None,
     ac_cfg: acoustic.AcousticConfig | None = None,
     workers: int = 1,
-) -> dict[str, FeatureVector]:
-    """Per-subject vectors for one task, in sorted-subject order.
+) -> dict[tuple[Task, FeatureSetId], dict[str, FeatureVector]]:
+    """Per-subject vectors of every (task, fold-independent set) of a run.
 
-    Each recording the feature set reads (see _task_recordings) is one
-    job.  Jobs are independent, so with workers > 1 they fan out over a
-    process pool; results are reduced in subject order, making the output
-    independent of worker count.
+    Each recording a set reads (see _task_recordings) is one job, and the
+    jobs run in (task, set, subject) order.  They are independent, so with
+    workers > 1 all of them fan out over one process pool.  Results are
+    read back in job order, so the vectors, and the first error raised,
+    do not depend on the worker count.
     """
-    recs = _task_recordings(corpus, task, feature_set)
-    job = functools.partial(_extract_one, feature_set=feature_set, vad_cfg=vad_cfg,
-                            ac_cfg=ac_cfg)
-    if workers <= 1 or len(recs) <= 1:
-        return dict(map(job, recs))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return dict(pool.map(job, recs, chunksize=4))
+    cells = [(task, fsid) for task in tasks for fsid in feature_sets]
+    jobs = [(rec, fsid) for task, fsid in cells for rec in _task_recordings(corpus, task, fsid)]
+    extract = functools.partial(_extract_one, vad_cfg=vad_cfg, ac_cfg=ac_cfg)
+    if workers <= 1 or len(jobs) <= 1:
+        vectors = list(map(extract, jobs))
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            vectors = list(pool.map(extract, jobs, chunksize=4))
+    out: dict[tuple[Task, FeatureSetId], dict[str, FeatureVector]] = {c: {} for c in cells}
+    for (rec, fsid), vec in zip(jobs, vectors):
+        out[rec.task, fsid][rec.subject_id] = vec
+    return out
+
+
+def build_providers(
+    corpus: Corpus,
+    tasks: Sequence[Task],
+    feature_sets: Sequence[FeatureSetId],
+    vad_cfg: dsp.VadConfig | None = None,
+    ac_cfg: acoustic.AcousticConfig | None = None,
+    ngram_range: tuple[int, int] = (1, 2),
+    min_doc_freq: int = 2,
+    workers: int = 1,
+) -> Iterator[tuple[tuple[Task, FeatureSetId], PrecomputedProvider | TfidfProvider]]:
+    """The provider of every (task, feature set), in that order.
+
+    The fold-independent sets are extracted up front, by one
+    extract_task_features call.  Each NgramTfidf provider counts its
+    task's transcripts when it is yielded, so a caller that drops it
+    before the next one holds one task's counts at a time.
+    """
+    fixed = [fsid for fsid in feature_sets if fsid is not FeatureSetId.NGRAM_TFIDF]
+    vectors = extract_task_features(corpus, tasks, fixed, vad_cfg, ac_cfg, workers)
+    for task in tasks:
+        for fsid in feature_sets:
+            if fsid is FeatureSetId.NGRAM_TFIDF:
+                transcripts = {r.subject_id: r.transcript
+                               for r in _task_recordings(corpus, task, fsid)}
+                yield (task, fsid), TfidfProvider(transcripts, ngram_range, min_doc_freq)
+            else:
+                yield (task, fsid), PrecomputedProvider(fsid, vectors[task, fsid])
 
 
 def build_provider(
@@ -210,15 +246,10 @@ def build_provider(
     min_doc_freq: int = 2,
     workers: int = 1,
 ) -> PrecomputedProvider | TfidfProvider:
-    """Make the right provider for a feature set (extracting if needed)."""
-    if feature_set is FeatureSetId.NGRAM_TFIDF:
-        transcripts = {
-            r.subject_id: r.transcript for r in _task_recordings(corpus, task, feature_set)
-        }
-        return TfidfProvider(transcripts, ngram_range, min_doc_freq)
-    return PrecomputedProvider(
-        feature_set, extract_task_features(corpus, task, feature_set, vad_cfg, ac_cfg, workers)
-    )
+    """The provider of one (task, feature set) (extracting if needed)."""
+    providers = build_providers(corpus, (task,), (feature_set,), vad_cfg, ac_cfg,
+                                ngram_range, min_doc_freq, workers)
+    return next(providers)[1]
 
 
 def fold_seed(base_seed: int, task: Task, feature_set: FeatureSetId,

@@ -1,9 +1,12 @@
 """Command-line behavior through cli.main, plus config merging."""
 
 import json
+import os
 import re
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -362,6 +365,114 @@ def test_report_bytes_independent_of_manifest_row_order(shuffled_run, data):
         rows = data.draw(st.permutations(rows), label=name)
         (manifest / name).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
     assert run() == want
+
+
+# ---------------------------------------------------------------------------
+# worker count, extraction pool, BLAS threads
+
+def test_default_workers_are_the_usable_cpus(monkeypatch):
+    cfg = cfgmod.merge_config(None)
+    assert cfg.workers is None
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert cli._effective_workers(cfg) == 3  # the affinity mask, not the machine
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._effective_workers(cfg) == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._effective_workers(cfg) == 1
+    assert cli._effective_workers(cfgmod.merge_config(None, workers=5)) == 5
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every process pool evaluation creates."""
+    created = []
+
+    class CountingPool(evaluation.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(kwargs.get("max_workers", args[0] if args else None))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", CountingPool)
+    return created
+
+
+def test_train_eval_extracts_through_one_pool(small_manifest, tmp_path, pools):
+    def run(workers: str) -> bytes:
+        out = tmp_path / "out"  # the report echoes it
+        rc = cli.main(["train-eval", "--manifest", str(small_manifest), "--out", str(out),
+                       "--tasks", "ShortTerm,LongTerm",
+                       "--features", "EgemapsLike88,CompareLike,Lexical",
+                       "--classifiers", "LogisticRegression", "--k", "3",
+                       "--workers", workers])
+        assert rc == 0
+        return (out / "report.json").read_bytes()
+
+    pooled = run("2")
+    assert pools == [2]  # 2 tasks x 3 sets x 10 recordings, all in one pool
+    assert run("1") == pooled
+    assert pools == [2]  # one worker extracts in-process
+
+
+def test_extract_csvs_independent_of_workers(small_manifest, tmp_path, pools):
+    def run(workers: str) -> dict[str, bytes]:
+        out = tmp_path / workers
+        rc = cli.main(["extract", "--manifest", str(small_manifest), "--out", str(out),
+                       "--tasks", "ShortTerm,LongTerm", "--features", "EgemapsLike88,Lexical",
+                       "--workers", workers])
+        assert rc == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    pooled = run("2")
+    assert len(pooled) == 4 and pools == [2]
+    assert run("1") == pooled
+
+
+def test_bad_wav_in_the_last_task_fails_the_pooled_run(small_manifest, tmp_path,
+                                                        monkeypatch, capsys):
+    """A recording that stops decoding after the manifest was read ends the
+    run with the same one-line error at any worker count, and no report."""
+    load_manifest = cli.corpus.load_manifest
+    broken = []
+
+    def load_then_break(path):
+        c = load_manifest(path)
+        rec = sorted((r for r in c.recordings if r.task is Task.LONG_TERM),
+                     key=lambda r: r.subject_id)[4]
+        Path(rec.audio_path).write_bytes(b"not a wav at all")
+        broken.append(rec.audio_path)
+        return c
+
+    def run(workers: str) -> str:
+        manifest = tmp_path / f"m{workers}"
+        shutil.copytree(small_manifest, manifest)
+        out = tmp_path / f"out{workers}"
+        rc = cli.main(["train-eval", "--manifest", str(manifest), "--out", str(out),
+                       "--tasks", "ShortTerm,LongTerm", "--features", "EgemapsLike88,Lexical",
+                       "--classifiers", "LogisticRegression", "--k", "3",
+                       "--workers", workers])
+        assert rc == 1
+        assert not (out / "report.json").exists()
+        return capsys.readouterr().err  # one line, naming the file
+
+    monkeypatch.setattr(cli.corpus, "load_manifest", load_then_break)
+    for workers in ("2", "1"):
+        assert run(workers) == f"error: dsp.read_wav: {broken[-1]}: not a RIFF/WAVE file\n"
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+def test_cli_import_pins_blas_threads_unless_set(preset, want):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, cognopipe.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{want}\n"
 
 
 # ---------------------------------------------------------------------------
