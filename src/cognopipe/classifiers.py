@@ -134,14 +134,17 @@ def _newton_direction(X: np.ndarray, G: np.ndarray, s: np.ndarray, lam: float,
     so the unpenalized bias's Schur complement sum(s) - u^T A^-1 u equals
     lam * r . K^-1 r, free of cancellation.  One solve with two right-hand
     sides gives the step.  It falls back to -gradient where the step does
-    not exist in floats: every s_i is 0 (all p(1 - p) underflowed), the
-    Schur complement is not positive, or the direction is not finite or
-    not a descent direction.
+    not exist in floats: K is singular, every s_i is 0 (all p(1 - p)
+    underflowed), the Schur complement is not positive, or the direction
+    is not finite or not a descent direction.
     """
     r = np.sqrt(s)
     K = r[:, None] * G * r
     K.flat[:: K.shape[0] + 1] += lam
-    t_g, t_r = np.linalg.solve(K, np.column_stack((r * (X @ gw), r))).T
+    try:
+        t_g, t_r = np.linalg.solve(K, np.column_stack((r * (X @ gw), r))).T
+    except np.linalg.LinAlgError:  # K singular in floats: lam is below G's rounding
+        return -gw, -gb
     schur = lam * float(r @ t_r)
     if schur > 0.0:
         a_g, a_u = (X.T @ (r[:, None] * np.column_stack((t_g, t_r)))).T

@@ -69,6 +69,8 @@ class RunConfig:
             ("acoustic.f0_min_hz", a.f0_min_hz, a.f0_min_hz > 0, "> 0"),
             ("acoustic.f0_max_hz", a.f0_max_hz, a.f0_max_hz > a.f0_min_hz,
              "> acoustic.f0_min_hz"),
+            ("acoustic.voicing_threshold", a.voicing_threshold,
+             0 < a.voicing_threshold < 1, "in (0, 1)"),
             ("acoustic.n_mel_filters", a.n_mel_filters, a.n_mel_filters >= 1, ">= 1"),
             ("classifier.l2_lambda", c.l2_lambda, c.l2_lambda > 0, "> 0"),
             ("classifier.lr_max_iters", c.lr_max_iters, c.lr_max_iters >= 1, ">= 1"),

@@ -3,7 +3,9 @@
 The three inner loops that dominate pipeline runtime live here: the real
 FFT applied to every analysis frame, the normalized autocorrelation used
 for pitch tracking, and the stochastic subgradient loop of the linear SVM,
-which runs in Gram form (margins from X X^T, n^2 floats for n rows).
+which runs in Gram form (margins from X X^T, n^2 floats for n rows): a
+margin violation costs one n-vector add, and the averaged weights are
+summed once, after the loop, in step order.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ import numpy as np
 
 # Read by the benchmark's environment probe; only the numpy path exists.
 USE_NUMBA = False
+
+# Floats per block of pegasos's post-loop weight sum: bounds its buffer.
+_SUM_BLOCK_FLOATS = 1 << 14
 
 
 def rfft_pow2_batch(frames: np.ndarray) -> np.ndarray:
@@ -75,9 +80,12 @@ def pegasos(X: np.ndarray, y: np.ndarray, cw: np.ndarray, lam: float,
     w_t = u_t/(lam*t) with u_t the sum of the v's so far.  The margin test
     needs only z_i = x_i . u, kept for every row and moved by cw_j*y_j*G[j]
     on a violation at row j, with G = X X^T built once: a step without a
-    violation is scalar work.  A violation at step k adds v_k * sum_{t>=k}
-    1/(lam*t) to sum_t w_t, which is accumulated there, in step order.
-    G takes n^2 floats for n training rows.
+    violation is scalar work, and a violation one n-vector add to z.  A
+    violation at step k adds v_k * sum_{t>=k} 1/(lam*t) to sum_t w_t; the
+    loop only records the violating steps, and these terms are summed once
+    after it, in step order, so the sum rounds as a running sum would.
+    G takes n^2 floats for n training rows, and the sum's buffer at most
+    2**14 floats, or two rows of X where a row is longer.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -98,15 +106,33 @@ def pegasos(X: np.ndarray, y: np.ndarray, cw: np.ndarray, lam: float,
     inv[1:] = 1.0 / (lam * np.arange(1, steps + 1))
     tail = np.cumsum(inv[:0:-1])[::-1]  # tail[t-1] = sum_{s>=t} inv[s]
     z = np.zeros(X.shape[0])
-    w_sum = np.zeros(X.shape[1])
     b = 0.0
     b_sum = 0.0
-    inv_l, tail_l = inv.tolist(), tail.tolist()
-    y_l, cw_l, cy_l = y.tolist(), cw.tolist(), cy.tolist()
-    for t, i in enumerate(idx.tolist(), start=1):
-        if y_l[i] * (z.item(i) * inv_l[t - 1] + b) < 1.0:
-            z += cyG[i]
-            w_sum += (cy_l[i] * tail_l[t - 1]) * X[i]
-            b += inv_l[t] * cw_l[i] * y_l[i]
+    violated = bytearray(steps)  # 1 at each 0-based step that violates
+    inv_l = inv.tolist()
+    y_l, cw_l = y.tolist(), cw.tolist()
+    cyG_rows = list(cyG)  # views made once, not at every violation
+    for t, i in enumerate(idx.tolist()):
+        if y_l[i] * (z.item(i) * inv_l[t] + b) < 1.0:
+            z += cyG_rows[i]
+            b += inv_l[t + 1] * cw_l[i] * y_l[i]
+            violated[t] = 1
         b_sum += b
-    return w_sum / steps, b_sum / steps
+    hits = np.flatnonzero(violated)
+    rows = idx[hits]
+    coef = cy[rows] * tail[hits]
+    # sum_k coef[k] * X[rows[k]] in step order, a block of rows at a time.
+    # Row 0 of each block carries the running sum, and an axis-0 reduce
+    # adds row after row, as the running sum did.  A single column would
+    # be summed pairwise, in another order, so the buffer has at least two
+    # columns
+    d = X.shape[1]
+    width = max(d, 2)
+    per = max(2, _SUM_BLOCK_FLOATS // width)
+    buf = np.zeros((min(per, rows.size + 1), width))
+    for lo in range(0, rows.size, per - 1):
+        hi = min(lo + per - 1, rows.size)
+        blk = buf[: hi - lo + 1]
+        np.multiply(coef[lo:hi, None], X[rows[lo:hi]], out=blk[1:, :d])
+        buf[0] = np.add.reduce(blk, axis=0)
+    return buf[0, :d] / steps, b_sum / steps

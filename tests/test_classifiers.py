@@ -223,6 +223,23 @@ def test_newton_direction_falls_back_to_gradient_when_saturated():
     assert np.array_equal(dw, -gw) and db == -gb
 
 
+def test_newton_direction_falls_back_to_gradient_when_k_is_singular():
+    # a repeated row, and lam below the rounding of G's entries: K = lam I
+    # + R G R has two equal rows in floats, and np.linalg.solve raises
+    X = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, -1.0], [-2.0, 1.0]])
+    y = np.array([1.0, 1.0, 0.0, 0.0])
+    cw = np.ones(4)
+    _, gw, gb = cl.logistic_objective_grad(X, y, cw, 1e-18, np.zeros(2), 0.0)
+    s = np.full(4, 0.25 / cw.sum())  # p = 1/2 at w = 0
+    G = X @ X.T
+    K = np.sqrt(s)[:, None] * G * np.sqrt(s) + 1e-18 * np.eye(4)
+    assert np.array_equal(K[0], K[1])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(K, np.ones(4))
+    dw, db = cl._newton_direction(X, G, s, 1e-18, gw, gb)
+    assert np.array_equal(dw, -gw) and db == -gb
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     shape=st.sampled_from([(40, 2), (200, 3), (30, 30), (12, 300), (8, 450)]),

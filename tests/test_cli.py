@@ -91,6 +91,9 @@ def test_config_rejects_bad_enum_values(tmp_path):
     ({"acoustic": {"n_mel_filters": -3}}, "acoustic.n_mel_filters"),
     ({"vad": {"noise_floor_percentile": 150}}, "vad.noise_floor_percentile"),
     ({"vad": {"noise_floor_percentile": -1}}, "vad.noise_floor_percentile"),
+    ({"acoustic": {"voicing_threshold": 1.5}}, "acoustic.voicing_threshold"),
+    ({"acoustic": {"voicing_threshold": 1.0}}, "acoustic.voicing_threshold"),
+    ({"acoustic": {"voicing_threshold": 0.0}}, "acoustic.voicing_threshold"),
 ])
 def test_config_rejects_out_of_range_sections(tmp_path, doc, field):
     cfg_file = tmp_path / "run.json"
@@ -298,6 +301,18 @@ def test_train_eval_logistic_fits_all_converge(small_manifest, tmp_path):
     assert len(report["per_task"]) == 3
     for block in report["per_task"]:
         assert block["not_converged_folds"] == [], block["feature_set"]
+
+
+def test_train_eval_survives_a_singular_newton_system(small_manifest, tmp_path):
+    """At l2_lambda = 1e-18 the Lexical fits' n x n Newton system is singular
+    in floats; those steps fall back to the gradient and the run completes."""
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"classifier": {"l2_lambda": 1e-18}}))
+    rc = cli.main(["train-eval", "--manifest", str(small_manifest), "--out", str(tmp_path),
+                   "--config", str(cfg_file), "--tasks", "ShortTerm", "--features", "Lexical",
+                   "--classifiers", "LogisticRegression", "--workers", "1"])
+    assert rc == 0
+    assert len(evaluation.read_report(tmp_path / "report.json")["per_task"]) == 1
 
 
 def test_train_eval_without_manifest_errors(capsys):

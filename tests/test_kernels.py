@@ -1,5 +1,7 @@
 """Kernels against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,31 @@ def reference_pegasos(X, y, cw, lam, idx):
         w_sum += w
         b_sum += b
     return w_sum / len(idx), b_sum / len(idx)
+
+
+def gram_loop_pegasos(X, y, cw, lam, idx):
+    """The Gram-form loop that accumulated the averaged weights at each
+    violation, in step order: kernels.pegasos must match it bit for bit."""
+    cy = cw * y
+    cyG = np.einsum("ik,jk->ij", X, X)
+    cyG *= cy[:, None]
+    steps = idx.size
+    inv = np.zeros(steps + 1)
+    inv[1:] = 1.0 / (lam * np.arange(1, steps + 1))
+    tail = np.cumsum(inv[:0:-1])[::-1]
+    z = np.zeros(X.shape[0])
+    w_sum = np.zeros(X.shape[1])
+    b = 0.0
+    b_sum = 0.0
+    inv_l, tail_l = inv.tolist(), tail.tolist()
+    y_l, cw_l, cy_l = y.tolist(), cw.tolist(), cy.tolist()
+    for t, i in enumerate(idx.tolist(), start=1):
+        if y_l[i] * (z.item(i) * inv_l[t - 1] + b) < 1.0:
+            z += cyG[i]
+            w_sum += (cy_l[i] * tail_l[t - 1]) * X[i]
+            b += inv_l[t] * cw_l[i] * y_l[i]
+        b_sum += b
+    return w_sum / steps, b_sum / steps
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +255,52 @@ def test_pegasos_matches_reference_property(case):
     scale = max(np.max(np.abs(w_want)), abs(b_want), 1e-300)
     assert np.max(np.abs(w_got - w_want)) <= 1e-12 * scale
     assert abs(b_got - b_want) <= 1e-12 * scale
+    w_ref, b_ref = gram_loop_pegasos(X, y, cw, lam, idx)
+    assert np.array_equal(w_got, w_ref)
+    assert b_got == b_ref
+
+
+@pytest.mark.parametrize("d", [1, 2, 50, 3 * 2 ** 14])
+def test_pegasos_bit_exact_over_several_sum_blocks(d):
+    """Nearly every step violates, so the post-loop sum spans several blocks
+    (one row each at d > 2**14); a single column summed pairwise, as numpy
+    sums one column, would round differently from the step-order sum."""
+    rng = np.random.default_rng(d)
+    n, steps = 12, 500 if d < 2 ** 14 else 40
+    X = 1e-3 * rng.standard_normal((n, d))
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    cw = rng.uniform(0.2, 1.0, n)
+    idx = rng.integers(0, n, steps)
+    w_got, b_got = kernels.pegasos(X, y, cw, 8.0, idx)
+    w_ref, b_ref = gram_loop_pegasos(X, y, cw, 8.0, idx)
+    assert np.array_equal(w_got, w_ref)
+    assert b_got == b_ref
+
+
+@pytest.mark.parametrize("regime", ["violating", "separable"])
+def test_pegasos_memory_stays_within_a_few_rows(regime):
+    """The post-loop weight sum works in bounded blocks: the peak of the
+    fit stays below 8 rows of d floats, whatever the number of violations
+    (summing all violating rows at once would take 400 rows here)."""
+    rng = np.random.default_rng(0)
+    n, d, steps = 40, 50_000, 400
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    X = rng.standard_normal((n, d))
+    if regime == "violating":
+        X *= 1e-5
+        lam = 8.0
+    else:
+        X[:, 0] += 40.0 * y
+        lam = 1e-2
+    cw = np.ones(n)
+    idx = rng.integers(0, n, steps)
+    tracemalloc.start()
+    try:
+        kernels.pegasos(X, y, cw, lam, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * d * 8
 
 
 def test_pegasos_rejects_empty_idx():
