@@ -127,6 +127,14 @@ def _dct_rows(n_out: int, n_in: int) -> np.ndarray:
     return basis[1:]
 
 
+@lru_cache(maxsize=8)
+def _hamming(n: int) -> np.ndarray:
+    """Read-only Hamming window of n samples."""
+    win = np.hamming(n)
+    win.flags.writeable = False
+    return win
+
+
 def _band_slope(db_spec: np.ndarray, freqs: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Per-frame OLS slope of the dB spectrum over [lo, hi) Hz."""
     mask = (freqs >= lo) & (freqs < hi)
@@ -221,9 +229,8 @@ def _llds_for_frames(frames: np.ndarray, sr: int, cfg: AcousticConfig) -> np.nda
 
     # spectral shape
     nfft = dsp.next_pow2(n)
-    win = np.hamming(n)
     spec = kernels.rfft_pow2_batch(
-        np.pad(frames * win, ((0, 0), (0, nfft - n)))
+        np.pad(frames * _hamming(n), ((0, 0), (0, nfft - n)))
     )
     mag = np.abs(spec)
     power = mag * mag
@@ -236,9 +243,11 @@ def _llds_for_frames(frames: np.ndarray, sr: int, cfg: AcousticConfig) -> np.nda
         flux[1:] = np.linalg.norm(np.diff(norm, axis=0), axis=1)
     cols["spectral_flux"] = flux
 
-    db_spec = 20.0 * np.log10(mag + _EPS)
-    cols["spectral_slope_0_500"] = _band_slope(db_spec, freqs, 0.0, 500.0)
-    cols["spectral_slope_500_1500"] = _band_slope(db_spec, freqs, 500.0, 1500.0)
+    # the band slopes are the only readers of the dB spectrum
+    low = int(np.count_nonzero(freqs < 1500.0))
+    db_spec = 20.0 * np.log10(mag[:, :low] + _EPS)
+    cols["spectral_slope_0_500"] = _band_slope(db_spec, freqs[:low], 0.0, 500.0)
+    cols["spectral_slope_500_1500"] = _band_slope(db_spec, freqs[:low], 500.0, 1500.0)
 
     hi_edge = min(5000.0, sr / 2.0)
     alpha_lo = _band_power(power, freqs, 50.0, 1000.0)

@@ -22,7 +22,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import acoustic, config as cfgmod, corpus, evaluation, synth
+from . import acoustic, config as cfgmod, corpus, evaluation
 from .errors import ConfigError, ManifestError, PipelineError
 from .features import FeatureSetId
 
@@ -221,6 +221,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_synth(args, out: _OutputTracker) -> int:
+    from . import synth  # only this subcommand needs it
+
     spec = synth.load_spec(args.config) if args.config else synth.SynthSpec()
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)

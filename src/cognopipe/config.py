@@ -69,6 +69,9 @@ class RunConfig:
             ("acoustic.f0_min_hz", a.f0_min_hz, a.f0_min_hz > 0, "> 0"),
             ("acoustic.f0_max_hz", a.f0_max_hz, a.f0_max_hz > a.f0_min_hz,
              "> acoustic.f0_min_hz"),
+            ("acoustic.frame_len_s * acoustic.f0_min_hz", a.frame_len_s * a.f0_min_hz,
+             a.frame_len_s * a.f0_min_hz > 1,
+             "> 1 (a frame must hold one period at the pitch floor)"),
             ("acoustic.voicing_threshold", a.voicing_threshold,
              0 < a.voicing_threshold < 1, "in (0, 1)"),
             ("acoustic.n_mel_filters", a.n_mel_filters, a.n_mel_filters >= 1, ">= 1"),

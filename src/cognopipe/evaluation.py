@@ -15,7 +15,6 @@ import enum
 import functools
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -199,6 +198,9 @@ def extract_task_features(
     if workers <= 1 or len(jobs) <= 1:
         vectors = list(map(extract, jobs))
     else:
+        # imported here: a one-worker run never loads the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             vectors = list(pool.map(extract, jobs, chunksize=4))
     out: dict[tuple[Task, FeatureSetId], dict[str, FeatureVector]] = {c: {} for c in cells}

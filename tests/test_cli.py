@@ -1,5 +1,6 @@
 """Command-line behavior through cli.main, plus config merging."""
 
+import concurrent.futures
 import json
 import os
 import re
@@ -94,6 +95,8 @@ def test_config_rejects_bad_enum_values(tmp_path):
     ({"acoustic": {"voicing_threshold": 1.5}}, "acoustic.voicing_threshold"),
     ({"acoustic": {"voicing_threshold": 1.0}}, "acoustic.voicing_threshold"),
     ({"acoustic": {"voicing_threshold": 0.0}}, "acoustic.voicing_threshold"),
+    ({"acoustic": {"frame_len_s": 0.005}}, "acoustic.frame_len_s * acoustic.f0_min_hz"),
+    ({"acoustic": {"f0_min_hz": 10}}, "acoustic.frame_len_s * acoustic.f0_min_hz"),
 ])
 def test_config_rejects_out_of_range_sections(tmp_path, doc, field):
     cfg_file = tmp_path / "run.json"
@@ -400,15 +403,18 @@ def test_default_workers_are_the_usable_cpus(monkeypatch):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The max_workers of every process pool evaluation creates."""
+    """The max_workers of every process pool evaluation creates.
+
+    evaluation imports the pool class from concurrent.futures when it
+    starts a pool, so the counting class is patched in there."""
     created = []
 
-    class CountingPool(evaluation.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             created.append(kwargs.get("max_workers", args[0] if args else None))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     return created
 
 
@@ -488,6 +494,31 @@ def test_cli_import_pins_blas_threads_unless_set(preset, want):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{want}\n"
+
+
+def test_one_worker_run_never_loads_the_pool(small_manifest):
+    """Importing the CLI, or extracting at one worker, leaves the process
+    pool's modules and synth unimported: they only add start-up time and
+    resident memory to a run that does not use them."""
+    code = (
+        "import sys\n"
+        "from cognopipe import cli, corpus, evaluation\n"
+        "from cognopipe.corpus import Task\n"
+        "from cognopipe.features import FeatureSetId\n"
+        "heavy = ('concurrent.futures.process', 'multiprocessing', 'cognopipe.synth')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        f"c = corpus.load_manifest({str(small_manifest)!r})\n"
+        "vectors = evaluation.extract_task_features(\n"
+        "    c, (Task.SHORT_TERM,), (FeatureSetId.EGEMAPS_LIKE_88, FeatureSetId.LEXICAL),\n"
+        "    workers=1)\n"
+        "assert all(len(cell) == 10 for cell in vectors.values())\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cognopipe import kernels
@@ -57,7 +57,7 @@ def gram_loop_pegasos(X, y, cw, lam, idx):
     """The Gram-form loop that accumulated the averaged weights at each
     violation, in step order: kernels.pegasos must match it bit for bit."""
     cy = cw * y
-    cyG = np.einsum("ik,jk->ij", X, X)
+    cyG = X @ X.T  # the kernel's Gram, so every margin decision is the same
     cyG *= cy[:, None]
     steps = idx.size
     inv = np.zeros(steps + 1)
@@ -140,6 +140,11 @@ def test_autocorr_matches_naive():
         assert np.max(np.abs(got[i] - want)) < 1e-10
 
 
+def _dense_frames(m: int, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.choice([-1.0, 1.0], (m, n)) * rng.uniform(0.5, 1.5, (m, n))
+
+
 @st.composite
 def autocorr_cases(draw):
     """Frames, lag range and oracle cases: 0 and 1 frames, any length,
@@ -154,8 +159,7 @@ def autocorr_cases(draw):
     n = draw(st.integers(1, 300))
     min_lag = draw(st.integers(0, n + 5))
     max_lag = draw(st.one_of(st.just(min_lag), st.integers(min_lag, n + 40)))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    frames = rng.choice([-1.0, 1.0], (m, n)) * rng.uniform(0.5, 1.5, (m, n))
+    frames = _dense_frames(m, n, draw(st.integers(0, 2 ** 32 - 1)))
     for row in frames:
         kind = draw(st.sampled_from(["dense", "silent", "head", "tail"]))
         cut = draw(st.integers(0, n))
@@ -170,12 +174,33 @@ def autocorr_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(autocorr_cases())
+# n + top just below, at and just above the 5-smooth length 720, where the
+# FFT length jumps from 720 to 729
+@example((_dense_frames(3, 400, 0), 25, 319))
+@example((_dense_frames(3, 400, 1), 25, 320))
+@example((_dense_frames(3, 400, 2), 25, 321))
+@example((_dense_frames(2, 360, 3), 0, 359))
+@example((_dense_frames(2, 361, 4), 1, 400))
 def test_autocorr_matches_naive_property(case):
     frames, min_lag, max_lag = case
     got = kernels.autocorr_norm_batch(frames, min_lag, max_lag)
     assert got.shape == (frames.shape[0], max_lag - min_lag + 1)
     for row, x in zip(got, frames):
         assert np.max(np.abs(row - naive_autocorr(x, min_lag, max_lag))) < 1e-10
+
+
+def test_smooth_length_is_the_least_5_smooth_length_at_or_above():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    want = 1
+    for n in range(1, 5001):
+        while not smooth(want) or want < n:
+            want += 1
+        assert kernels.smooth_length(n) == want, n
 
 
 def test_autocorr_peaks_at_period():
