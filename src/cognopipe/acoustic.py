@@ -9,7 +9,9 @@ LLD track into scalars, yielding two fixed-length feature sets:
                     doubled with delta (frame-difference) tracks
 
 The manifests are data files so the exact composition is auditable
-without reading code.
+without reading code.  Both sets read one LLD matrix and one functional
+table of it (vectors_from_llds), so a recording is analysed once for
+however many sets are requested.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -57,6 +60,8 @@ FUNCTIONAL_NAMES = (
     "riseRate",
     "fallRate",
 )
+
+FEATURE_SETS = (FeatureSetId.EGEMAPS_LIKE_88, FeatureSetId.COMPARE_LIKE)
 
 MANIFEST_VERSION = "1.0"
 _EPS = 1e-12
@@ -196,6 +201,11 @@ def _pair_rel_diff(x: np.ndarray, valid_pair: np.ndarray) -> np.ndarray:
     return out
 
 
+def _max_lag(sr: int, cfg: AcousticConfig) -> int:
+    """The longest pitch period searched, in samples (the f0 floor's)."""
+    return int(np.floor(sr / cfg.f0_min_hz))
+
+
 def _llds_for_frames(frames: np.ndarray, sr: int, cfg: AcousticConfig) -> np.ndarray:
     m, n = frames.shape
     cols: dict[str, np.ndarray] = {}
@@ -207,7 +217,7 @@ def _llds_for_frames(frames: np.ndarray, sr: int, cfg: AcousticConfig) -> np.nda
 
     # pitch and periodicity
     min_lag = max(2, int(np.ceil(sr / cfg.f0_max_hz)))
-    max_lag = min(n - 2, int(np.floor(sr / cfg.f0_min_hz)))
+    max_lag = _max_lag(sr, cfg)
     if max_lag > min_lag:
         r = kernels.autocorr_norm_batch(frames, min_lag, max_lag)
         lags, r_best = _pick_lags(r, min_lag)
@@ -278,10 +288,18 @@ def extract_llds(
     Frames never straddle a segment boundary; pairwise descriptors
     (jitter, shimmer, flux) reset at each segment start.  No speech
     segments (or segments too short for one frame) yield an empty
-    matrix.
+    matrix.  A frame too short to hold the pitch floor's period and the
+    two lags past it is an error: the search would stop above the floor.
     """
     cfg = config or AcousticConfig()
     sr = audio.sample_rate_hz
+    n, max_lag = int(round(cfg.frame_len_s * sr)), _max_lag(sr, cfg)
+    if max_lag > n - 2:
+        raise FeatureError(
+            "extract_llds",
+            f"a {cfg.frame_len_s} s frame at {sr} Hz is {n} samples, too short for "
+            f"the {cfg.f0_min_hz} Hz pitch floor's period of {max_lag} samples plus 2",
+        )
     blocks = []
     for start_s, end_s in segments.speech:
         lo = int(round(start_s * sr))
@@ -369,19 +387,62 @@ def default_compare_grid() -> CompareGrid:
     return CompareGrid(tuple(doc["llds"]), tuple(doc["functionals"]), bool(doc["deltas"]))
 
 
+def _egemaps_values(table: np.ndarray) -> np.ndarray:
+    entries = egemaps_manifest()
+    rows = [LLD_NAMES.index(e["lld"]) for e in entries]
+    cols = [FUNCTIONAL_NAMES.index(e["functional"]) for e in entries]
+    return table[rows, cols]
+
+
+def _compare_values(llds: LldMatrix, table: np.ndarray) -> np.ndarray:
+    g = default_compare_grid()
+    cells = np.ix_(
+        [LLD_NAMES.index(name) for name in g.llds],
+        [FUNCTIONAL_NAMES.index(fn) for fn in g.functionals],
+    )
+    parts = [table[cells].ravel()]
+    if g.deltas:
+        if llds.num_frames >= 2:
+            deltas = np.diff(llds.values, axis=0)
+        else:
+            deltas = np.zeros((1, llds.values.shape[1]))
+        parts.append(functional_table(deltas)[cells].ravel())
+    return np.concatenate(parts)
+
+
+def vectors_from_llds(
+    llds: LldMatrix, feature_sets: Sequence[FeatureSetId]
+) -> tuple[FeatureVector, ...]:
+    """The vector of each requested acoustic set, in the order given.
+
+    Every set reads one functional table of the LLDs; CompareLike's
+    delta tracks are summarized only when CompareLike is requested.  An
+    empty matrix (no speech) gives every set an all-zero vector flagged
+    empty_speech.
+    """
+    empty = llds.num_frames == 0
+    table = None if empty else functional_table(llds.values)
+    vectors = []
+    for fsid in feature_sets:
+        if fsid is FeatureSetId.EGEMAPS_LIKE_88:
+            values = np.zeros(len(egemaps_manifest())) if empty else _egemaps_values(table)
+        elif fsid is FeatureSetId.COMPARE_LIKE:
+            values = (np.zeros(default_compare_grid().dim) if empty
+                      else _compare_values(llds, table))
+        else:
+            raise FeatureError("vectors_from_llds", f"{fsid.value} is not an acoustic set")
+        vectors.append(FeatureVector(fsid, values, empty_speech=empty))
+    return tuple(vectors)
+
+
 def egemaps_like(
     audio: dsp.AudioBuffer,
     segments: dsp.SegmentSet,
     config: AcousticConfig | None = None,
 ) -> FeatureVector:
     """The 88-dimension manifest-defined feature vector."""
-    entries = egemaps_manifest()
     llds = extract_llds(audio, segments, config)
-    if llds.num_frames == 0:
-        return FeatureVector(FeatureSetId.EGEMAPS_LIKE_88, np.zeros(len(entries)), empty_speech=True)
-    rows = [LLD_NAMES.index(e["lld"]) for e in entries]
-    cols = [FUNCTIONAL_NAMES.index(e["functional"]) for e in entries]
-    return FeatureVector(FeatureSetId.EGEMAPS_LIKE_88, functional_table(llds.values)[rows, cols])
+    return vectors_from_llds(llds, (FeatureSetId.EGEMAPS_LIKE_88,))[0]
 
 
 def compare_like(
@@ -394,22 +455,8 @@ def compare_like(
     Delta tracks are first differences of each LLD column; with fewer
     than two frames the delta block is zero.
     """
-    g = default_compare_grid()
     llds = extract_llds(audio, segments, config)
-    if llds.num_frames == 0:
-        return FeatureVector(FeatureSetId.COMPARE_LIKE, np.zeros(g.dim), empty_speech=True)
-    cells = np.ix_(
-        [LLD_NAMES.index(name) for name in g.llds],
-        [FUNCTIONAL_NAMES.index(fn) for fn in g.functionals],
-    )
-    parts = [functional_table(llds.values)[cells].ravel()]
-    if g.deltas:
-        if llds.num_frames >= 2:
-            deltas = np.diff(llds.values, axis=0)
-        else:
-            deltas = np.zeros((1, llds.values.shape[1]))
-        parts.append(functional_table(deltas)[cells].ravel())
-    return FeatureVector(FeatureSetId.COMPARE_LIKE, np.concatenate(parts))
+    return vectors_from_llds(llds, (FeatureSetId.COMPARE_LIKE,))[0]
 
 
 def write_feature_matrix(path, rows, feature_set_id: FeatureSetId, dim: int) -> None:

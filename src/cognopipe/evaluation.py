@@ -145,20 +145,20 @@ class TfidfProvider:
         return X_train, X_test, vocab.fitted_subjects
 
 
-def _extract_one(job: tuple[TaskRecording, FeatureSetId],
+def _extract_one(job: tuple[TaskRecording, tuple[FeatureSetId, ...]],
                  vad_cfg: dsp.VadConfig | None,
-                 ac_cfg: acoustic.AcousticConfig | None) -> FeatureVector:
-    """Worker: one (recording, feature set) job -> one feature vector."""
-    rec, feature_set = job
-    if feature_set is FeatureSetId.LEXICAL:
-        return linguistic.lexical_vector(rec.transcript, rec.duration_s)
+                 ac_cfg: acoustic.AcousticConfig | None) -> tuple[FeatureVector, ...]:
+    """Worker: one recording -> the vectors of the job's sets, in order.
+
+    The acoustic sets of a job share one decode, VAD pass and LLD matrix.
+    """
+    rec, feature_sets = job
+    if feature_sets == (FeatureSetId.LEXICAL,):
+        return (linguistic.lexical_vector(rec.transcript, rec.duration_s),)
     audio = dsp.read_wav(rec.audio_path)
     segments = dsp.detect_speech(audio, vad_cfg)
-    if feature_set is FeatureSetId.EGEMAPS_LIKE_88:
-        return acoustic.egemaps_like(audio, segments, ac_cfg)
-    if feature_set is FeatureSetId.COMPARE_LIKE:
-        return acoustic.compare_like(audio, segments, ac_cfg)
-    raise EvaluationError("extract_task_features", f"no extractor for {feature_set.value}")
+    llds = acoustic.extract_llds(audio, segments, ac_cfg)
+    return acoustic.vectors_from_llds(llds, feature_sets)
 
 
 def _task_recordings(corpus: Corpus, task: Task, feature_set: FeatureSetId
@@ -176,6 +176,21 @@ def _task_recordings(corpus: Corpus, task: Task, feature_set: FeatureSetId
     )
 
 
+def _job_sets(feature_sets: Sequence[FeatureSetId]) -> list[tuple[FeatureSetId, ...]]:
+    """The sets each job yields: all acoustic sets in one, each other alone.
+
+    The acoustic job takes the place of the first acoustic set.
+    """
+    shared = tuple(f for f in feature_sets if f in acoustic.FEATURE_SETS)
+    groups = []
+    for f in feature_sets:
+        if f not in shared:
+            groups.append((f,))
+        elif f is shared[0]:
+            groups.append(shared)
+    return groups
+
+
 def extract_task_features(
     corpus: Corpus,
     tasks: Sequence[Task],
@@ -186,14 +201,16 @@ def extract_task_features(
 ) -> dict[tuple[Task, FeatureSetId], dict[str, FeatureVector]]:
     """Per-subject vectors of every (task, fold-independent set) of a run.
 
-    Each recording a set reads (see _task_recordings) is one job, and the
-    jobs run in (task, set, subject) order.  They are independent, so with
-    workers > 1 all of them fan out over one process pool.  Results are
-    read back in job order, so the vectors, and the first error raised,
-    do not depend on the worker count.
+    One job per recording of a task yields every requested acoustic set
+    from a single decode, VAD and LLD pass; each Lexical vector is a job
+    of its own (see _job_sets and _task_recordings).  Jobs run in (task,
+    set, subject) order and are independent, so with workers > 1 all of
+    them fan out over one process pool.  Results are read back in job
+    order, so the vectors, and the first error raised, do not depend on
+    the worker count.
     """
-    cells = [(task, fsid) for task in tasks for fsid in feature_sets]
-    jobs = [(rec, fsid) for task, fsid in cells for rec in _task_recordings(corpus, task, fsid)]
+    jobs = [(rec, sets) for task in tasks for sets in _job_sets(feature_sets)
+            for rec in _task_recordings(corpus, task, sets[0])]
     extract = functools.partial(_extract_one, vad_cfg=vad_cfg, ac_cfg=ac_cfg)
     if workers <= 1 or len(jobs) <= 1:
         vectors = list(map(extract, jobs))
@@ -203,9 +220,12 @@ def extract_task_features(
 
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             vectors = list(pool.map(extract, jobs, chunksize=4))
-    out: dict[tuple[Task, FeatureSetId], dict[str, FeatureVector]] = {c: {} for c in cells}
-    for (rec, fsid), vec in zip(jobs, vectors):
-        out[rec.task, fsid][rec.subject_id] = vec
+    out: dict[tuple[Task, FeatureSetId], dict[str, FeatureVector]] = {
+        (task, fsid): {} for task in tasks for fsid in feature_sets
+    }
+    for (rec, sets), vecs in zip(jobs, vectors):
+        for fsid, vec in zip(sets, vecs):
+            out[rec.task, fsid][rec.subject_id] = vec
     return out
 
 

@@ -287,6 +287,108 @@ def test_compare_grid_validation():
     assert g.dim == 8
 
 
+def _standalone_egemaps(llds):
+    """EgemapsLike88 cells read straight off the LLDs' functional table."""
+    table = acoustic.functional_table(llds.values)
+    return np.array([table[LLD_NAMES.index(e["lld"]), FUNCTIONAL_NAMES.index(e["functional"])]
+                     for e in acoustic.egemaps_manifest()])
+
+
+def _standalone_compare(llds):
+    """CompareLike's plain block, then the block of its first differences."""
+    grid = acoustic.default_compare_grid()
+    rows = [LLD_NAMES.index(name) for name in grid.llds]
+    cols = [FUNCTIONAL_NAMES.index(fn) for fn in grid.functionals]
+    deltas = (np.diff(llds.values, axis=0) if llds.num_frames >= 2
+              else np.zeros((1, len(LLD_NAMES))))
+    return np.concatenate([acoustic.functional_table(v)[np.ix_(rows, cols)].ravel()
+                           for v in (llds.values, deltas)])
+
+
+@pytest.mark.parametrize("segments, frames", [
+    (((0.0, 0.4), (0.55, 0.8)), 61),  # two speech segments: 38 + 23 frames
+    ((), 0),  # silence: no speech detected
+    (((0.1, 0.125),), 1),  # one 25 ms frame: the delta block is zero
+])
+@pytest.mark.parametrize("sets", [
+    (FeatureSetId.EGEMAPS_LIKE_88,),
+    (FeatureSetId.COMPARE_LIKE,),
+    (FeatureSetId.EGEMAPS_LIKE_88, FeatureSetId.COMPARE_LIKE),
+    (FeatureSetId.COMPARE_LIKE, FeatureSetId.EGEMAPS_LIKE_88),
+])
+def test_shared_pass_matches_each_standalone_set(segments, frames, sets):
+    audio = dsp.AudioBuffer(sawtooth(160.0, 0.8), SR)
+    segs = dsp.SegmentSet(segments)
+    llds = acoustic.extract_llds(audio, segs)
+    assert llds.num_frames == frames
+    empty = frames == 0
+    standalone = {FeatureSetId.EGEMAPS_LIKE_88: acoustic.egemaps_like(audio, segs),
+                  FeatureSetId.COMPARE_LIKE: acoustic.compare_like(audio, segs)}
+    shared = acoustic.vectors_from_llds(llds, sets)
+    assert [v.feature_set_id for v in shared] == list(sets)
+    for vec in shared:
+        alone = standalone[vec.feature_set_id]
+        assert np.array_equal(vec.values, alone.values)
+        assert vec.empty_speech is alone.empty_speech is empty
+        if empty:
+            assert np.all(vec.values == 0.0)
+        elif vec.feature_set_id is FeatureSetId.EGEMAPS_LIKE_88:
+            assert np.array_equal(vec.values, _standalone_egemaps(llds))
+        else:
+            assert np.array_equal(vec.values, _standalone_compare(llds))
+    if frames == 1:
+        compare = standalone[FeatureSetId.COMPARE_LIKE].values
+        assert np.all(compare[compare.size // 2:] == 0.0)
+
+
+def test_shared_pass_rejects_a_text_set():
+    llds = LldMatrix(np.zeros((3, len(LLD_NAMES))))
+    with pytest.raises(FeatureError, match=r"^acoustic\.vectors_from_llds: Lexical"):
+        acoustic.vectors_from_llds(llds, (FeatureSetId.EGEMAPS_LIKE_88, FeatureSetId.LEXICAL))
+
+
+# ---------------------------------------------------------------------------
+# pitch search range
+
+@pytest.mark.parametrize("sr, max_lag", [(16000, 290), (8000, 145)])
+def test_frame_must_hold_the_pitch_floor_period_plus_two(sr, max_lag, monkeypatch):
+    """floor(sr / f0_min_hz) > frame samples - 2 is an error, not a clipped
+    search; a frame two samples longer than the floor's period searches up
+    to that period."""
+    audio = dsp.AudioBuffer(sawtooth(160.0, 0.3, sr=sr), sr)
+    too_short = AcousticConfig(frame_len_s=(max_lag + 1) / sr)
+    with pytest.raises(FeatureError) as err:
+        acoustic.extract_llds(audio, full_span(audio), too_short)
+    assert str(err.value).startswith("acoustic.extract_llds: ") and "\n" not in str(err.value)
+    with pytest.raises(FeatureError, match=r"^acoustic\.extract_llds: "):
+        acoustic.extract_llds(audio, dsp.SegmentSet(()), too_short)  # whatever the speech
+
+    searched = []
+    autocorr = acoustic.kernels.autocorr_norm_batch
+
+    def recording(frames, min_lag, max_lag_):
+        searched.append((frames.shape[1], max_lag_))
+        return autocorr(frames, min_lag, max_lag_)
+
+    monkeypatch.setattr(acoustic.kernels, "autocorr_norm_batch", recording)
+    acoustic.extract_llds(audio, full_span(audio), AcousticConfig(frame_len_s=(max_lag + 2) / sr))
+    assert set(searched) == {(max_lag + 2, max_lag)}
+
+
+def test_config_frame_just_past_the_rule_is_rejected_at_extraction():
+    # 0.0182 s x 55 Hz = 1.001 passes the config rule, but at 16 kHz the
+    # frame is 291 samples and the 55 Hz period 290 samples
+    audio = dsp.AudioBuffer(sawtooth(160.0, 0.3), SR)
+    with pytest.raises(FeatureError, match=r"^acoustic\.extract_llds: .* 291 samples"):
+        acoustic.extract_llds(audio, full_span(audio), AcousticConfig(frame_len_s=0.0182))
+
+
+@pytest.mark.parametrize("sr", [8000, 16000])
+def test_default_frames_hold_the_pitch_floor(sr):
+    audio = dsp.AudioBuffer(sawtooth(160.0, 0.3, sr=sr), sr)
+    assert acoustic.extract_llds(audio, full_span(audio)).num_frames > 0
+
+
 # ---------------------------------------------------------------------------
 # matrix persistence
 

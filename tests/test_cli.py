@@ -340,6 +340,7 @@ def test_unknown_enum_flag_errors(small_manifest, capsys):
     ({"acoustic": {"hop_s": 1e-5}}, "dsp.frame_signal:"),  # rounds to 0 samples
     ({"vad": {"frame_len_s": 0}}, "dsp.frame_signal:"),
     ({"acoustic": {"n_mfcc": 13}}, "config.parse:"),
+    ({"acoustic": {"frame_len_s": 0.0182}}, "acoustic.extract_llds:"),  # 291 < 290 + 2 samples
 ])
 def test_train_eval_rejects_degenerate_frames(small_manifest, tmp_path, capsys,
                                               doc, error, workers):
@@ -430,16 +431,20 @@ def test_train_eval_extracts_through_one_pool(small_manifest, tmp_path, pools):
         return (out / "report.json").read_bytes()
 
     pooled = run("2")
-    assert pools == [2]  # 2 tasks x 3 sets x 10 recordings, all in one pool
+    # 2 tasks x 10 recordings x (an EgemapsLike88+CompareLike job, a Lexical job),
+    # all in one pool
+    assert pools == [2]
     assert run("1") == pooled
     assert pools == [2]  # one worker extracts in-process
 
 
-def test_extract_csvs_independent_of_workers(small_manifest, tmp_path, pools):
+def _check_extract_csvs_alike(small_manifest, tmp_path, pools, features: str):
+    """extract writes the same feature matrices through a 2-worker pool
+    as in-process."""
     def run(workers: str) -> dict[str, bytes]:
         out = tmp_path / workers
         rc = cli.main(["extract", "--manifest", str(small_manifest), "--out", str(out),
-                       "--tasks", "ShortTerm,LongTerm", "--features", "EgemapsLike88,Lexical",
+                       "--tasks", "ShortTerm,LongTerm", "--features", features,
                        "--workers", workers])
         assert rc == 0
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
@@ -449,10 +454,21 @@ def test_extract_csvs_independent_of_workers(small_manifest, tmp_path, pools):
     assert run("1") == pooled
 
 
-def test_bad_wav_in_the_last_task_fails_the_pooled_run(small_manifest, tmp_path,
-                                                        monkeypatch, capsys):
-    """A recording that stops decoding after the manifest was read ends the
-    run with the same one-line error at any worker count, and no report."""
+def test_extract_csvs_independent_of_workers(small_manifest, tmp_path, pools):
+    _check_extract_csvs_alike(small_manifest, tmp_path, pools, "EgemapsLike88,Lexical")
+
+
+def test_extract_csvs_of_both_acoustic_sets_independent_of_workers(small_manifest, tmp_path,
+                                                                  pools):
+    # the two sets share one job per recording
+    _check_extract_csvs_alike(small_manifest, tmp_path, pools, "EgemapsLike88,CompareLike")
+
+
+def _check_a_bad_wav_fails_alike(small_manifest, tmp_path, monkeypatch, capsys,
+                                 features: str):
+    """A train-eval whose fifth LongTerm recording stops decoding after the
+    manifest was read fails with the same one-line read_wav error, and no
+    report, at 2 workers and at 1."""
     load_manifest = cli.corpus.load_manifest
     broken = []
 
@@ -469,7 +485,7 @@ def test_bad_wav_in_the_last_task_fails_the_pooled_run(small_manifest, tmp_path,
         shutil.copytree(small_manifest, manifest)
         out = tmp_path / f"out{workers}"
         rc = cli.main(["train-eval", "--manifest", str(manifest), "--out", str(out),
-                       "--tasks", "ShortTerm,LongTerm", "--features", "EgemapsLike88,Lexical",
+                       "--tasks", "ShortTerm,LongTerm", "--features", features,
                        "--classifiers", "LogisticRegression", "--k", "3",
                        "--workers", workers])
         assert rc == 1
@@ -479,6 +495,18 @@ def test_bad_wav_in_the_last_task_fails_the_pooled_run(small_manifest, tmp_path,
     monkeypatch.setattr(cli.corpus, "load_manifest", load_then_break)
     for workers in ("2", "1"):
         assert run(workers) == f"error: dsp.read_wav: {broken[-1]}: not a RIFF/WAVE file\n"
+
+
+def test_bad_wav_in_the_last_task_fails_the_pooled_run(small_manifest, tmp_path,
+                                                        monkeypatch, capsys):
+    _check_a_bad_wav_fails_alike(small_manifest, tmp_path, monkeypatch, capsys,
+                                 "EgemapsLike88,Lexical")
+
+
+def test_bad_wav_fails_a_run_of_both_acoustic_sets_alike(small_manifest, tmp_path,
+                                                         monkeypatch, capsys):
+    _check_a_bad_wav_fails_alike(small_manifest, tmp_path, monkeypatch, capsys,
+                                 "EgemapsLike88,CompareLike")
 
 
 @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cognopipe import classifiers, corpus as corpusmod, evaluation as ev, linguistic
+from cognopipe import acoustic, classifiers, corpus as corpusmod, dsp, evaluation as ev, linguistic
 from cognopipe.corpus import Diagnosis, FoldAssignment, Label, Task, label_of
 from cognopipe.errors import EvaluationError, LeakageError
 from cognopipe.evaluation import (
@@ -556,6 +556,38 @@ def test_text_sets_skip_a_missing_transcript_alike(small_manifest, tmp_path):
                                      classifiers.ModelKind.LOGISTIC_REGRESSION, folds)
         assert res.skipped_subjects == ("S000",), fsid
         assert len(res.predictions) == len(corp.subjects) - 1, fsid
+
+
+def test_one_decode_vad_and_lld_pass_per_recording(small_corpus, monkeypatch):
+    """Both acoustic sets of a recording come from one read_wav, one
+    detect_speech and one extract_llds call; Lexical reads no audio."""
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((dsp, "read_wav"), (dsp, "detect_speech"), (acoustic, "extract_llds")):
+        count(module, name)
+    sets = (FeatureSetId.EGEMAPS_LIKE_88, FeatureSetId.COMPARE_LIKE, FeatureSetId.LEXICAL)
+    vectors = ev.extract_task_features(small_corpus, (Task.SHORT_TERM,), sets, workers=1)
+    recs = [r for r in small_corpus.recordings if r.task is Task.SHORT_TERM]
+    n = len(recs)
+    assert n == 10
+    assert calls == {"read_wav": n, "detect_speech": n, "extract_llds": n}
+    assert {fsid: len(vectors[Task.SHORT_TERM, fsid]) for fsid in sets} == dict.fromkeys(sets, n)
+    rec = recs[0]
+    audio = dsp.read_wav(rec.audio_path)
+    segs = dsp.detect_speech(audio)
+    for fsid, extract in ((FeatureSetId.EGEMAPS_LIKE_88, acoustic.egemaps_like),
+                          (FeatureSetId.COMPARE_LIKE, acoustic.compare_like)):
+        assert np.array_equal(vectors[Task.SHORT_TERM, fsid][rec.subject_id].values,
+                              extract(audio, segs).values), fsid
 
 
 def test_fold_seed_stable_and_distinct():
