@@ -9,9 +9,9 @@ LLD track into scalars, yielding two fixed-length feature sets:
                     doubled with delta (frame-difference) tracks
 
 The manifests are data files so the exact composition is auditable
-without reading code.  Both sets read one LLD matrix and one functional
-table of it (vectors_from_llds), so a recording is analysed once for
-however many sets are requested.
+without reading code.  Each set is a list of (LLD, functional) cells of
+one table over one LLD matrix (vectors_from_llds), so a recording is
+analysed once for however many sets are requested.
 """
 
 from __future__ import annotations
@@ -99,10 +99,6 @@ class LldMatrix:
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, LLD_NAMES.index(name)]
-
-
-def _empty_llds() -> LldMatrix:
-    return LldMatrix(np.zeros((0, len(LLD_NAMES))))
 
 
 @lru_cache(maxsize=8)
@@ -307,9 +303,7 @@ def extract_llds(
         frames = dsp.frame_signal(audio.samples[lo:hi], sr, cfg.frame_len_s, cfg.hop_s)
         if frames.shape[0]:
             blocks.append(_llds_for_frames(frames, sr, cfg))
-    if not blocks:
-        return _empty_llds()
-    return LldMatrix(np.vstack(blocks))
+    return LldMatrix(np.vstack(blocks) if blocks else np.zeros((0, len(LLD_NAMES))))
 
 
 def functional_table(values: np.ndarray) -> np.ndarray:
@@ -376,10 +370,6 @@ class CompareGrid:
             if name not in FUNCTIONAL_NAMES:
                 raise FeatureError("compare_like", f"unknown functional '{name}'")
 
-    @property
-    def dim(self) -> int:
-        return len(self.llds) * len(self.functionals) * (2 if self.deltas else 1)
-
 
 @lru_cache(maxsize=1)
 def default_compare_grid() -> CompareGrid:
@@ -387,27 +377,22 @@ def default_compare_grid() -> CompareGrid:
     return CompareGrid(tuple(doc["llds"]), tuple(doc["functionals"]), bool(doc["deltas"]))
 
 
-def _egemaps_values(table: np.ndarray) -> np.ndarray:
-    entries = egemaps_manifest()
-    rows = [LLD_NAMES.index(e["lld"]) for e in entries]
-    cols = [FUNCTIONAL_NAMES.index(e["functional"]) for e in entries]
-    return table[rows, cols]
-
-
-def _compare_values(llds: LldMatrix, table: np.ndarray) -> np.ndarray:
-    g = default_compare_grid()
-    cells = np.ix_(
-        [LLD_NAMES.index(name) for name in g.llds],
-        [FUNCTIONAL_NAMES.index(fn) for fn in g.functionals],
-    )
-    parts = [table[cells].ravel()]
-    if g.deltas:
-        if llds.num_frames >= 2:
-            deltas = np.diff(llds.values, axis=0)
-        else:
-            deltas = np.zeros((1, llds.values.shape[1]))
-        parts.append(functional_table(deltas)[cells].ravel())
-    return np.concatenate(parts)
+@lru_cache(maxsize=None)
+def _cells(fsid: FeatureSetId) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of an acoustic set's cells, in vector order, in the
+    functional table of the LLDs stacked over that of their deltas."""
+    if fsid is FeatureSetId.EGEMAPS_LIKE_88:
+        cells = [(0, e["lld"], e["functional"]) for e in egemaps_manifest()]
+    elif fsid is FeatureSetId.COMPARE_LIKE:
+        g = default_compare_grid()
+        cells = [(block, lld, fn) for block in range(1 + g.deltas)
+                 for lld in g.llds for fn in g.functionals]
+    else:
+        raise FeatureError("vectors_from_llds", f"{fsid.value} is not an acoustic set")
+    rows = np.array([block * len(LLD_NAMES) + LLD_NAMES.index(lld) for block, lld, _ in cells])
+    cols = np.array([FUNCTIONAL_NAMES.index(fn) for _, _, fn in cells])
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def vectors_from_llds(
@@ -415,24 +400,23 @@ def vectors_from_llds(
 ) -> tuple[FeatureVector, ...]:
     """The vector of each requested acoustic set, in the order given.
 
-    Every set reads one functional table of the LLDs; CompareLike's
-    delta tracks are summarized only when CompareLike is requested.  An
-    empty matrix (no speech) gives every set an all-zero vector flagged
-    empty_speech.
+    Every set reads its cells off one table: the functionals of the LLDs,
+    stacked over those of their deltas (first differences, zero with
+    fewer than two frames) when some requested set reads a delta row.
+    An empty matrix (no speech) gives every set an all-zero vector
+    flagged empty_speech.
     """
+    cells = [_cells(fsid) for fsid in feature_sets]
     empty = llds.num_frames == 0
-    table = None if empty else functional_table(llds.values)
-    vectors = []
-    for fsid in feature_sets:
-        if fsid is FeatureSetId.EGEMAPS_LIKE_88:
-            values = np.zeros(len(egemaps_manifest())) if empty else _egemaps_values(table)
-        elif fsid is FeatureSetId.COMPARE_LIKE:
-            values = (np.zeros(default_compare_grid().dim) if empty
-                      else _compare_values(llds, table))
-        else:
-            raise FeatureError("vectors_from_llds", f"{fsid.value} is not an acoustic set")
-        vectors.append(FeatureVector(fsid, values, empty_speech=empty))
-    return tuple(vectors)
+    if not empty:
+        table = functional_table(llds.values)
+        if any(rows.max() >= len(LLD_NAMES) for rows, _ in cells):
+            deltas = (np.diff(llds.values, axis=0) if llds.num_frames >= 2
+                      else np.zeros((1, len(LLD_NAMES))))
+            table = np.vstack([table, functional_table(deltas)])
+    return tuple(FeatureVector(fsid, np.zeros(rows.size) if empty else table[rows, cols],
+                               empty_speech=empty)
+                 for fsid, (rows, cols) in zip(feature_sets, cells))
 
 
 def egemaps_like(

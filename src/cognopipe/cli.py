@@ -24,7 +24,6 @@ from pathlib import Path
 
 from . import acoustic, config as cfgmod, corpus, evaluation
 from .errors import ConfigError, ManifestError, PipelineError
-from .features import FeatureSetId
 
 log = logging.getLogger("cognopipe")
 
@@ -131,12 +130,6 @@ def cmd_summarize(args, out: _OutputTracker) -> int:
 
 def cmd_extract(args, out: _OutputTracker) -> int:
     cfg = _run_config(args)
-    if FeatureSetId.NGRAM_TFIDF in cfg.feature_sets:
-        raise ConfigError(
-            "extract",
-            "NgramTfidf vectors are fitted per cross-validation fold and "
-            "cannot be extracted standalone; select acoustic or Lexical sets",
-        )
     c = corpus.load_manifest(cfg.manifest)
     out_dir = Path(cfg.out_dir)
     vectors = evaluation.extract_task_features(
@@ -155,7 +148,8 @@ def cmd_extract(args, out: _OutputTracker) -> int:
 
 
 def _run_config(args) -> cfgmod.RunConfig:
-    """The config file merged with the subcommand's own flags."""
+    """The config file merged with the subcommand's own flags, its output
+    directory checked before any work."""
     flags = {
         _FIELD_OF_DEST.get(dest, dest): value
         for dest, value in vars(args).items()
@@ -164,6 +158,10 @@ def _run_config(args) -> cfgmod.RunConfig:
     cfg = cfgmod.merge_config(args.config, **flags)
     if not cfg.manifest:
         raise ConfigError("cli", "no manifest given (use --manifest or the config file)")
+    out = Path(cfg.out_dir)
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not (nearest.is_dir() and os.access(nearest, os.W_OK | os.X_OK)):
+        raise ConfigError("out_dir", f"cannot write {out}: {nearest} is not a writable directory")
     return cfg
 
 

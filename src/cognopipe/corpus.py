@@ -198,36 +198,34 @@ class CorpusStats:
 def _read_table(path: Path, columns: tuple[str, ...], diags: list[Diagnostic]):
     """Read a CSV table, returning [(row_number, row_dict), ...].
 
-    Header and row-shape problems are recorded as diagnostics; an
+    The file is UTF-8, with or without a byte-order mark.  Header,
+    row-shape and encoding problems are recorded as diagnostics; an
     unusable file yields an empty row list.
     """
     name = path.name
     if not path.is_file():
         diags.append(Diagnostic(name, 0, "file not found"))
         return []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            diags.append(Diagnostic(name, 0, "empty file (no header)"))
-            return []
-        if tuple(reader.fieldnames) != columns:
-            diags.append(
-                Diagnostic(
-                    name,
-                    1,
-                    f"header must be exactly {','.join(columns)}; "
-                    f"got {','.join(reader.fieldnames)}",
-                )
-            )
-            return []
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if None in row.values() or row.get(None) is not None:
-                diags.append(
-                    Diagnostic(name, i, f"malformed row (expected {len(columns)} fields)")
-                )
-                continue
-            rows.append((i, row))
+    rows = []
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                diags.append(Diagnostic(name, 0, "empty file (no header)"))
+                return []
+            if tuple(reader.fieldnames) != columns:
+                diags.append(Diagnostic(name, 1, f"header must be exactly {','.join(columns)}; "
+                                                 f"got {','.join(reader.fieldnames)}"))
+                return []
+            for i, row in enumerate(reader, start=2):
+                if None in row.values() or row.get(None) is not None:
+                    diags.append(Diagnostic(name, i, "malformed row "
+                                                     f"(expected {len(columns)} fields)"))
+                else:
+                    rows.append((i, row))
+    except UnicodeDecodeError:
+        diags.append(Diagnostic(name, 0, "file is not UTF-8 text"))
+        return []
     return rows
 
 
@@ -377,7 +375,12 @@ def load_manifest(path) -> Corpus:
                 bad = True
             else:
                 transcript_path = str(tpath)
-                transcript = tpath.read_text(encoding="utf-8")
+                try:
+                    transcript = tpath.read_text(encoding="utf-8-sig")
+                except UnicodeDecodeError:
+                    diags.append(Diagnostic(
+                        RECORDINGS_FILE, rownum, f"transcript is not UTF-8 text: {tpath}"))
+                    bad = True
         if bad:
             continue
         covered.add(sid)

@@ -145,16 +145,13 @@ class TfidfProvider:
         return X_train, X_test, vocab.fitted_subjects
 
 
-def _extract_one(job: tuple[TaskRecording, tuple[FeatureSetId, ...]],
+def _extract_one(rec: TaskRecording, feature_sets: tuple[FeatureSetId, ...],
                  vad_cfg: dsp.VadConfig | None,
                  ac_cfg: acoustic.AcousticConfig | None) -> tuple[FeatureVector, ...]:
-    """Worker: one recording -> the vectors of the job's sets, in order.
+    """Worker: one recording -> its vector of each acoustic set, in order.
 
-    The acoustic sets of a job share one decode, VAD pass and LLD matrix.
+    The sets share one decode, VAD pass and LLD matrix.
     """
-    rec, feature_sets = job
-    if feature_sets == (FeatureSetId.LEXICAL,):
-        return (linguistic.lexical_vector(rec.transcript, rec.duration_s),)
     audio = dsp.read_wav(rec.audio_path)
     segments = dsp.detect_speech(audio, vad_cfg)
     llds = acoustic.extract_llds(audio, segments, ac_cfg)
@@ -176,21 +173,6 @@ def _task_recordings(corpus: Corpus, task: Task, feature_set: FeatureSetId
     )
 
 
-def _job_sets(feature_sets: Sequence[FeatureSetId]) -> list[tuple[FeatureSetId, ...]]:
-    """The sets each job yields: all acoustic sets in one, each other alone.
-
-    The acoustic job takes the place of the first acoustic set.
-    """
-    shared = tuple(f for f in feature_sets if f in acoustic.FEATURE_SETS)
-    groups = []
-    for f in feature_sets:
-        if f not in shared:
-            groups.append((f,))
-        elif f is shared[0]:
-            groups.append(shared)
-    return groups
-
-
 def extract_task_features(
     corpus: Corpus,
     tasks: Sequence[Task],
@@ -201,17 +183,20 @@ def extract_task_features(
 ) -> dict[tuple[Task, FeatureSetId], dict[str, FeatureVector]]:
     """Per-subject vectors of every (task, fold-independent set) of a run.
 
-    One job per recording of a task yields every requested acoustic set
-    from a single decode, VAD and LLD pass; each Lexical vector is a job
-    of its own (see _job_sets and _task_recordings).  Jobs run in (task,
-    set, subject) order and are independent, so with workers > 1 all of
-    them fan out over one process pool.  Results are read back in job
+    Each recording of a task is one job, which yields every requested
+    acoustic set from a single decode, VAD and LLD pass.  With workers > 1
+    all jobs fan out over one process pool; results are read back in job
     order, so the vectors, and the first error raised, do not depend on
-    the worker count.
+    the worker count.  Lexical vectors are statistics of transcripts
+    already in memory, built in this process.
     """
-    jobs = [(rec, sets) for task in tasks for sets in _job_sets(feature_sets)
-            for rec in _task_recordings(corpus, task, sets[0])]
-    extract = functools.partial(_extract_one, vad_cfg=vad_cfg, ac_cfg=ac_cfg)
+    if FeatureSetId.NGRAM_TFIDF in feature_sets:
+        raise EvaluationError("extract_task_features", "NgramTfidf vectors are fitted per "
+                              "cross-validation fold and cannot be extracted standalone; "
+                              "select acoustic or Lexical sets")
+    shared = tuple(f for f in feature_sets if f in acoustic.FEATURE_SETS)
+    jobs = [r for task in tasks if shared for r in _task_recordings(corpus, task, shared[0])]
+    extract = functools.partial(_extract_one, feature_sets=shared, vad_cfg=vad_cfg, ac_cfg=ac_cfg)
     if workers <= 1 or len(jobs) <= 1:
         vectors = list(map(extract, jobs))
     else:
@@ -223,9 +208,13 @@ def extract_task_features(
     out: dict[tuple[Task, FeatureSetId], dict[str, FeatureVector]] = {
         (task, fsid): {} for task in tasks for fsid in feature_sets
     }
-    for (rec, sets), vecs in zip(jobs, vectors):
-        for fsid, vec in zip(sets, vecs):
+    for rec, vecs in zip(jobs, vectors):
+        for fsid, vec in zip(shared, vecs):
             out[rec.task, fsid][rec.subject_id] = vec
+    for (task, fsid), cell in out.items():
+        if fsid is FeatureSetId.LEXICAL:
+            cell.update((r.subject_id, linguistic.lexical_vector(r.transcript, r.duration_s))
+                        for r in _task_recordings(corpus, task, fsid))
     return out
 
 

@@ -172,6 +172,28 @@ def test_validate_lists_problems(tmp_path, capsys):
     assert out.strip().splitlines()[-1].endswith("error(s)")
 
 
+@pytest.mark.parametrize("bad", ["subjects", "transcript"])
+def test_validate_lists_text_that_is_not_utf8(small_manifest, tmp_path, capsys, bad):
+    man = shutil.copytree(small_manifest, tmp_path / "m")
+    if bad == "subjects":
+        path = man / SUBJECTS_FILE
+        lines = path.read_bytes().split(b"\n")
+        fields = lines[1].split(b",")
+        fields[3] = b"Fran\xe7aise"  # the first subject's ethnicity, in Latin-1
+        lines[1] = b",".join(fields)
+        path.write_bytes(b"\n".join(lines))
+        want = f"{SUBJECTS_FILE}:0: file is not UTF-8 text"
+    else:
+        first = (man / RECORDINGS_FILE).read_text(encoding="utf-8").splitlines()[1]
+        path = (man / first.split(",")[3]).resolve()
+        path.write_bytes(b"caf\xe9 au lait")
+        want = f"{RECORDINGS_FILE}:2: transcript is not UTF-8 text: {path}"
+    rc = cli.main(["validate", "--manifest", str(man)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert want in lines and lines[-1] == f"{len(lines) - 1} error(s)"
+
+
 def test_validate_missing_directory(tmp_path, capsys):
     rc = cli.main(["validate", "--manifest", str(tmp_path / "nope")])
     out = capsys.readouterr().out
@@ -236,6 +258,24 @@ def test_extract_refuses_fold_fitted_features(small_manifest, tmp_path, capsys):
     assert rc == 1
     assert "fitted per cross-validation fold" in err
     assert not list(tmp_path.iterdir())  # nothing left behind
+
+
+@pytest.mark.parametrize("command", ["summarize", "extract", "train-eval"])
+def test_an_out_that_cannot_be_written_fails_first(small_manifest, tmp_path, capsys,
+                                                   monkeypatch, command):
+    """An --out under a regular file is a one-line error before any work,
+    and leaves nothing behind."""
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    out = blocker / "out"
+    loads = []
+    monkeypatch.setattr(cli.corpus, "load_manifest", loads.append)
+    rc = cli.main([command, "--manifest", str(small_manifest), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and loads == []
+    assert err == (f"error: config.out_dir: cannot write {out}: "
+                   f"{blocker} is not a writable directory\n")
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "x"
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +471,17 @@ def test_train_eval_extracts_through_one_pool(small_manifest, tmp_path, pools):
         return (out / "report.json").read_bytes()
 
     pooled = run("2")
-    # 2 tasks x 10 recordings x (an EgemapsLike88+CompareLike job, a Lexical job),
-    # all in one pool
+    # 2 tasks x 10 recordings, one EgemapsLike88+CompareLike job each, all in one
+    # pool; Lexical is built in-process
     assert pools == [2]
     assert run("1") == pooled
     assert pools == [2]  # one worker extracts in-process
 
 
-def _check_extract_csvs_alike(small_manifest, tmp_path, pools, features: str):
-    """extract writes the same feature matrices through a 2-worker pool
-    as in-process."""
+def _check_extract_csvs_alike(small_manifest, tmp_path, pools, features: str,
+                              started: list[int]):
+    """extract writes the same feature matrices at --workers 2, which starts
+    the pools `started`, as at --workers 1."""
     def run(workers: str) -> dict[str, bytes]:
         out = tmp_path / workers
         rc = cli.main(["extract", "--manifest", str(small_manifest), "--out", str(out),
@@ -450,18 +491,25 @@ def _check_extract_csvs_alike(small_manifest, tmp_path, pools, features: str):
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
     pooled = run("2")
-    assert len(pooled) == 4 and pools == [2]
+    assert len(pooled) == 2 * len(features.split(",")) and pools == started
     assert run("1") == pooled
+    assert pools == started
 
 
 def test_extract_csvs_independent_of_workers(small_manifest, tmp_path, pools):
-    _check_extract_csvs_alike(small_manifest, tmp_path, pools, "EgemapsLike88,Lexical")
+    _check_extract_csvs_alike(small_manifest, tmp_path, pools, "EgemapsLike88,Lexical", [2])
+
+
+def test_extract_lexical_starts_no_pool(small_manifest, tmp_path, pools):
+    # Lexical vectors are transcript statistics, built in-process
+    _check_extract_csvs_alike(small_manifest, tmp_path, pools, "Lexical", [])
 
 
 def test_extract_csvs_of_both_acoustic_sets_independent_of_workers(small_manifest, tmp_path,
                                                                   pools):
     # the two sets share one job per recording
-    _check_extract_csvs_alike(small_manifest, tmp_path, pools, "EgemapsLike88,CompareLike")
+    _check_extract_csvs_alike(small_manifest, tmp_path, pools, "EgemapsLike88,CompareLike",
+                              [2])
 
 
 def _check_a_bad_wav_fails_alike(small_manifest, tmp_path, monkeypatch, capsys,

@@ -136,6 +136,30 @@ def test_load_manifest_malformed_row(tmp_path, good_manifest):
     assert any("malformed row" in str(d) for d in exc.value.diagnostics)
 
 
+def test_byte_order_marks_load_the_same_corpus(good_manifest):
+    """A spreadsheet's "CSV UTF-8" export starts each file with a BOM."""
+    plain = corpus.load_manifest(good_manifest)
+    for name in ("subjects.csv", "recordings.csv", "A1_ShortTerm.txt"):
+        path = good_manifest / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert corpus.load_manifest(good_manifest) == plain
+
+
+@pytest.mark.parametrize("name, data, line", [
+    ("subjects.csv",
+     b"subject_id,age,gender,ethnicity,diagnosis\nA1,74,F,Fran\xe7aise,MCI\nB2,,,,HC\n",
+     "subjects.csv:0: file is not UTF-8 text"),
+    ("A1_ShortTerm.txt", b"caf\xe9 au lait",
+     "recordings.csv:2: transcript is not UTF-8 text: {path}"),
+], ids=["csv", "transcript"])
+def test_text_that_is_not_utf8_is_a_diagnostic(good_manifest, name, data, line):
+    path = good_manifest / name
+    path.write_bytes(data)
+    with pytest.raises(ManifestError) as exc:
+        corpus.load_manifest(good_manifest)
+    assert line.format(path=path.resolve()) in [str(d) for d in exc.value.diagnostics]
+
+
 # ---------------------------------------------------------------------------
 # corpus invariants
 

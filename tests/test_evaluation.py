@@ -590,6 +590,17 @@ def test_one_decode_vad_and_lld_pass_per_recording(small_corpus, monkeypatch):
                               extract(audio, segs).values), fsid
 
 
+def test_extracting_ngram_tfidf_is_an_error_before_any_decode(small_corpus, monkeypatch):
+    reads = []
+    read_wav = dsp.read_wav
+    monkeypatch.setattr(dsp, "read_wav", lambda path: reads.append(path) or read_wav(path))
+    sets = (FeatureSetId.EGEMAPS_LIKE_88, FeatureSetId.NGRAM_TFIDF)
+    with pytest.raises(EvaluationError, match=r"^evaluation\.extract_task_features: NgramTfidf "
+                                              r"vectors are fitted per cross-validation fold"):
+        ev.extract_task_features(small_corpus, (Task.SHORT_TERM,), sets, workers=1)
+    assert reads == []
+
+
 def test_fold_seed_stable_and_distinct():
     args = (7, Task.SHORT_TERM, FeatureSetId.EGEMAPS_LIKE_88,
             classifiers.ModelKind.LOGISTIC_REGRESSION)

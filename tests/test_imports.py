@@ -1,4 +1,5 @@
-"""Every name a cognopipe module imports is used in that module."""
+"""Every name a cognopipe module imports is used in that module, and every
+module-level private name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,45 @@ def test_no_module_imports_a_name_it_never_uses():
               for path in modules
               for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert unused == []
+
+
+def private_names(source: str) -> list[str]:
+    """Module-level _private functions, classes and constants (no dunders)."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def loaded_names(source: str) -> set[str]:
+    """Every name the source reads, bare (x) or as an attribute (m.x)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_scan_flags_an_unread_private_name():
+    source = ("_A = 1\n_B: int = 2\n__all__ = []\nclass _C: pass\n"
+              "def _f(): return _A\ndef _g(): pass\nm.x = _g\n_B = 3\n")
+    assert private_names(source) == ["_A", "_B", "_C", "_f", "_g", "_B"]
+    assert {"_A", "_g", "m"} <= loaded_names(source)
+    assert not {"_B", "_C", "_f", "x"} & loaded_names(source)
+    assert "_h" in loaded_names("import m\nm._h()\n")
+
+
+def test_every_private_name_is_read_in_the_package():
+    sources = {path.relative_to(PACKAGE): path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    read = set().union(*map(loaded_names, sources.values()))
+    defined = [(path, name) for path, source in sources.items()
+               for name in private_names(source)]
+    assert len(defined) > 40  # the scan sees the package's private names
+    assert [f"{path}:{name}" for path, name in defined if name not in read] == []
