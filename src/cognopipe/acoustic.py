@@ -197,9 +197,10 @@ def _pair_rel_diff(x: np.ndarray, valid_pair: np.ndarray) -> np.ndarray:
     return out
 
 
-def _max_lag(sr: int, cfg: AcousticConfig) -> int:
-    """The longest pitch period searched, in samples (the f0 floor's)."""
-    return int(np.floor(sr / cfg.f0_min_hz))
+def _lag_range(sr: int, cfg: AcousticConfig) -> tuple[int, int]:
+    """The shortest and longest pitch period searched, in samples (the
+    ceiling's and the floor's)."""
+    return max(2, int(np.ceil(sr / cfg.f0_max_hz))), int(np.floor(sr / cfg.f0_min_hz))
 
 
 def _llds_for_frames(frames: np.ndarray, sr: int, cfg: AcousticConfig) -> np.ndarray:
@@ -212,14 +213,9 @@ def _llds_for_frames(frames: np.ndarray, sr: int, cfg: AcousticConfig) -> np.nda
     cols["zcr"] = np.mean(frames[:, 1:] * frames[:, :-1] < 0.0, axis=1)
 
     # pitch and periodicity
-    min_lag = max(2, int(np.ceil(sr / cfg.f0_max_hz)))
-    max_lag = _max_lag(sr, cfg)
-    if max_lag > min_lag:
-        r = kernels.autocorr_norm_batch(frames, min_lag, max_lag)
-        lags, r_best = _pick_lags(r, min_lag)
-    else:
-        lags = np.full(m, np.inf)
-        r_best = np.zeros(m)
+    min_lag, max_lag = _lag_range(sr, cfg)
+    r = kernels.autocorr_norm_batch(frames, min_lag, max_lag)
+    lags, r_best = _pick_lags(r, min_lag)
     voiced = r_best >= cfg.voicing_threshold
     f0 = np.where(voiced, sr / lags, 0.0)
     f0 = np.clip(f0, 0.0, cfg.f0_max_hz)
@@ -284,12 +280,20 @@ def extract_llds(
     Frames never straddle a segment boundary; pairwise descriptors
     (jitter, shimmer, flux) reset at each segment start.  No speech
     segments (or segments too short for one frame) yield an empty
-    matrix.  A frame too short to hold the pitch floor's period and the
-    two lags past it is an error: the search would stop above the floor.
+    matrix.  A pitch range that holds no whole-sample period is an
+    error, and so is a frame too short to hold the pitch floor's period
+    and the two lags past it: the search would stop above the floor.
     """
     cfg = config or AcousticConfig()
     sr = audio.sample_rate_hz
-    n, max_lag = int(round(cfg.frame_len_s * sr)), _max_lag(sr, cfg)
+    n = int(round(cfg.frame_len_s * sr))
+    min_lag, max_lag = _lag_range(sr, cfg)
+    if max_lag < min_lag:
+        raise FeatureError(
+            "extract_llds",
+            f"the [{cfg.f0_min_hz}, {cfg.f0_max_hz}] Hz pitch range holds no whole-sample "
+            f"period at {sr} Hz",
+        )
     if max_lag > n - 2:
         raise FeatureError(
             "extract_llds",

@@ -2,8 +2,9 @@
 
 Subcommands: validate, summarize, extract, train-eval, report, synth.
 Every hard error surfaces as one "module.operation: detail" line and a
-nonzero exit code, and a failed command removes the output files it
-wrote.  COGNOPIPE_LOG sets verbosity (DEBUG, INFO, WARNING, ...).
+nonzero exit code.  Every command writes its files after its last
+check, so a failed command writes none.  COGNOPIPE_LOG sets verbosity
+(DEBUG, INFO, WARNING, ...).
 """
 
 from __future__ import annotations
@@ -45,32 +46,6 @@ def _effective_workers(cfg: cfgmod.RunConfig) -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-class _OutputTracker:
-    """Records files written by a command so failures leave no partials."""
-
-    def __init__(self):
-        self.paths: list[Path] = []
-
-    def atomic_write(self, path: Path, text: str) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-        self.paths.append(path)
-
-    def track(self, path: Path) -> Path:
-        self.paths.append(Path(path))
-        return path
-
-    def cleanup(self) -> None:
-        for p in self.paths:
-            try:
-                p.unlink(missing_ok=True)
-            except OSError:
-                pass
 
 
 def cmd_validate(args) -> int:
@@ -117,18 +92,22 @@ def _stats_lines(stats: corpus.CorpusStats) -> list[str]:
     return lines
 
 
-def cmd_summarize(args, out: _OutputTracker) -> int:
+def cmd_summarize(args) -> int:
     cfg = _run_config(args)
     c = corpus.load_manifest(cfg.manifest)
     stats = corpus.summarize(c, cfg.vad)
     text = "\n".join(_stats_lines(stats)) + "\n"
     print(text, end="")
-    out.atomic_write(Path(cfg.out_dir) / "summary.csv", text)
-    log.info("wrote %s", Path(cfg.out_dir) / "summary.csv")
+    path = Path(cfg.out_dir) / "summary.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+    log.info("wrote %s", path)
     return 0
 
 
-def cmd_extract(args, out: _OutputTracker) -> int:
+def cmd_extract(args) -> int:
     cfg = _run_config(args)
     c = corpus.load_manifest(cfg.manifest)
     out_dir = Path(cfg.out_dir)
@@ -142,7 +121,7 @@ def cmd_extract(args, out: _OutputTracker) -> int:
         dim = next(iter(cell.values())).dim
         path = out_dir / f"features_{task.value}_{fsid.value}.csv"
         rows = [(sid, task.value, vec) for sid, vec in sorted(cell.items())]
-        acoustic.write_feature_matrix(out.track(path), rows, fsid, dim)
+        acoustic.write_feature_matrix(path, rows, fsid, dim)
         print(f"wrote {path} ({len(rows)} rows, dim {dim})")
     return 0
 
@@ -150,11 +129,8 @@ def cmd_extract(args, out: _OutputTracker) -> int:
 def _run_config(args) -> cfgmod.RunConfig:
     """The config file merged with the subcommand's own flags, its output
     directory checked before any work."""
-    flags = {
-        _FIELD_OF_DEST.get(dest, dest): value
-        for dest, value in vars(args).items()
-        if dest not in ("command", "config")
-    }
+    flags = {dest: value for dest, value in vars(args).items()
+             if dest not in ("command", "run", "config")}
     cfg = cfgmod.merge_config(args.config, **flags)
     if not cfg.manifest:
         raise ConfigError("cli", "no manifest given (use --manifest or the config file)")
@@ -165,7 +141,7 @@ def _run_config(args) -> cfgmod.RunConfig:
     return cfg
 
 
-def cmd_train_eval(args, out: _OutputTracker) -> int:
+def cmd_train_eval(args) -> int:
     cfg = _run_config(args)
     c = corpus.load_manifest(cfg.manifest)
     folds = corpus.stratified_folds(c, cfg.k, cfg.seed)
@@ -190,7 +166,7 @@ def cmd_train_eval(args, out: _OutputTracker) -> int:
         c, folds, experiments, cfgmod.config_echo(cfg), cfg.tie_break
     )
     report_path = Path(cfg.out_dir) / "report.json"
-    evaluation.write_report(report, out.track(report_path))
+    evaluation.write_report(report, report_path)
     print(f"wrote {report_path}")
     _print_report_summary(report)
     return 0
@@ -218,7 +194,7 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_synth(args, out: _OutputTracker) -> int:
+def cmd_synth(args) -> int:
     from . import synth  # only this subcommand needs it
 
     spec = synth.load_spec(args.config) if args.config else synth.SynthSpec()
@@ -229,17 +205,17 @@ def cmd_synth(args, out: _OutputTracker) -> int:
     return 0
 
 
-# Run flags beyond --manifest/--config/--out, in help order; each sets the
-# RunConfig field of its name, except where _FIELD_OF_DEST says otherwise.
+# Run flags beyond --manifest/--config/--out, in help order; each dest
+# names the RunConfig field the flag sets.
 _RUN_FLAGS = {
     "--seed": {"type": int},
     "--k": {"type": int},
     "--tasks": {"help": "comma-separated task names"},
-    "--features": {"help": "comma-separated feature set names"},
+    "--features": {"dest": "feature_sets", "metavar": "FEATURES",
+                   "help": "comma-separated feature set names"},
     "--classifiers": {"help": "comma-separated classifier names"},
     "--workers": {"type": int},
 }
-_FIELD_OF_DEST = {"out": "out_dir", "features": "feature_sets"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,26 +231,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--manifest", required=manifest_required,
                        help="manifest directory (subjects.csv + recordings.csv)")
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
         for flag in flags:
             p.add_argument(flag, **_RUN_FLAGS[flag])
 
     p = sub.add_parser("validate", help="check a manifest, listing every problem")
+    p.set_defaults(run=cmd_validate)
     p.add_argument("--manifest", required=True)
 
     p = sub.add_parser("summarize", help="corpus statistics table")
+    p.set_defaults(run=cmd_summarize)
     run_flags(p, manifest_required=True)
 
     p = sub.add_parser("extract", help="persist per-task feature matrices")
+    p.set_defaults(run=cmd_extract)
     run_flags(p, "--tasks", "--features", "--workers")
 
     p = sub.add_parser("train-eval", help="cross-validated experiments + report")
+    p.set_defaults(run=cmd_train_eval)
     run_flags(p, *_RUN_FLAGS)
 
     p = sub.add_parser("report", help="pretty-print an existing report")
+    p.set_defaults(run=cmd_report)
     p.add_argument("report_file", help="path to report.json")
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
+    p.set_defaults(run=cmd_synth)
     p.add_argument("--config", help="JSON SynthSpec file (defaults if omitted)")
     p.add_argument("--out", required=True, help="output manifest directory")
     p.add_argument("--seed", type=int)
@@ -285,23 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    tracker = _OutputTracker()
     try:
-        if args.command == "validate":
-            return cmd_validate(args)
-        if args.command == "summarize":
-            return cmd_summarize(args, tracker)
-        if args.command == "extract":
-            return cmd_extract(args, tracker)
-        if args.command == "train-eval":
-            return cmd_train_eval(args, tracker)
-        if args.command == "report":
-            return cmd_report(args)
-        if args.command == "synth":
-            return cmd_synth(args, tracker)
-        raise ConfigError("cli", f"unknown command {args.command}")
+        return args.run(args)
     except PipelineError as exc:
-        tracker.cleanup()
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -200,23 +200,23 @@ def _read_table(path: Path, columns: tuple[str, ...], diags: list[Diagnostic]):
 
     The file is UTF-8, with or without a byte-order mark.  Header,
     row-shape and encoding problems are recorded as diagnostics; an
-    unusable file yields an empty row list.
+    unusable file yields None.
     """
     name = path.name
     if not path.is_file():
         diags.append(Diagnostic(name, 0, "file not found"))
-        return []
+        return None
     rows = []
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 diags.append(Diagnostic(name, 0, "empty file (no header)"))
-                return []
+                return None
             if tuple(reader.fieldnames) != columns:
                 diags.append(Diagnostic(name, 1, f"header must be exactly {','.join(columns)}; "
                                                  f"got {','.join(reader.fieldnames)}"))
-                return []
+                return None
             for i, row in enumerate(reader, start=2):
                 if None in row.values() or row.get(None) is not None:
                     diags.append(Diagnostic(name, i, "malformed row "
@@ -225,7 +225,7 @@ def _read_table(path: Path, columns: tuple[str, ...], diags: list[Diagnostic]):
                     rows.append((i, row))
     except UnicodeDecodeError:
         diags.append(Diagnostic(name, 0, "file is not UTF-8 text"))
-        return []
+        return None
     return rows
 
 
@@ -239,7 +239,8 @@ def load_manifest(path) -> Corpus:
 
     All problems are collected (sorted by file then row) and raised
     together as one ManifestError, so a validation pass reports
-    everything at once instead of stopping at the first defect.
+    everything at once instead of stopping at the first defect.  Rows
+    are not checked against a table that could not be read.
     """
     root = Path(path)
     if not root.is_dir():
@@ -250,7 +251,7 @@ def load_manifest(path) -> Corpus:
 
     subjects: list[SubjectRecord] = []
     row_of_subject: dict[str, int] = {}
-    for rownum, row in subj_rows:
+    for rownum, row in subj_rows or ():
         bad = False
         sid = row["subject_id"].strip()
         if not sid:
@@ -304,10 +305,10 @@ def load_manifest(path) -> Corpus:
     recordings: list[TaskRecording] = []
     seen_pairs: dict[tuple[str, Task], int] = {}
     covered: set[str] = set()
-    for rownum, row in rec_rows:
+    for rownum, row in rec_rows or ():
         bad = False
         sid = row["subject_id"].strip()
-        if sid not in row_of_subject:
+        if subj_rows is not None and sid not in row_of_subject:
             diags.append(
                 Diagnostic(RECORDINGS_FILE, rownum, f"unknown subject_id '{sid}'")
             )
@@ -399,7 +400,7 @@ def load_manifest(path) -> Corpus:
     if not subjects and not diags:
         diags.append(Diagnostic(SUBJECTS_FILE, 0, "manifest defines no subjects"))
     for sid, rownum in row_of_subject.items():
-        if sid not in covered:
+        if rec_rows is not None and sid not in covered:
             diags.append(
                 Diagnostic(SUBJECTS_FILE, rownum, f"subject '{sid}' has no recordings")
             )

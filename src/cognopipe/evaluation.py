@@ -17,7 +17,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -116,7 +116,7 @@ class TfidfProvider:
     transcripts: Mapping[str, str]
     n_range: tuple[int, int] = (1, 2)
     min_doc_freq: int = 2
-    feature_set_id: FeatureSetId = FeatureSetId.NGRAM_TFIDF
+    feature_set_id: ClassVar[FeatureSetId] = FeatureSetId.NGRAM_TFIDF
     counts: Mapping[str, Mapping[str, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -133,6 +133,12 @@ class TfidfProvider:
             fitted_on=fold_name,
             fitted_subjects=frozenset(train_ids),
         )
+        if not vocab.size:
+            raise EvaluationError(
+                "fold_features",
+                f"{fold_name} has no n-gram in {self.min_doc_freq} or more of its "
+                f"{len(train_ids)} transcripts",
+            )
         X_train = np.vstack(
             [linguistic.vectorize_tfidf(self.counts[s], vocab).values for s in train_ids]
         )

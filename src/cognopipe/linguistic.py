@@ -51,7 +51,6 @@ class Vocabulary:
 
     index: Mapping[str, int]
     idf: np.ndarray
-    min_doc_freq: int
     fitted_on: str
     fitted_subjects: frozenset[str]
 
@@ -87,7 +86,6 @@ def fit_vocabulary(
     return Vocabulary(
         index={g: i for i, g in enumerate(kept)},
         idf=idf,
-        min_doc_freq=min_doc_freq,
         fitted_on=fitted_on,
         fitted_subjects=fitted_subjects,
     )

@@ -389,6 +389,30 @@ def test_default_frames_hold_the_pitch_floor(sr):
     assert acoustic.extract_llds(audio, full_span(audio)).num_frames > 0
 
 
+@pytest.mark.parametrize("f0_max_hz", [100.5, 101.0])
+def test_a_one_lag_pitch_range_still_finds_the_period(f0_max_hz):
+    """[100, 100.5] Hz at 16 kHz searches the single lag 160, a 100 Hz
+    tone's period; [100, 101] Hz searches lags 159 and 160."""
+    audio = dsp.AudioBuffer(tone(100.0, 0.5), SR)
+    cfg = AcousticConfig(f0_min_hz=100.0, f0_max_hz=f0_max_hz)
+    v = acoustic.extract_llds(audio, full_span(audio), cfg).values
+    assert np.all(v[:, LLD_NAMES.index("voiced_flag")] == 1.0)
+    assert np.allclose(v[:, LLD_NAMES.index("f0_hz")], 100.0, atol=1e-6)
+    assert np.all(v[:, LLD_NAMES.index("hnr_db")] > 20.0)
+
+
+def test_a_pitch_range_without_a_whole_sample_period_is_an_error():
+    # floor(16000 / 101) = 158 < ceil(16000 / 101.2) = 159: no lag to search
+    audio = dsp.AudioBuffer(tone(101.0, 0.3), SR)
+    cfg = AcousticConfig(f0_min_hz=101.0, f0_max_hz=101.2)
+    want = ("acoustic.extract_llds: the [101.0, 101.2] Hz pitch range holds no whole-sample "
+            "period at 16000 Hz")
+    for segments in (full_span(audio), dsp.SegmentSet(())):  # whatever the speech
+        with pytest.raises(FeatureError) as err:
+            acoustic.extract_llds(audio, segments, cfg)
+        assert str(err.value) == want
+
+
 # ---------------------------------------------------------------------------
 # matrix persistence
 

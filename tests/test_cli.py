@@ -381,6 +381,10 @@ def test_unknown_enum_flag_errors(small_manifest, capsys):
     ({"vad": {"frame_len_s": 0}}, "dsp.frame_signal:"),
     ({"acoustic": {"n_mfcc": 13}}, "config.parse:"),
     ({"acoustic": {"frame_len_s": 0.0182}}, "acoustic.extract_llds:"),  # 291 < 290 + 2 samples
+    # floor(16000 / 101) = 158 < ceil(16000 / 101.2) = 159: no lag to search
+    pytest.param({"acoustic": {"f0_min_hz": 101.0, "f0_max_hz": 101.2}},
+                 "acoustic.extract_llds: the [101.0, 101.2] Hz pitch range holds no "
+                 "whole-sample period at 16000 Hz", id="doc5-acoustic.extract_llds:pitch"),
 ])
 def test_train_eval_rejects_degenerate_frames(small_manifest, tmp_path, capsys,
                                               doc, error, workers):
@@ -392,6 +396,24 @@ def test_train_eval_rejects_degenerate_frames(small_manifest, tmp_path, capsys,
     err = capsys.readouterr().err
     assert rc == 1
     assert err.count("\n") == 1 and err.startswith(f"error: {error}"), err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("classifier", ["LogisticRegression", "LinearSVM"])
+def test_train_eval_rejects_an_empty_fold_vocabulary(small_manifest, tmp_path, capsys,
+                                                     classifier):
+    """No n-gram reaches min_doc_freq in a fold's training transcripts: a
+    0-column model would fit the bias alone, so the run stops instead."""
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"ngram": {"min_doc_freq": 1000}}))
+    out = tmp_path / "out"
+    rc = cli.main(["train-eval", "--manifest", str(small_manifest), "--out", str(out),
+                   "--config", str(cfg_file), "--tasks", "ShortTerm", "--k", "5",
+                   "--features", "NgramTfidf", "--classifiers", classifier])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: evaluation.fold_features: ShortTerm/NgramTfidf/fold0-train has no n-gram "
+        "in 1000 or more of its 8 transcripts\n")
     assert not (out / "report.json").exists()
 
 

@@ -160,6 +160,58 @@ def test_text_that_is_not_utf8_is_a_diagnostic(good_manifest, name, data, line):
     assert line.format(path=path.resolve()) in [str(d) for d in exc.value.diagnostics]
 
 
+def _append_row(path, row):
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+
+
+# One defect in good_manifest each; a defective subject or recording row is
+# a new row (subjects row 4, recordings row 6), so nothing else depends on it.
+@pytest.mark.parametrize("edit, line", [
+    (lambda m: (m / "recordings.csv").unlink(), "recordings.csv:0: file not found"),
+    (lambda m: (m / "subjects.csv").write_text(""), "subjects.csv:0: empty file (no header)"),
+    (lambda m: _append_row(m / "subjects.csv", ",70,M,,HC"), "subjects.csv:4: empty subject_id"),
+    (lambda m: _append_row(m / "subjects.csv", "C3,-3,M,,HC"), "subjects.csv:4: negative age: -3"),
+    (lambda m: _append_row(m / "subjects.csv", "C3,70,X,,HC"),
+     "subjects.csv:4: unknown gender 'X'"),
+    (lambda m: _append_row(m / "recordings.csv", "A1,LongTerm,,"),
+     "recordings.csv:6: empty audio_path"),
+    (lambda m: ((m / "bad.wav").write_bytes(b"not a wav at all"),
+                _append_row(m / "recordings.csv", "A1,LongTerm,bad.wav,")),
+     "recordings.csv:6: dsp.read_wav: {root}/bad.wav: not a RIFF/WAVE file"),
+    (lambda m: (dsp.write_wav(m / "silent.wav", np.zeros(0), SR),
+                _append_row(m / "recordings.csv", "A1,LongTerm,silent.wav,")),
+     "recordings.csv:6: audio has zero samples"),
+    (lambda m: _append_row(m / "recordings.csv", "A1,LongTerm,A1_ShortTerm.wav,gone.txt"),
+     "recordings.csv:6: transcript file not found: {root}/gone.txt"),
+    (lambda m: make_manifest(m, [], []), "subjects.csv:0: manifest defines no subjects"),
+], ids=["file_not_found", "empty_file", "empty_subject_id", "negative_age", "unknown_gender",
+        "empty_audio_path", "malformed_wav", "zero_samples", "transcript_not_found",
+        "no_subjects"])
+def test_each_manifest_defect_is_one_diagnostic(good_manifest, edit, line):
+    edit(good_manifest)
+    with pytest.raises(ManifestError) as exc:
+        corpus.load_manifest(good_manifest)
+    root = good_manifest.resolve()
+    assert [str(d) for d in exc.value.diagnostics] == [line.format(root=root)]
+
+
+@pytest.mark.parametrize("name, data, line", [
+    ("subjects.csv", b"subject_id,age,gender,ethnicity,diagnosis\nA1,74,F,Fran\xe7aise,MCI\n",
+     "subjects.csv:0: file is not UTF-8 text"),
+    ("recordings.csv", b"subject,task,audio,transcript\n",
+     "recordings.csv:1: header must be exactly subject_id,task,audio_path,transcript_path; "
+     "got subject,task,audio,transcript"),
+], ids=["subjects", "recordings"])
+def test_an_unusable_table_is_its_only_diagnostic(good_manifest, name, data, line):
+    """Rows are not checked against a table that could not be read: no
+    'unknown subject_id' per recording, no 'has no recordings' per subject."""
+    (good_manifest / name).write_bytes(data)
+    with pytest.raises(ManifestError) as exc:
+        corpus.load_manifest(good_manifest)
+    assert [str(d) for d in exc.value.diagnostics] == [line]
+
+
 # ---------------------------------------------------------------------------
 # corpus invariants
 
@@ -183,6 +235,14 @@ def test_corpus_rejects_subject_without_recordings():
     r = TaskRecording("X", Task.SHORT_TERM, "x.wav", None, None, 1.0, SR)
     with pytest.raises(ManifestError):
         Corpus((s1, s2), (r,))
+
+
+def test_corpus_rejects_duplicate_recording():
+    s = SubjectRecord("X", None, Gender.M, None, Diagnosis.HC)
+    r = TaskRecording("X", Task.SHORT_TERM, "x.wav", None, None, 1.0, SR)
+    with pytest.raises(ManifestError) as exc:
+        Corpus((s,), (r, r))
+    assert str(exc.value) == "corpus.corpus: duplicate recording for (X, ShortTerm)"
 
 
 def test_label_mapping():

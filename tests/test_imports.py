@@ -1,12 +1,17 @@
-"""Every name a cognopipe module imports is used in that module, and every
-module-level private name is read somewhere in the package."""
+"""Every name a cognopipe module imports is used in that module, every
+module-level private name is read somewhere in the package, and every
+public one is read by the package or the acceptance tests, or named by
+the benchmark."""
 
 import ast
+import re
 from pathlib import Path
 
 import cognopipe
 
 PACKAGE = Path(cognopipe.__file__).parent
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -42,8 +47,8 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
-def private_names(source: str) -> list[str]:
-    """Module-level _private functions, classes and constants (no dunders)."""
+def module_names(source: str) -> list[str]:
+    """Module-level functions, classes and constants, dunders left out."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -51,17 +56,28 @@ def private_names(source: str) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [n for n in names if not n.startswith("__")]
+
+
+def private_names(source: str) -> list[str]:
+    return [n for n in module_names(source) if n.startswith("_")]
+
+
+def public_names(source: str) -> list[str]:
+    return [n for n in module_names(source) if not n.startswith("_")]
 
 
 def loaded_names(source: str) -> set[str]:
-    """Every name the source reads, bare (x) or as an attribute (m.x)."""
+    """Every name the source reads: bare (x), as an attribute (m.x), or
+    imported from a module (from m import x)."""
     read = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
     return read
 
 
@@ -72,6 +88,8 @@ def test_scan_flags_an_unread_private_name():
     assert {"_A", "_g", "m"} <= loaded_names(source)
     assert not {"_B", "_C", "_f", "x"} & loaded_names(source)
     assert "_h" in loaded_names("import m\nm._h()\n")
+    assert public_names(source + "X = 1\ndef f(): pass\n") == ["X", "f"]
+    assert {"x", "y"} <= loaded_names("from m import x, y as z\n")
 
 
 def test_every_private_name_is_read_in_the_package():
@@ -82,3 +100,16 @@ def test_every_private_name_is_read_in_the_package():
                for name in private_names(source)]
     assert len(defined) > 40  # the scan sees the package's private names
     assert [f"{path}:{name}" for path, name in defined if name not in read] == []
+
+
+def test_every_public_name_is_read_by_the_package_or_the_benchmark():
+    sources = {path.relative_to(PACKAGE): path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    read = set().union(*map(loaded_names, sources.values()),
+                       loaded_names(ACCEPTANCE.read_text(encoding="utf-8")))
+    bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py")))
+    defined = [(path, name) for path, source in sources.items()
+               for name in public_names(source)]
+    assert len(defined) > 100  # the scan sees the package's public names
+    assert [f"{path}:{name}" for path, name in defined
+            if name not in read and not re.search(rf"\b{name}\b", bench)] == []
