@@ -99,7 +99,7 @@ def _check_training_inputs(op: str, X: np.ndarray, y: np.ndarray, classes) -> No
         raise TrainingError(op, f"shape mismatch: X {X.shape}, y {y.shape}")
     if not np.all(np.isfinite(X)):
         raise TrainingError(op, "non-finite values in X")
-    present = set(np.unique(y).tolist())
+    present = set(y.tolist())
     if not present <= set(classes):
         raise TrainingError(op, f"labels must be in {sorted(classes)}, got {sorted(present)}")
     if len(present) < 2:

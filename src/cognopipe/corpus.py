@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -229,9 +230,26 @@ def _read_table(path: Path, columns: tuple[str, ...], diags: list[Diagnostic]):
     return rows
 
 
-def _resolve(root: Path, raw: str) -> Path:
-    p = Path(raw)
-    return (p if p.is_absolute() else root / p).resolve()
+def _resolver(root: Path):
+    """Path.resolve() of manifest paths, each directory's realpath walked once.
+
+    Only a symlinked file (or a path ending in "..") needs a walk of its
+    own; any other file is its resolved directory joined with its name.
+    """
+    dirs: dict[Path, str] = {}
+
+    def resolve(raw: str) -> Path:
+        p = Path(raw)
+        p = p if p.is_absolute() else root / p
+        if p.name in ("", ".."):
+            return p.resolve()
+        parent = dirs.get(p.parent)
+        if parent is None:
+            parent = dirs[p.parent] = os.path.realpath(p.parent)
+        full = os.path.join(parent, p.name)
+        return Path(full).resolve() if os.path.islink(full) else Path(full)
+
+    return resolve
 
 
 def load_manifest(path) -> Corpus:
@@ -246,6 +264,7 @@ def load_manifest(path) -> Corpus:
     if not root.is_dir():
         raise ManifestError("load_manifest", f"manifest directory not found: {root}")
     diags: list[Diagnostic] = []
+    resolve = _resolver(root)
     subj_rows = _read_table(root / SUBJECTS_FILE, SUBJECT_COLUMNS, diags)
     rec_rows = _read_table(root / RECORDINGS_FILE, RECORDING_COLUMNS, diags)
 
@@ -338,7 +357,7 @@ def load_manifest(path) -> Corpus:
         if not audio_raw:
             diags.append(Diagnostic(RECORDINGS_FILE, rownum, "empty audio_path"))
             continue
-        audio_path = _resolve(root, audio_raw)
+        audio_path = resolve(audio_raw)
         if not audio_path.is_file():
             diags.append(
                 Diagnostic(RECORDINGS_FILE, rownum, f"audio file not found: {audio_path}")
@@ -366,7 +385,7 @@ def load_manifest(path) -> Corpus:
         transcript_path: str | None = None
         transcript: str | None = None
         if transcript_raw:
-            tpath = _resolve(root, transcript_raw)
+            tpath = resolve(transcript_raw)
             if not tpath.is_file():
                 diags.append(
                     Diagnostic(

@@ -109,26 +109,31 @@ class PrecomputedProvider:
 class TfidfProvider:
     """Fits a vocabulary per fold on training transcripts only.
 
-    Each transcript's n-grams are counted once, when the provider is
-    made; every fold's fit and vectorization read those counts.
+    The transcripts' n-grams are counted once, into one table, when the
+    provider is made.  A fold's vocabulary is one bincount over its
+    training rows, and each partition's matrix is one scatter of its rows.
     """
 
     transcripts: Mapping[str, str]
     n_range: tuple[int, int] = (1, 2)
     min_doc_freq: int = 2
     feature_set_id: ClassVar[FeatureSetId] = FeatureSetId.NGRAM_TFIDF
-    counts: Mapping[str, Mapping[str, int]] = field(init=False, repr=False, compare=False)
+    table: linguistic.NgramTable = field(init=False, repr=False, compare=False)
+    rows: Mapping[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        counts = {s: linguistic.ngram_counts(t, self.n_range) for s, t in self.transcripts.items()}
-        object.__setattr__(self, "counts", counts)
+        table = linguistic.ngram_table(list(self.transcripts.values()), self.n_range)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "rows", {s: r for r, s in enumerate(self.transcripts)})
 
     def available_subjects(self) -> tuple[str, ...]:
         return tuple(sorted(self.transcripts))
 
     def fold_features(self, train_ids, test_ids, fold_name):
+        train_rows = [self.rows[s] for s in train_ids]
         vocab = linguistic.fit_vocabulary(
-            [self.counts[s] for s in train_ids],
+            self.table,
+            train_rows,
             min_doc_freq=self.min_doc_freq,
             fitted_on=fold_name,
             fitted_subjects=frozenset(train_ids),
@@ -139,14 +144,9 @@ class TfidfProvider:
                 f"{fold_name} has no n-gram in {self.min_doc_freq} or more of its "
                 f"{len(train_ids)} transcripts",
             )
-        X_train = np.vstack(
-            [linguistic.vectorize_tfidf(self.counts[s], vocab).values for s in train_ids]
-        )
-        X_test = np.vstack(
-            [
-                linguistic.vectorize_tfidf(self.counts[s], vocab, subject_id=s).values
-                for s in test_ids
-            ]
+        X_train = linguistic.vectorize_tfidf(train_rows, vocab)
+        X_test = linguistic.vectorize_tfidf(
+            [self.rows[s] for s in test_ids], vocab, subject_ids=test_ids
         )
         return X_train, X_test, vocab.fitted_subjects
 
@@ -238,8 +238,8 @@ def build_providers(
 
     The fold-independent sets are extracted up front, by one
     extract_task_features call.  Each NgramTfidf provider counts its
-    task's transcripts when it is yielded, so a caller that drops it
-    before the next one holds one task's counts at a time.
+    task's transcripts into one table when it is yielded, so a caller
+    that drops it before the next one holds one task's table at a time.
     """
     fixed = [fsid for fsid in feature_sets if fsid is not FeatureSetId.NGRAM_TFIDF]
     vectors = extract_task_features(corpus, tasks, fixed, vad_cfg, ac_cfg, workers)

@@ -2,10 +2,15 @@
 
 The TF-IDF branch follows the common smoothed convention
 (idf = ln((1+N)/(1+df)) + 1, raw term counts, L2 normalization) so its
-outputs are comparable with standard text tooling.  Every fitted
-vocabulary remembers which subjects produced its training documents;
-vectorizing a document from one of those subjects is a hard error, which
-turns train/test leakage into a structural impossibility.
+outputs are comparable with standard text tooling.  A set of documents
+is counted once into an NgramTable: its n-grams in lexicographic order,
+and each document as (gram id, count) arrays over them.  A vocabulary is
+fitted on some of the table's rows with one bincount of their gram ids,
+and any rows are vectorized by one scatter into a rows x vocabulary
+matrix.  Every fitted vocabulary remembers which subjects produced its
+training documents; vectorizing a document from one of those subjects is
+a hard error, which turns train/test leakage into a structural
+impossibility.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,91 +36,114 @@ def tokenize(text: str) -> list[str]:
 
 
 def ngram_counts(text: str, n_range: tuple[int, int]) -> dict[str, int]:
-    """Occurrence count of every word n-gram of the text, lo <= n <= hi.
-
-    Tokenizing and counting once per document lets every fold's
-    vocabulary fit and vectorization read the same counts.
-    """
+    """Occurrence count of every word n-gram of the text, lo <= n <= hi."""
     lo, hi = n_range
     if lo < 1 or hi < lo:
         raise TextError("ngram_counts", f"bad n_range {n_range}")
     tokens = tokenize(text)
-    return Counter(
-        " ".join(tokens[i : i + n]) for n in range(lo, hi + 1) for i in range(len(tokens) - n + 1)
+    counts = Counter()
+    for n in range(lo, hi + 1):
+        counts.update(map(" ".join, zip(*(tokens[k:] for k in range(n)))))
+    return counts
+
+
+@dataclass(frozen=True, eq=False)
+class NgramTable:
+    """n-gram counts of a list of documents over their sorted n-grams.
+
+    A gram's id is its position in grams, so ascending ids are
+    lexicographic order; row r holds document r's distinct gram ids and
+    their counts.
+    """
+
+    grams: tuple[str, ...]
+    ids: tuple[np.ndarray, ...]
+    counts: tuple[np.ndarray, ...]
+
+
+def ngram_table(texts: Sequence[str], n_range: tuple[int, int]) -> NgramTable:
+    """Count every document's n-grams once, into one table."""
+    docs = [ngram_counts(t, n_range) for t in texts]
+    grams = tuple(sorted(set().union(*docs)))
+    gram_id = {g: i for i, g in enumerate(grams)}
+    return NgramTable(
+        grams,
+        tuple(np.fromiter(map(gram_id.__getitem__, d), np.intp, len(d)) for d in docs),
+        tuple(np.fromiter(d.values(), np.intp, len(d)) for d in docs),
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Vocabulary:
-    """n-gram index with idf weights, tied to the partition it was fit on."""
+    """Kept n-grams of a table with idf weights, tied to the partition it was fit on."""
 
-    index: Mapping[str, int]
+    table: NgramTable
+    columns: np.ndarray  # gram id -> column of a kept gram, -1 for the others
     idf: np.ndarray
     fitted_on: str
     fitted_subjects: frozenset[str]
 
-    def __post_init__(self):
-        if len(self.index) != self.idf.size:
-            raise TextError("vocabulary", "index/idf size mismatch")
-
     @property
     def size(self) -> int:
-        return len(self.index)
+        return self.idf.size
+
+    @property
+    def grams(self) -> tuple[str, ...]:
+        """Kept n-grams in column (lexicographic) order."""
+        return tuple(self.table.grams[i] for i in np.flatnonzero(self.columns >= 0))
 
 
 def fit_vocabulary(
-    train_counts: Sequence[Mapping[str, int]],
+    table: NgramTable,
+    rows: Sequence[int],
     min_doc_freq: int = 2,
     fitted_on: str = "",
     fitted_subjects: frozenset[str] = frozenset(),
 ) -> Vocabulary:
-    """Build an n-gram vocabulary from training documents' ngram_counts only.
+    """Build an n-gram vocabulary from the table's training rows only.
 
-    Kept n-grams appear in at least min_doc_freq documents; indices
-    follow lexicographic n-gram order, so fitting is deterministic.
+    Document frequencies are one bincount of the rows' gram ids.  Kept
+    n-grams appear in at least min_doc_freq documents; columns follow
+    lexicographic n-gram order, so fitting is deterministic.
     """
-    if not train_counts:
+    if not len(rows):
         raise TextError("fit_vocabulary", "empty training transcript list")
-    df: dict[str, int] = {}
-    for counts in train_counts:
-        for gram in counts:
-            df[gram] = df.get(gram, 0) + 1
-    kept = sorted(g for g, c in df.items() if c >= min_doc_freq)
-    n_docs = len(train_counts)
-    idf = np.array([np.log((1 + n_docs) / (1 + df[g])) + 1.0 for g in kept])
-    return Vocabulary(
-        index={g: i for i, g in enumerate(kept)},
-        idf=idf,
-        fitted_on=fitted_on,
-        fitted_subjects=fitted_subjects,
-    )
+    df = np.bincount(np.concatenate([table.ids[r] for r in rows]), minlength=len(table.grams))
+    kept = df >= min_doc_freq
+    columns = np.where(kept, np.cumsum(kept) - 1, -1)
+    idf = np.log((1 + len(rows)) / (1 + df[kept])) + 1.0
+    return Vocabulary(table, columns, idf, fitted_on, fitted_subjects)
 
 
 def vectorize_tfidf(
-    counts: Mapping[str, int], vocab: Vocabulary, subject_id: str | None = None
-) -> FeatureVector:
-    """tf·idf vector of a document's ngram_counts, L2-normalized unless all-zero.
+    rows: Sequence[int], vocab: Vocabulary, subject_ids: Sequence[str] | None = None
+) -> np.ndarray:
+    """tf·idf matrix of the vocabulary's table rows, each row L2-normalized unless all-zero.
 
-    Passing the document's subject_id arms the leakage guard: a
-    vocabulary fitted on a partition containing that subject refuses to
-    vectorize.
+    The counts of all rows are scattered into one rows x vocabulary
+    matrix.  Passing the rows' subject_ids arms the leakage guard: a
+    vocabulary fitted on a partition containing one of those subjects
+    refuses to vectorize.
     """
-    if subject_id is not None and subject_id in vocab.fitted_subjects:
+    leaked = [s for s in subject_ids or () if s in vocab.fitted_subjects]
+    if leaked:
         raise LeakageError(
             "vectorize_tfidf",
-            f"subject '{subject_id}' is in the vocabulary's training partition "
+            f"subject '{leaked[0]}' is in the vocabulary's training partition "
             f"('{vocab.fitted_on}')",
         )
-    vals = np.zeros(vocab.size)
-    for gram, count in counts.items():
-        idx = vocab.index.get(gram)
-        if idx is not None:
-            vals[idx] = count
-    vals *= vocab.idf
-    norm = np.linalg.norm(vals)
-    if norm > 0:
-        vals /= norm
-    return FeatureVector(FeatureSetId.NGRAM_TFIDF, vals)
+    table = vocab.table
+    X = np.zeros((len(rows), vocab.size))
+    ids = [table.ids[r] for r in rows]
+    cols = vocab.columns[np.concatenate(ids)]
+    at = np.repeat(np.arange(len(rows)), [a.size for a in ids])
+    kept = cols >= 0
+    X[at[kept], cols[kept]] = np.concatenate([table.counts[r] for r in rows])[kept]
+    X *= vocab.idf
+    # row by row: norm's dot product rounds as it does for one document
+    norms = np.array([np.linalg.norm(x) for x in X])
+    X /= np.where(norms > 0, norms, 1.0)[:, None]
+    return X
 
 
 @dataclass(frozen=True)
@@ -158,7 +186,7 @@ def lexical_stats(text: str, duration_s: float | None = None) -> LexicalStats:
     return LexicalStats(
         word_count=n,
         type_token_ratio=len(set(tokens)) / n,
-        mean_word_length_chars=float(np.mean([len(t) for t in tokens])),
+        mean_word_length_chars=sum(map(len, tokens)) / n,
         words_per_second=wps,
         filler_rate=100.0 * _count_fillers(tokens, load_fillers()) / n,
     )

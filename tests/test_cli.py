@@ -619,6 +619,26 @@ def test_one_worker_run_never_loads_the_pool(small_manifest):
     assert proc.stdout == "[]\n[]\n"
 
 
+def test_text_only_train_eval_never_loads_numpy_ma(small_manifest, tmp_path):
+    """A text-only run reaches nothing in numpy.ma, whose import alone
+    costs several milliseconds of start-up."""
+    code = (
+        "import sys\n"
+        "from cognopipe import cli\n"
+        f"rc = cli.main(['train-eval', '--manifest', {str(small_manifest)!r},\n"
+        f"    '--out', {str(tmp_path / 'out')!r}, '--features', 'NgramTfidf,Lexical',\n"
+        "    '--classifiers', 'LogisticRegression,LinearSVM', '--workers', '1'])\n"
+        "assert rc == 0, rc\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "out" / "report.json").is_file()
+
+
 # ---------------------------------------------------------------------------
 # synth
 

@@ -145,6 +145,49 @@ def test_byte_order_marks_load_the_same_corpus(good_manifest):
     assert corpus.load_manifest(good_manifest) == plain
 
 
+def test_manifest_paths_resolve_as_path_resolve_does(tmp_path):
+    """Row paths through a symlinked directory, a symlinked file, ".."
+    segments and an absolute path load as Path.resolve() names them."""
+    data = tmp_path / "data"
+    data.mkdir()
+    files = {}
+    for sid in ("A1", "B2"):
+        for task in Task:
+            files[sid, task] = _write_recording(data, sid, task)
+    root = tmp_path / "m"
+    (root / "sub").mkdir(parents=True)
+    (root / "linkdir").symlink_to("../data")
+    (root / "sub" / "inner").symlink_to(data, target_is_directory=True)
+    (root / "link.wav").symlink_to(data / files["A1", Task.SHORT_TERM][0])
+    (root / "linkdir" / "rel.txt").symlink_to(files["B2", Task.LONG_TERM][1])
+    raw = {
+        ("A1", Task.SHORT_TERM): ("link.wav", "linkdir/{txt}"),
+        ("A1", Task.LONG_TERM): ("sub/../linkdir/{wav}", "sub/inner/../data/{txt}"),
+        ("A1", Task.SEMANTIC_FLUENCY): ("linkdir/../data/{wav}", str(data) + "/{txt}"),
+        ("A1", Task.PICTURE_DESCRIPTION): ("sub/inner/{wav}", "../data/{txt}"),
+        ("B2", Task.SHORT_TERM): ("sub/../../data/{wav}", "sub/./inner/{txt}"),
+        ("B2", Task.LONG_TERM): ("linkdir/{wav}", "sub/inner/rel.txt"),
+        ("B2", Task.SEMANTIC_FLUENCY): ("sub/inner/../data/../data/{wav}", "linkdir/{txt}"),
+        ("B2", Task.PICTURE_DESCRIPTION): (str(root) + "/linkdir/{wav}", "../m/linkdir/{txt}"),
+    }
+    rows = []
+    for (sid, task), (audio, text) in raw.items():
+        wav, txt = files[sid, task]
+        rows.append((sid, task.value, audio.format(wav=wav), text.format(txt=txt)))
+    make_manifest(root, [("A1", 74, "F", "", "MCI"), ("B2", "", "", "", "HC")], rows)
+    c = corpus.load_manifest(root)
+    got = {(r.subject_id, r.task.value): (r.audio_path, r.transcript_path)
+           for r in c.recordings}
+    assert len(got) == len(rows)
+    for sid, task, audio, text in rows:
+        assert got[sid, task] == (str((root / audio).resolve()), str((root / text).resolve()))
+    assert got["A1", "ShortTerm"][0] == str(data / files["A1", Task.SHORT_TERM][0])
+    assert got["B2", "LongTerm"][1] == str(data / files["B2", Task.LONG_TERM][1])
+    resolve = corpus._resolver(root)
+    for odd in ("missing/x.wav", "linkdir/missing.wav", "sub/..", "..", "linkdir", "/"):
+        assert resolve(odd) == (root / odd).resolve()
+
+
 @pytest.mark.parametrize("name, data, line", [
     ("subjects.csv",
      b"subject_id,age,gender,ethnicity,diagnosis\nA1,74,F,Fran\xe7aise,MCI\nB2,,,,HC\n",

@@ -509,31 +509,61 @@ def naive_fold_tfidf(transcripts, train_ids, test_ids, n_range, min_doc_freq):
             np.vstack([vec(transcripts[s]) for s in test_ids]))
 
 
-@pytest.mark.parametrize("n_range", [(1, 1), (1, 2)])
+@pytest.mark.parametrize("n_range", [(1, 1), (1, 2), (2, 3)])
 def test_tfidf_provider_matches_naive_oracle_every_fold(small_corpus, n_range):
+    """Bit-identical to recounting the fold.  Only bi/trigrams kept in 3 of
+    8 transcripts leave some folds an empty vocabulary: the provider's error."""
     folds = corpusmod.stratified_folds(small_corpus, 5, seed=0)
-    for task in TASKS:
-        transcripts = {r.subject_id: r.transcript for r in small_corpus.recordings
-                       if r.task is task}
-        prov = TfidfProvider(transcripts, n_range=n_range, min_doc_freq=2)
-        for f in range(folds.k):
-            train_ids, test_ids = folds.train_subjects(f), folds.test_subjects(f)
-            X_train, X_test, _ = prov.fold_features(train_ids, test_ids, f"fold{f}")
-            want_train, want_test = naive_fold_tfidf(
-                transcripts, train_ids, test_ids, n_range, 2)
-            assert X_train.shape[1] > 0
-            assert np.array_equal(X_train, want_train)
-            assert np.array_equal(X_test, want_test)
+    for min_doc_freq in (1, 2, 3):
+        compared = 0
+        for task in TASKS:
+            transcripts = {r.subject_id: r.transcript for r in small_corpus.recordings
+                           if r.task is task}
+            prov = TfidfProvider(transcripts, n_range=n_range, min_doc_freq=min_doc_freq)
+            for f in range(folds.k):
+                train_ids, test_ids = folds.train_subjects(f), folds.test_subjects(f)
+                want_train, want_test = naive_fold_tfidf(
+                    transcripts, train_ids, test_ids, n_range, min_doc_freq)
+                if want_train.shape[1] == 0:
+                    assert (n_range, min_doc_freq) == ((2, 3), 3)
+                    with pytest.raises(EvaluationError, match="has no n-gram"):
+                        prov.fold_features(train_ids, test_ids, f"fold{f}")
+                    continue
+                X_train, X_test, _ = prov.fold_features(train_ids, test_ids, f"fold{f}")
+                assert X_train.shape[1] > 0
+                assert np.array_equal(X_train, want_train)
+                assert np.array_equal(X_test, want_test)
+                compared += 1
+        assert compared >= 2 * folds.k
+
+
+def test_tfidf_fold_is_one_fit_and_one_vectorization_per_partition(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fit_vocabulary", "vectorize_tfidf"):
+        monkeypatch.setattr(linguistic, name, counting(name, getattr(linguistic, name)))
+    transcripts = {s: f"the {w} sat on the mat"
+                   for s, w in zip("ABCDEF", ["cat", "dog", "hen", "ox", "yak", "emu"])}
+    prov = TfidfProvider(transcripts, n_range=(1, 2), min_doc_freq=2)
+    X_train, X_test, _ = prov.fold_features(("A", "B", "C", "D"), ("E", "F"), "fold0")
+    assert calls == ["fit_vocabulary", "vectorize_tfidf", "vectorize_tfidf"]
+    assert X_train.shape[0] == 4 and X_test.shape[0] == 2
 
 
 def test_tfidf_counts_keep_the_leakage_guard():
     prov = TfidfProvider({"A": "the cat sat", "B": "the dog sat"}, n_range=(1, 2),
                          min_doc_freq=1)
-    vocab = linguistic.fit_vocabulary([prov.counts["A"]], fitted_on="f0",
+    vocab = linguistic.fit_vocabulary(prov.table, [prov.rows["A"]], fitted_on="f0",
                                       fitted_subjects=frozenset({"A"}))
     with pytest.raises(LeakageError):
-        linguistic.vectorize_tfidf(prov.counts["A"], vocab, subject_id="A")
-    linguistic.vectorize_tfidf(prov.counts["B"], vocab, subject_id="B")
+        linguistic.vectorize_tfidf([prov.rows["A"]], vocab, subject_ids=["A"])
+    linguistic.vectorize_tfidf([prov.rows["B"]], vocab, subject_ids=["B"])
 
 
 def test_text_sets_skip_a_missing_transcript_alike(small_manifest, tmp_path):

@@ -35,18 +35,26 @@ DOCS = [
 ]
 
 
-def fit(docs, n_range=(1, 2), **kwargs):
-    return linguistic.fit_vocabulary([linguistic.ngram_counts(d, n_range) for d in docs], **kwargs)
-
-
-def vectorize(text, vocab, n_range=(1, 2), **kwargs):
-    return linguistic.vectorize_tfidf(linguistic.ngram_counts(text, n_range), vocab, **kwargs)
+def fit(docs, n_range=(1, 2), extra=(), **kwargs):
+    """Vocabulary fitted on docs, over the table of docs followed by extra."""
+    table = linguistic.ngram_table([*docs, *extra], n_range)
+    return linguistic.fit_vocabulary(table, range(len(docs)), **kwargs)
 
 
 def test_ngram_counts_counts_every_occurrence():
     counts = linguistic.ngram_counts("the cat saw the cat", (1, 2))
     assert counts == {"the": 2, "cat": 2, "saw": 1, "the cat": 2, "cat saw": 1, "saw the": 1}
     assert linguistic.ngram_counts("one two", (3, 3)) == {}
+
+
+def test_ngram_table_rows_are_each_documents_counts():
+    texts = DOCS + ["", "the the cat"]
+    table = linguistic.ngram_table(texts, (1, 2))
+    assert list(table.grams) == sorted(set().union(*(linguistic.ngram_counts(t, (1, 2))
+                                                       for t in texts)))
+    for text, ids, counts in zip(texts, table.ids, table.counts, strict=True):
+        row = {table.grams[i]: int(c) for i, c in zip(ids, counts, strict=True)}
+        assert row == linguistic.ngram_counts(text, (1, 2))
 
 
 def test_fit_vocabulary_idf_formula():
@@ -56,22 +64,22 @@ def test_fit_vocabulary_idf_formula():
     for doc in DOCS:
         df.update(set(linguistic.tokenize(doc)))
     kept = sorted(g for g, c in df.items() if c >= 2)
-    assert sorted(vocab.index) == kept
-    assert list(vocab.index.values()) == list(range(len(kept)))  # lexicographic
-    for gram in kept:
+    assert list(vocab.grams) == kept  # columns in lexicographic order
+    assert vocab.size == len(kept)
+    for col, gram in enumerate(kept):
         want = np.log((1 + len(DOCS)) / (1 + df[gram])) + 1.0
-        assert abs(vocab.idf[vocab.index[gram]] - want) < 1e-12
+        assert abs(vocab.idf[col] - want) < 1e-12
 
 
 def test_fit_vocabulary_bigrams():
     vocab = fit(DOCS, min_doc_freq=2)
-    assert "sat on" in vocab.index
-    assert "cat sat" not in vocab.index  # appears in one document only
+    assert "sat on" in vocab.grams
+    assert "cat sat" not in vocab.grams  # appears in one document only
 
 
 def test_fit_vocabulary_errors():
     with pytest.raises(TextError):
-        linguistic.fit_vocabulary([])
+        linguistic.fit_vocabulary(linguistic.ngram_table(DOCS, (1, 2)), [])
     with pytest.raises(TextError):
         linguistic.ngram_counts(DOCS[0], (2, 1))
     with pytest.raises(TextError):
@@ -88,37 +96,41 @@ def naive_tfidf(text, vocab, n_range=(1, 2)):
     for n in range(lo, hi + 1):
         for i in range(len(toks) - n + 1):
             counts[" ".join(toks[i : i + n])] += 1
+    index = {g: i for i, g in enumerate(vocab.grams)}
     v = np.zeros(vocab.size)
     for gram, c in counts.items():
-        if gram in vocab.index:
-            v[vocab.index[gram]] = c * vocab.idf[vocab.index[gram]]
+        if gram in index:
+            v[index[gram]] = c * vocab.idf[index[gram]]
     norm = np.linalg.norm(v)
     return v / norm if norm > 0 else v
 
 
 def test_tfidf_matches_naive_oracle():
-    vocab = fit(DOCS, min_doc_freq=1)
-    for text in DOCS + ["the cat and the dog sat", "nothing in common here"]:
-        got = vectorize(text, vocab)
-        assert got.feature_set_id is FeatureSetId.NGRAM_TFIDF
-        assert np.max(np.abs(got.values - naive_tfidf(text, vocab))) < 1e-12
+    extra = ["the cat and the dog sat", "nothing in common here"]
+    vocab = fit(DOCS, extra=extra, min_doc_freq=1)
+    got = linguistic.vectorize_tfidf(range(len(DOCS + extra)), vocab)
+    assert got.shape == (len(DOCS + extra), vocab.size)
+    for row, text in zip(got, DOCS + extra, strict=True):
+        assert np.max(np.abs(row - naive_tfidf(text, vocab))) < 1e-12
 
 
 def test_tfidf_unit_norm_or_zero():
-    vocab = fit(DOCS, min_doc_freq=1)
-    v = vectorize("the cat", vocab)
-    assert abs(np.linalg.norm(v.values) - 1.0) < 1e-12
-    oov = vectorize("zyzzyva qwerty", vocab)
-    assert np.all(oov.values == 0.0)
+    vocab = fit(DOCS, extra=["the cat", "zyzzyva qwerty"], min_doc_freq=1)
+    v, oov = linguistic.vectorize_tfidf([3, 4], vocab)
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+    assert np.all(oov == 0.0)
 
 
 def test_leakage_guard():
-    vocab = fit(DOCS, fitted_on="fold0-train", fitted_subjects=frozenset({"A", "B"}))
+    vocab = fit(DOCS, extra=["the cat"], fitted_on="fold0-train",
+                fitted_subjects=frozenset({"A", "B"}))
     with pytest.raises(LeakageError) as exc:
-        vectorize("the cat", vocab, subject_id="A")
+        linguistic.vectorize_tfidf([3], vocab, subject_ids=["A"])
     assert "fold0-train" in str(exc.value)
-    vectorize("the cat", vocab, subject_id="C")  # test subject: fine
-    vectorize("the cat", vocab)  # train-time use: unguarded
+    with pytest.raises(LeakageError, match="'B'"):  # one leaked row among several
+        linguistic.vectorize_tfidf([3, 3], vocab, subject_ids=["C", "B"])
+    linguistic.vectorize_tfidf([3], vocab, subject_ids=["C"])  # test subject: fine
+    linguistic.vectorize_tfidf([3], vocab)  # train-time use: unguarded
 
 
 # ---------------------------------------------------------------------------
