@@ -314,7 +314,9 @@ def functional_table(values: np.ndarray) -> np.ndarray:
     """Every functional of every column, (n_columns, len(FUNCTIONAL_NAMES)).
 
     Row j summarizes column j of a non-empty frames x columns array, in
-    FUNCTIONAL_NAMES order.  riseRate/fallRate are the mean positive /
+    FUNCTIONAL_NAMES order.  The percentiles follow numpy's "linear" rule
+    and, with range, are read off one sort of each column
+    (dsp.sorted_percentiles).  riseRate/fallRate are the mean positive /
     mean negative frame-to-frame step (0 if no such step); slope is per
     frame-step (0 for a single frame).
     """
@@ -323,8 +325,9 @@ def functional_table(values: np.ndarray) -> np.ndarray:
     table = np.empty((x.shape[0], len(FUNCTIONAL_NAMES)))
     table[:, 0] = mean
     table[:, 1] = x.std(axis=1)
-    table[:, 2:5] = np.percentile(x, (20, 50, 80), axis=1).T
-    table[:, 5] = x.max(axis=1) - x.min(axis=1)
+    ranked = np.sort(x, axis=1)
+    table[:, 2:5] = dsp.sorted_percentiles(ranked, (20, 50, 80)).T
+    table[:, 5] = ranked[:, -1] - ranked[:, 0]
     if x.shape[1] >= 2:
         tc = np.arange(x.shape[1], dtype=np.float64)
         tc -= tc.mean()

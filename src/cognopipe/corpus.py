@@ -235,6 +235,9 @@ def _resolver(root: Path):
 
     Only a symlinked file (or a path ending in "..") needs a walk of its
     own; any other file is its resolved directory joined with its name.
+    Walks go through os.path.realpath, which names the same path as
+    Path.resolve() but leaves a symlink loop unresolved instead of raising,
+    so the row gets its "file not found" diagnostic.
     """
     dirs: dict[Path, str] = {}
 
@@ -242,12 +245,12 @@ def _resolver(root: Path):
         p = Path(raw)
         p = p if p.is_absolute() else root / p
         if p.name in ("", ".."):
-            return p.resolve()
+            return Path(os.path.realpath(p))
         parent = dirs.get(p.parent)
         if parent is None:
             parent = dirs[p.parent] = os.path.realpath(p.parent)
         full = os.path.join(parent, p.name)
-        return Path(full).resolve() if os.path.islink(full) else Path(full)
+        return Path(os.path.realpath(full)) if os.path.islink(full) else Path(full)
 
     return resolve
 

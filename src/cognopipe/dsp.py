@@ -230,6 +230,31 @@ def fft_real(x: np.ndarray, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Order statistics
+
+def sorted_percentiles(s: np.ndarray, q) -> np.ndarray:
+    """np.percentile(x, q, axis=-1) from s = np.sort(x, axis=-1).
+
+    numpy's default "linear" rule (Hyndman & Fan type 7): the virtual index
+    v = (n - 1) * q / 100 falls between lo = floor(v) and hi = min(lo + 1,
+    n - 1).  With g = v - lo and d = s[hi] - s[lo] the percentile is
+    s[lo] + d * g, or s[hi] - d * (1 - g) where g >= 0.5.  For finite s
+    that is numpy's float, bit for bit, except that a zero may carry the
+    other sign.  The result has q's axes, then s's leading axes.
+    """
+    n = s.shape[-1]
+    v = (n - 1) * (np.asarray(q, dtype=np.float64) / 100)
+    lo = np.floor(v)
+    g = (v - lo).reshape(v.shape + (1,) * (s.ndim - 1))
+    lo = lo.astype(np.intp)
+    by_rank = np.moveaxis(s, -1, 0)
+    a = by_rank[lo]
+    b = by_rank[np.minimum(lo + 1, n - 1)]
+    d = b - a
+    return np.where(g >= 0.5, b - d * (1 - g), a + d * g)
+
+
+# ---------------------------------------------------------------------------
 # Speech detection and SNR
 
 def frame_energies_db(frames: np.ndarray) -> np.ndarray:
@@ -245,17 +270,22 @@ def detect_speech(audio: AudioBuffer, config: VadConfig | None = None) -> Segmen
     Adjacent speech frames are merged, gaps shorter than bridge_gap_s are
     bridged, and segments shorter than min_segment_s are dropped.  Files
     with no energy dynamic range fall back to an absolute-floor decision
-    (see VadConfig).
+    (see VadConfig).  The dynamic range runs from the noise floor to the
+    90th percentile; both follow numpy's "linear" percentile rule (see
+    sorted_percentiles).  The fallback's median is numpy's: the mean of
+    the two middle energies, or the middle one for an odd count.
     """
     cfg = config or VadConfig()
     frames = frame_signal(audio.samples, audio.sample_rate_hz, cfg.frame_len_s, cfg.hop_s)
     if frames.shape[0] == 0:
         return SegmentSet(())
     energies = frame_energies_db(frames)
-    lo = np.percentile(energies, cfg.noise_floor_percentile)
-    hi = np.percentile(energies, 90.0)
+    ranked = np.sort(energies)
+    lo, hi = sorted_percentiles(ranked, (cfg.noise_floor_percentile, 90.0))
     if hi - lo < cfg.homogeneous_range_db:
-        mask = np.full(energies.size, np.median(energies) > cfg.homogeneous_speech_floor_db)
+        n = ranked.size
+        median = (ranked[(n - 1) // 2] + ranked[n // 2]) / 2
+        mask = np.full(n, median > cfg.homogeneous_speech_floor_db)
     else:
         mask = energies > lo + cfg.threshold_margin_db
     if not mask.any():

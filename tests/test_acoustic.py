@@ -54,6 +54,31 @@ def test_functionals_match_naive_oracle():
             assert abs(table[i, j] - want) < 1e-12, (lld, fn)
 
 
+ORDER_STATISTICS = [FUNCTIONAL_NAMES.index(fn)
+                    for fn in ("percentile20", "percentile50", "percentile80", "range")]
+
+
+def order_statistics_oracle(values):
+    """percentile20/50/80 and range of each column by np.percentile, np.max, np.min."""
+    return np.array([[*np.percentile(col, (20, 50, 80)), np.max(col) - np.min(col)]
+                     for col in values.T])
+
+
+@pytest.mark.parametrize("frames", [1, 2, 3, 40, 301])
+def test_order_statistic_functionals_equal_numpy(frames):
+    rng = np.random.default_rng(frames)
+    values = rng.standard_normal((frames, len(LLD_NAMES)))
+    values[:, ::3] = np.round(values[:, ::3])  # ties
+    values[:, 1] = 0.25  # a constant column
+    tables = [values] + ([np.diff(values, axis=0)] if frames >= 2 else [])
+    audio = dsp.AudioBuffer(sawtooth(160.0, 0.01 * frames + 0.02), SR)
+    llds = acoustic.extract_llds(audio, full_span(audio)).values
+    tables += [llds, np.diff(llds, axis=0)] if llds.shape[0] >= 2 else [llds]
+    for table in tables:
+        got = acoustic.functional_table(table)[:, ORDER_STATISTICS]
+        assert np.array_equal(got, order_statistics_oracle(table))
+
+
 def test_functionals_edge_cases():
     one = acoustic.functional_table(np.ones((1, len(LLD_NAMES))))
     cols = [FUNCTIONAL_NAMES.index(fn) for fn in ("slope", "riseRate", "fallRate")]

@@ -619,14 +619,16 @@ def test_one_worker_run_never_loads_the_pool(small_manifest):
     assert proc.stdout == "[]\n[]\n"
 
 
-def test_text_only_train_eval_never_loads_numpy_ma(small_manifest, tmp_path):
-    """A text-only run reaches nothing in numpy.ma, whose import alone
-    costs several milliseconds of start-up."""
+@pytest.mark.parametrize("features", ["NgramTfidf,Lexical", "EgemapsLike88,CompareLike"],
+                         ids=["text", "acoustic"])
+def test_train_eval_never_loads_numpy_ma(small_manifest, tmp_path, features):
+    """Neither a text-only nor an acoustic run reaches anything in
+    numpy.ma, whose import alone costs several milliseconds of start-up."""
     code = (
         "import sys\n"
         "from cognopipe import cli\n"
         f"rc = cli.main(['train-eval', '--manifest', {str(small_manifest)!r},\n"
-        f"    '--out', {str(tmp_path / 'out')!r}, '--features', 'NgramTfidf,Lexical',\n"
+        f"    '--out', {str(tmp_path / 'out')!r}, '--features', {features!r},\n"
         "    '--classifiers', 'LogisticRegression,LinearSVM', '--workers', '1'])\n"
         "assert rc == 0, rc\n"
         "print('numpy.ma' in sys.modules)\n"

@@ -1,5 +1,8 @@
 """Manifest loading/validation, statistics, and fold assignment."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -186,6 +189,13 @@ def test_manifest_paths_resolve_as_path_resolve_does(tmp_path):
     resolve = corpus._resolver(root)
     for odd in ("missing/x.wav", "linkdir/missing.wav", "sub/..", "..", "linkdir", "/"):
         assert resolve(odd) == (root / odd).resolve()
+    # a symlink loop, on which Path.resolve() raises, is named as realpath names it
+    (root / "loop").symlink_to("loop")
+    with pytest.raises(RuntimeError, match="Symlink loop"):
+        (root / "loop/x/..").resolve()
+    for looped in ("loop", "loop/x.wav", "loop/x/.."):
+        assert resolve(looped) == Path(os.path.realpath(root / looped))
+        assert not resolve(looped).exists()
 
 
 @pytest.mark.parametrize("name, data, line", [
@@ -228,9 +238,15 @@ def _append_row(path, row):
     (lambda m: _append_row(m / "recordings.csv", "A1,LongTerm,A1_ShortTerm.wav,gone.txt"),
      "recordings.csv:6: transcript file not found: {root}/gone.txt"),
     (lambda m: make_manifest(m, [], []), "subjects.csv:0: manifest defines no subjects"),
+    (lambda m: ((m / "loop.wav").symlink_to("loop.wav"),
+                _append_row(m / "recordings.csv", "A1,LongTerm,loop.wav,")),
+     "recordings.csv:6: audio file not found: {root}/loop.wav"),
+    (lambda m: ((m / "loop.txt").symlink_to("loop.txt"),
+                _append_row(m / "recordings.csv", "A1,LongTerm,A1_ShortTerm.wav,loop.txt")),
+     "recordings.csv:6: transcript file not found: {root}/loop.txt"),
 ], ids=["file_not_found", "empty_file", "empty_subject_id", "negative_age", "unknown_gender",
         "empty_audio_path", "malformed_wav", "zero_samples", "transcript_not_found",
-        "no_subjects"])
+        "no_subjects", "audio_symlink_loop", "transcript_symlink_loop"])
 def test_each_manifest_defect_is_one_diagnostic(good_manifest, edit, line):
     edit(good_manifest)
     with pytest.raises(ManifestError) as exc:

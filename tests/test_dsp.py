@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cognopipe import dsp
 from cognopipe.errors import AudioFormatError
@@ -306,6 +307,67 @@ def test_frame_energies_db():
     e = dsp.frame_energies_db(frames)
     assert abs(e[0] - (-20.0)) < 1e-6
     assert abs(e[1] - (-120.0)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# order statistics
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+_TIED = st.integers(-3, 3).map(float)  # few distinct values: ties, constant rows
+
+
+@st.composite
+def _tables(draw):
+    """1-D or 2-D float arrays, each row 1..30 long, drawn wide or tied."""
+    n = draw(st.integers(1, 30))
+    shape = draw(st.sampled_from([(n,), (draw(st.integers(1, 5)), n)]))
+    return draw(hnp.arrays(np.float64, shape, elements=draw(st.sampled_from([_FINITE, _TIED]))))
+
+
+_Q = st.floats(0.0, 100.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_tables(), q=st.one_of(_Q, st.lists(_Q, min_size=1, max_size=5)))
+@example(x=np.array([2.5]), q=[0.0, 37.5, 100.0])  # n = 1
+@example(x=np.array([[3.0, -1.0], [4.0, 4.0]]), q=[0.0, 12.5, 50.0, 100.0])  # n = 2, constant row
+@example(x=np.array([1.0, 2.0, 2.0, 2.0, 7.0, 7.0]), q=[20.0, 50.0, 80.0])  # ties
+@example(x=np.array([5.0, 1.0, 4.0]), q=10.0)  # scalar q
+def test_sorted_percentiles_equal_numpy(x, q):
+    got = dsp.sorted_percentiles(np.sort(x, axis=-1), q)
+    want = np.percentile(x, q, axis=-1)
+    assert got.shape == np.shape(want)
+    assert np.array_equal(got, want)
+    if not (x == 0).any():  # only a zero's sign is free to differ
+        assert got.tobytes() == np.asarray(want).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 40), elements=st.one_of(_FINITE, _TIED)))
+@example(np.array([1.0]))
+@example(np.array([4.0, 1.0]))
+@example(np.array([3.0, 1.0, 2.0]))
+def test_mean_of_the_middle_is_numpy_median(x):
+    """detect_speech's median of sorted energies: odd and even n."""
+    s = np.sort(x)
+    n = s.size
+    assert np.array_equal((s[(n - 1) // 2] + s[n // 2]) / 2, np.median(x))
+
+
+@pytest.mark.parametrize("seconds", [0.5, 0.51])  # 48 and 49 frames
+def test_homogeneous_branch_compares_numpy_median(seconds):
+    """The all-or-nothing decision flips exactly at np.median of the energies."""
+    rng = np.random.default_rng(7)
+    x = 0.05 * rng.standard_normal(int(seconds * SR))
+    audio = dsp.AudioBuffer(x, SR)
+    cfg = dsp.VadConfig()
+    energies = dsp.frame_energies_db(dsp.frame_signal(x, SR, cfg.frame_len_s, cfg.hop_s))
+    assert np.percentile(energies, 90) - np.percentile(energies, 10) < cfg.homogeneous_range_db
+    median = np.median(energies)
+    at = dsp.VadConfig(homogeneous_speech_floor_db=median)
+    below = dsp.VadConfig(homogeneous_speech_floor_db=np.nextafter(median, -np.inf))
+    assert dsp.detect_speech(audio, at).speech == ()
+    assert dsp.detect_speech(audio, below).speech == ((0.0, audio.duration_s),)
 
 
 # ---------------------------------------------------------------------------

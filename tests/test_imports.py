@@ -1,7 +1,7 @@
 """Every name a cognopipe module imports is used in that module, every
-module-level private name is read somewhere in the package, and every
+module-level private name is read somewhere in the package, every
 public one is read by the package or the acceptance tests, or named by
-the benchmark."""
+the benchmark, and order statistics go through one helper."""
 
 import ast
 import re
@@ -113,3 +113,38 @@ def test_every_public_name_is_read_by_the_package_or_the_benchmark():
     assert len(defined) > 100  # the scan sees the package's public names
     assert [f"{path}:{name}" for path, name in defined
             if name not in read and not re.search(rf"\b{name}\b", bench)] == []
+
+
+NUMPY_ORDER_STATISTICS = {"percentile", "quantile", "median", "nanpercentile",
+                          "nanquantile", "nanmedian"}
+
+
+def numpy_order_statistic_calls(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each numpy percentile/quantile/median the source
+    reads, as np.x, numpy.x or `from numpy import x`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in NUMPY_ORDER_STATISTICS
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name in NUMPY_ORDER_STATISTICS]
+    return sorted(found)
+
+
+def test_scan_flags_a_numpy_order_statistic():
+    source = ("import numpy as np\nfrom numpy import median, sort\n"
+              "a = np.percentile(x, 20)\nb = numpy.nanpercentile(x, 5)\n"
+              "c = stats.median\nd = np.sort(x)\n")
+    assert numpy_order_statistic_calls(source) == [
+        (2, "median"), (3, "percentile"), (4, "nanpercentile")]
+
+
+def test_order_statistics_go_through_sorted_percentiles():
+    """np.percentile and np.median import numpy.ma and partition on every
+    call; the package sorts once and reads dsp.sorted_percentiles."""
+    calls = [f"{path.relative_to(PACKAGE)}:{line} np.{name}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for line, name in numpy_order_statistic_calls(path.read_text(encoding="utf-8"))]
+    assert calls == []
