@@ -9,22 +9,52 @@ check, so a failed command writes none.  COGNOPIPE_LOG sets verbosity
 
 from __future__ import annotations
 
+import gc
 import os
 
+# Process-wide settings, made once at import.  None of them changes a
+# result; the README's "Workers" paragraph says why each is there.
+#
 # One BLAS thread per process, pool workers included, set before numpy
 # loads: parallelism comes only from --workers, and idle BLAS threads of
 # several processes would spin on the same CPUs.  A value already set wins.
 for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import argparse
-import dataclasses
-import logging
-import sys
-from pathlib import Path
+# The imports build tens of thousands of long-lived objects.  Collecting
+# while they are built finds no garbage, and once frozen they are skipped
+# by every later collection and by the one at exit, and a forked pool
+# worker does not touch their pages (CPython documents gc.freeze for
+# fork without exec).  Objects the run creates are collected as usual.
+gc.disable()
+try:
+    import argparse
+    import ctypes
+    import dataclasses
+    import logging
+    import sys
+    from pathlib import Path
 
-from . import acoustic, config as cfgmod, corpus, evaluation
-from .errors import ConfigError, ManifestError, PipelineError
+    from . import acoustic, config as cfgmod, corpus, evaluation
+    from .errors import ConfigError, ManifestError, PipelineError
+finally:
+    gc.freeze()
+    gc.enable()
+
+# glibc returns a freed block above 128 KiB (at first) to the kernel, and
+# trims the heap top above 128 KiB, so each segment's multi-MB numpy
+# temporaries are page-faulted in again by the next segment.  Fixed
+# thresholds keep those pages resident for reuse.  Skipped where the C
+# library cannot be loaded or has no mallopt.
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except (OSError, AttributeError, TypeError):
+    pass
+else:
+    _mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    _mallopt.restype = ctypes.c_int
+    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: 32 MiB
+    _mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: 256 MiB
 
 log = logging.getLogger("cognopipe")
 

@@ -731,4 +731,17 @@ def write_report(report: Mapping, path) -> None:
 
 
 def read_report(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """A report of this schema; a missing or unreadable file, text that is
+    not JSON and JSON that is not such a report are one EvaluationError."""
+    try:
+        report = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise EvaluationError("read_report", f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise EvaluationError("read_report", f"{path} is not JSON: {exc}") from None
+    version = report.get("schema_version") if isinstance(report, dict) else None
+    if version != REPORT_SCHEMA_VERSION:
+        raise EvaluationError(
+            "read_report", f"{path} is not a report of schema {REPORT_SCHEMA_VERSION} "
+            f"(schema_version {version!r})")
+    return report

@@ -314,6 +314,23 @@ def test_train_eval_then_report(small_manifest, tmp_path, capsys):
     assert "confusion 3x2" in out2
 
 
+@pytest.mark.parametrize("content, detail", [
+    (None, "cannot read"),
+    (b"{\"schema_version\": ", "is not JSON"),
+    (b"{\"per_task\": []}\n", "is not a report of schema"),
+], ids=["missing", "not_json", "not_a_report"])
+def test_report_on_bad_input_is_one_line_error(tmp_path, capsys, content, detail):
+    path = tmp_path / "report.json"
+    if content is not None:
+        path.write_bytes(content)
+    assert cli.main(["report", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: evaluation.read_report: ")
+    assert detail in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_train_eval_blocks_do_not_depend_on_the_other_classifiers(small_manifest, tmp_path):
     """A classifier's per-task and fused blocks are the same whether or not
     another classifier shares its folds."""
@@ -592,6 +609,45 @@ def test_cli_import_pins_blas_threads_unless_set(preset, want):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{want}\n"
+
+
+_NO_LIBC = "def CDLL(name):\n    called.append(name)\n    raise OSError('no C library')\n"
+_NO_MALLOPT = "def CDLL(name):\n    called.append(name)\n    return object()\n"
+
+
+@pytest.mark.parametrize("fake_cdll", [None, _NO_LIBC, _NO_MALLOPT],
+                         ids=["libc", "no_libc", "no_mallopt"])
+def test_cli_import_freezes_its_objects_and_keeps_collecting(fake_cdll):
+    """Importing the CLI leaves the collector on with the import-time
+    objects frozen, and imports alike where malloc cannot be tuned."""
+    code = "import ctypes, gc, numpy\ncalled = []\n"
+    if fake_cdll is not None:
+        code += fake_cdll + "ctypes.CDLL = CDLL\n"
+    code += "import cognopipe.cli\nprint(gc.isenabled(), gc.get_freeze_count() > 0, called)\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"True True {[] if fake_cdll is None else [None]}\n"
+
+
+def test_entry_point_reports_byte_identical_across_workers(small_manifest, tmp_path):
+    """`python -m cognopipe.cli train-eval` in fresh processes, at one
+    worker and through the pool, writes the same report bytes."""
+    out = tmp_path / "out"  # the report echoes it
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    reports = []
+    for workers in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cognopipe.cli", "train-eval",
+             "--manifest", str(small_manifest), "--out", str(out),
+             "--tasks", "ShortTerm,LongTerm", "--features", "EgemapsLike88,NgramTfidf",
+             "--k", "3", "--seed", "5", "--workers", workers],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_one_worker_run_never_loads_the_pool(small_manifest):
