@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import os
 from dataclasses import dataclass
-from functools import cached_property
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -126,7 +125,7 @@ class Corpus:
                 "corpus", f"subjects without recordings: {sorted(missing)}"
             )
 
-    @cached_property
+    @functools.cached_property
     def _by_id(self) -> dict[str, SubjectRecord]:
         return {s.subject_id: s for s in self.subjects}
 
@@ -196,15 +195,15 @@ class CorpusStats:
     demographics: Mapping[Diagnosis, DemographicStats]
 
 
-def _read_table(path: Path, columns: tuple[str, ...], diags: list[Diagnostic]):
+def _read_table(root: str, name: str, columns: tuple[str, ...], diags: list[Diagnostic]):
     """Read a CSV table, returning [(row_number, row_dict), ...].
 
     The file is UTF-8, with or without a byte-order mark.  Header,
-    row-shape and encoding problems are recorded as diagnostics; an
+    row-shape, encoding and read problems are recorded as diagnostics; an
     unusable file yields None.
     """
-    name = path.name
-    if not path.is_file():
+    path = os.path.join(root, name)
+    if not os.path.isfile(path):
         diags.append(Diagnostic(name, 0, "file not found"))
         return None
     rows = []
@@ -227,32 +226,129 @@ def _read_table(path: Path, columns: tuple[str, ...], diags: list[Diagnostic]):
     except UnicodeDecodeError:
         diags.append(Diagnostic(name, 0, "file is not UTF-8 text"))
         return None
+    except OSError as exc:
+        diags.append(Diagnostic(name, 0, f"cannot read file: {exc.strerror}"))
+        return None
     return rows
 
 
-def _resolver(root: Path):
-    """Path.resolve() of manifest paths, each directory's realpath walked once.
+def _resolver(root: str):
+    """Map a manifest path (relative to root unless absolute) to the string
+    Path.resolve() names, walking each directory's realpath once.
 
-    Only a symlinked file (or a path ending in "..") needs a walk of its
-    own; any other file is its resolved directory joined with its name.
-    Walks go through os.path.realpath, which names the same path as
-    Path.resolve() but leaves a symlink loop unresolved instead of raising,
-    so the row gets its "file not found" diagnostic.
+    Only a symlinked file, or a path ending in "/", "." or "..", needs a walk
+    of its own.  Walks go through os.path.realpath, which leaves a symlink
+    loop unresolved where Path.resolve() raises, so the row gets its "file
+    not found" diagnostic.
     """
-    dirs: dict[Path, str] = {}
+    real_dir = functools.cache(os.path.realpath)
 
-    def resolve(raw: str) -> Path:
-        p = Path(raw)
-        p = p if p.is_absolute() else root / p
-        if p.name in ("", ".."):
-            return Path(os.path.realpath(p))
-        parent = dirs.get(p.parent)
-        if parent is None:
-            parent = dirs[p.parent] = os.path.realpath(p.parent)
-        full = os.path.join(parent, p.name)
-        return Path(os.path.realpath(full)) if os.path.islink(full) else Path(full)
+    def resolve(raw: str) -> str:
+        full = os.path.join(root, raw)
+        head, name = os.path.split(full)
+        if name in ("", ".", ".."):
+            return os.path.realpath(full)
+        full = os.path.join(real_dir(head), name)
+        return os.path.realpath(full) if os.path.islink(full) else full
 
     return resolve
+
+
+def _member(kind: type[enum.Enum], raw: str, problems: list[str]):
+    """kind(raw), or None with "unknown <kind> '<raw>'" appended to problems."""
+    try:
+        return kind(raw)
+    except ValueError:
+        problems.append(f"unknown {kind.__name__.lower()} '{raw}'")
+        return None
+
+
+def _parse_subject(rownum: int, row: dict, problems: list[str],
+                   row_of_subject: dict[str, int]) -> SubjectRecord | None:
+    """One subjects.csv row, its problems appended; a good row's id goes into row_of_subject."""
+    sid = row["subject_id"].strip()
+    if not sid:
+        problems.append("empty subject_id")
+    elif sid in row_of_subject:
+        problems.append(f"duplicate subject_id '{sid}' (first at row {row_of_subject[sid]})")
+    age_raw = row["age"].strip()
+    age = None
+    if age_raw:
+        try:
+            age = int(age_raw)
+        except ValueError:
+            problems.append(f"age is not an integer: '{age_raw}'")
+    if age is not None and age < 0:
+        problems.append(f"negative age: {age}")
+    gender = _member(Gender, row["gender"].strip() or Gender.UNDISCLOSED.value, problems)
+    diagnosis = _member(Diagnosis, row["diagnosis"].strip(), problems)
+    if problems:
+        return None
+    row_of_subject[sid] = rownum
+    return SubjectRecord(sid, age, gender, row["ethnicity"].strip() or None, diagnosis)
+
+
+def _parse_recording(rownum: int, row: dict, problems: list[str], known: dict | None,
+                     first_row: dict[tuple[str, Task], int], resolve) -> TaskRecording | None:
+    """One recordings.csv row, its problems appended.  known holds the
+    loaded subject ids, None when subjects.csv could not be read; first_row
+    maps each (subject, task) to the row that first named it."""
+    sid = row["subject_id"].strip()
+    if known is not None and sid not in known:
+        problems.append(f"unknown subject_id '{sid}'")
+    task = _member(Task, row["task"].strip(), problems)
+    if not problems:
+        first = first_row.setdefault((sid, task), rownum)
+        if first != rownum:
+            problems.append(f"duplicate recording for ({sid}, {task.value}) "
+                            f"(first at row {first})")
+    audio_raw = row["audio_path"].strip()
+    if not audio_raw:
+        problems.append("empty audio_path")
+        return None
+    audio_path = resolve(audio_raw)
+    if not os.path.isfile(audio_path):
+        problems.append(f"audio file not found: {audio_path}")
+        return None
+    try:
+        sr, n_samples = dsp.read_wav_info(audio_path)
+    except AudioFormatError as exc:
+        problems.append(str(exc))
+        return None
+    if sr < MIN_SAMPLE_RATE_HZ:
+        problems.append(f"sample rate {sr} Hz below minimum {MIN_SAMPLE_RATE_HZ} Hz")
+    if n_samples == 0:
+        problems.append("audio has zero samples")
+    transcript_path = transcript = None
+    if transcript_raw := row["transcript_path"].strip():
+        transcript_path = resolve(transcript_raw)
+        if not os.path.isfile(transcript_path):
+            problems.append(f"transcript file not found: {transcript_path}")
+        else:
+            try:
+                with open(transcript_path, encoding="utf-8-sig") as fh:
+                    transcript = fh.read()
+            except UnicodeDecodeError:
+                problems.append(f"transcript is not UTF-8 text: {transcript_path}")
+            except OSError as exc:
+                problems.append(f"cannot read transcript {transcript_path}: {exc.strerror}")
+    if problems:
+        return None
+    return TaskRecording(sid, task, audio_path, transcript_path, transcript,
+                         n_samples / sr, sr)
+
+
+def _parse_rows(name: str, rows, diags: list[Diagnostic], parse, *context) -> list:
+    """The records parse(rownum, row, problems, *context) makes of the rows
+    it finds no problem in; each problem of the others is a diagnostic."""
+    records = []
+    for rownum, row in rows or ():
+        problems: list[str] = []
+        record = parse(rownum, row, problems, *context)
+        diags.extend(Diagnostic(name, rownum, message) for message in problems)
+        if not problems:
+            records.append(record)
+    return records
 
 
 def load_manifest(path) -> Corpus:
@@ -263,177 +359,28 @@ def load_manifest(path) -> Corpus:
     everything at once instead of stopping at the first defect.  Rows
     are not checked against a table that could not be read.
     """
-    root = Path(path)
-    if not root.is_dir():
+    root = os.fspath(path)
+    if not os.path.isdir(root):
         raise ManifestError("load_manifest", f"manifest directory not found: {root}")
     diags: list[Diagnostic] = []
-    resolve = _resolver(root)
-    subj_rows = _read_table(root / SUBJECTS_FILE, SUBJECT_COLUMNS, diags)
-    rec_rows = _read_table(root / RECORDINGS_FILE, RECORDING_COLUMNS, diags)
-
-    subjects: list[SubjectRecord] = []
+    subj_rows = _read_table(root, SUBJECTS_FILE, SUBJECT_COLUMNS, diags)
+    rec_rows = _read_table(root, RECORDINGS_FILE, RECORDING_COLUMNS, diags)
     row_of_subject: dict[str, int] = {}
-    for rownum, row in subj_rows or ():
-        bad = False
-        sid = row["subject_id"].strip()
-        if not sid:
-            diags.append(Diagnostic(SUBJECTS_FILE, rownum, "empty subject_id"))
-            bad = True
-        elif sid in row_of_subject:
-            diags.append(
-                Diagnostic(
-                    SUBJECTS_FILE,
-                    rownum,
-                    f"duplicate subject_id '{sid}' (first at row {row_of_subject[sid]})",
-                )
-            )
-            bad = True
-        age: int | None = None
-        age_raw = row["age"].strip()
-        if age_raw:
-            try:
-                age = int(age_raw)
-            except ValueError:
-                diags.append(
-                    Diagnostic(SUBJECTS_FILE, rownum, f"age is not an integer: '{age_raw}'")
-                )
-                bad = True
-            else:
-                if age < 0:
-                    diags.append(Diagnostic(SUBJECTS_FILE, rownum, f"negative age: {age}"))
-                    bad = True
-        gender_raw = row["gender"].strip() or Gender.UNDISCLOSED.value
-        try:
-            gender = Gender(gender_raw)
-        except ValueError:
-            diags.append(
-                Diagnostic(SUBJECTS_FILE, rownum, f"unknown gender '{gender_raw}'")
-            )
-            bad = True
-        diag_raw = row["diagnosis"].strip()
-        try:
-            diagnosis = Diagnosis(diag_raw)
-        except ValueError:
-            diags.append(
-                Diagnostic(SUBJECTS_FILE, rownum, f"unknown diagnosis '{diag_raw}'")
-            )
-            bad = True
-        if bad:
-            continue
-        row_of_subject[sid] = rownum
-        ethnicity = row["ethnicity"].strip() or None
-        subjects.append(SubjectRecord(sid, age, gender, ethnicity, diagnosis))
-
-    recordings: list[TaskRecording] = []
-    seen_pairs: dict[tuple[str, Task], int] = {}
-    covered: set[str] = set()
-    for rownum, row in rec_rows or ():
-        bad = False
-        sid = row["subject_id"].strip()
-        if subj_rows is not None and sid not in row_of_subject:
-            diags.append(
-                Diagnostic(RECORDINGS_FILE, rownum, f"unknown subject_id '{sid}'")
-            )
-            bad = True
-        try:
-            task = Task(row["task"].strip())
-        except ValueError:
-            diags.append(
-                Diagnostic(RECORDINGS_FILE, rownum, f"unknown task '{row['task'].strip()}'")
-            )
-            bad = True
-        if not bad:
-            if (sid, task) in seen_pairs:
-                diags.append(
-                    Diagnostic(
-                        RECORDINGS_FILE,
-                        rownum,
-                        f"duplicate recording for ({sid}, {task.value}) "
-                        f"(first at row {seen_pairs[(sid, task)]})",
-                    )
-                )
-                bad = True
-            else:
-                seen_pairs[(sid, task)] = rownum
-
-        audio_raw = row["audio_path"].strip()
-        if not audio_raw:
-            diags.append(Diagnostic(RECORDINGS_FILE, rownum, "empty audio_path"))
-            continue
-        audio_path = resolve(audio_raw)
-        if not audio_path.is_file():
-            diags.append(
-                Diagnostic(RECORDINGS_FILE, rownum, f"audio file not found: {audio_path}")
-            )
-            continue
-        try:
-            sr, n_samples = dsp.read_wav_info(audio_path)
-        except AudioFormatError as exc:
-            diags.append(Diagnostic(RECORDINGS_FILE, rownum, str(exc)))
-            continue
-        if sr < MIN_SAMPLE_RATE_HZ:
-            diags.append(
-                Diagnostic(
-                    RECORDINGS_FILE,
-                    rownum,
-                    f"sample rate {sr} Hz below minimum {MIN_SAMPLE_RATE_HZ} Hz",
-                )
-            )
-            bad = True
-        if n_samples == 0:
-            diags.append(Diagnostic(RECORDINGS_FILE, rownum, "audio has zero samples"))
-            bad = True
-
-        transcript_raw = row["transcript_path"].strip()
-        transcript_path: str | None = None
-        transcript: str | None = None
-        if transcript_raw:
-            tpath = resolve(transcript_raw)
-            if not tpath.is_file():
-                diags.append(
-                    Diagnostic(
-                        RECORDINGS_FILE, rownum, f"transcript file not found: {tpath}"
-                    )
-                )
-                bad = True
-            else:
-                transcript_path = str(tpath)
-                try:
-                    transcript = tpath.read_text(encoding="utf-8-sig")
-                except UnicodeDecodeError:
-                    diags.append(Diagnostic(
-                        RECORDINGS_FILE, rownum, f"transcript is not UTF-8 text: {tpath}"))
-                    bad = True
-        if bad:
-            continue
-        covered.add(sid)
-        recordings.append(
-            TaskRecording(
-                subject_id=sid,
-                task=task,
-                audio_path=str(audio_path),
-                transcript_path=transcript_path,
-                transcript=transcript,
-                duration_s=n_samples / sr,
-                sample_rate_hz=sr,
-            )
-        )
+    subjects = _parse_rows(SUBJECTS_FILE, subj_rows, diags, _parse_subject, row_of_subject)
+    known = None if subj_rows is None else row_of_subject
+    recordings = _parse_rows(RECORDINGS_FILE, rec_rows, diags, _parse_recording,
+                             known, {}, _resolver(root))
 
     if not subjects and not diags:
         diags.append(Diagnostic(SUBJECTS_FILE, 0, "manifest defines no subjects"))
-    for sid, rownum in row_of_subject.items():
-        if rec_rows is not None and sid not in covered:
-            diags.append(
-                Diagnostic(SUBJECTS_FILE, rownum, f"subject '{sid}' has no recordings")
-            )
-
+    if rec_rows is not None:
+        covered = {r.subject_id for r in recordings}
+        diags.extend(Diagnostic(SUBJECTS_FILE, rownum, f"subject '{sid}' has no recordings")
+                     for sid, rownum in row_of_subject.items() if sid not in covered)
     if diags:
         ordered = tuple(sorted(diags, key=lambda d: (d.file, d.row)))
-        raise ManifestError(
-            "load_manifest",
-            f"{len(ordered)} problem(s); first: {ordered[0]}",
-            diagnostics=ordered,
-        )
+        raise ManifestError("load_manifest", f"{len(ordered)} problem(s); first: {ordered[0]}",
+                            diagnostics=ordered)
     return Corpus(tuple(subjects), tuple(recordings))
 
 

@@ -90,7 +90,7 @@ _FMT_EXTENSIBLE_LEN = 40
 _SUBFORMAT_PCM = uuid.UUID("00000001-0000-0010-8000-00aa00389b71")
 
 
-def _read_wav_header(fh: BinaryIO, path: Path) -> tuple[int, int, int]:
+def _read_wav_header(fh: BinaryIO, path: str | Path) -> tuple[int, int, int]:
     """Walk the RIFF chunks of an open file by seeking from header to header.
 
     Returns (sample_rate, data_offset, data_len_bytes) or raises; only the
@@ -151,23 +151,31 @@ def _read_wav_header(fh: BinaryIO, path: Path) -> tuple[int, int, int]:
     return sample_rate, offset, length
 
 
+def _unreadable(path: str | Path, exc: OSError) -> AudioFormatError:
+    return AudioFormatError("read_wav", f"cannot read {path}: {exc.strerror}")
+
+
 def read_wav_info(path: str | Path) -> tuple[int, int]:
     """Validate headers and return (sample_rate_hz, n_samples) without decoding."""
-    path = Path(path)
-    with open(path, "rb", buffering=0) as fh:
-        sample_rate, _offset, length = _read_wav_header(fh, path)
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            sample_rate, _offset, length = _read_wav_header(fh, path)
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
     return sample_rate, length // 2
 
 
 def read_wav(path: str | Path) -> AudioBuffer:
     """Read a PCM-16 mono WAV file; samples are scaled by 1/32768."""
-    path = Path(path)
-    with open(path, "rb", buffering=0) as fh:
-        sample_rate, offset, length = _read_wav_header(fh, path)
-        if length == 0:
-            raise AudioFormatError("read_wav", f"{path}: empty data chunk")
-        fh.seek(offset)
-        pcm = np.fromfile(fh, dtype="<i2", count=length // 2)
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            sample_rate, offset, length = _read_wav_header(fh, path)
+            if length == 0:
+                raise AudioFormatError("read_wav", f"{path}: empty data chunk")
+            fh.seek(offset)
+            pcm = np.fromfile(fh, dtype="<i2", count=length // 2)
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
     return AudioBuffer(pcm.astype(np.float64) / 32768.0, sample_rate)
 
 

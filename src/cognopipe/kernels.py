@@ -126,8 +126,9 @@ def pegasos(X: np.ndarray, y: np.ndarray, cw: np.ndarray, lam: float,
     inv_l = inv.tolist()
     y_l, cw_l = y.tolist(), cw.tolist()
     cyG_rows = list(cyG)  # views made once, not at every violation
+    z_v = memoryview(z)  # z_v[i] reads z[i] as a Python float without a numpy call
     for t, i in enumerate(idx.tolist()):
-        if y_l[i] * (z.item(i) * inv_l[t] + b) < 1.0:
+        if y_l[i] * (z_v[i] * inv_l[t] + b) < 1.0:
             z += cyG_rows[i]
             b += inv_l[t + 1] * cw_l[i] * y_l[i]
             violated[t] = 1

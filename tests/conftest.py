@@ -1,5 +1,9 @@
 """Shared fixtures: deterministic signals and small synthetic corpora."""
 
+import builtins
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -69,3 +73,20 @@ def small_manifest(tmp_path_factory):
 @pytest.fixture(scope="session")
 def small_corpus(small_manifest):
     return corpus.load_manifest(small_manifest)
+
+
+@pytest.fixture
+def deny_read(monkeypatch):
+    """deny_read(path) makes every later open() of path raise PermissionError,
+    as a file without read permission does for a user other than root (the
+    tests may run as root, which file modes do not stop)."""
+    denied = set()
+    real_open = builtins.open
+
+    def open_unless_denied(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.path.realpath(file) in denied:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", open_unless_denied)
+    return lambda path: denied.add(os.path.realpath(path))

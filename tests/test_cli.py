@@ -194,6 +194,25 @@ def test_validate_lists_text_that_is_not_utf8(small_manifest, tmp_path, capsys, 
     assert want in lines and lines[-1] == f"{len(lines) - 1} error(s)"
 
 
+@pytest.mark.parametrize("column", [None, 2, 3], ids=["recordings_csv", "audio", "transcript"])
+def test_validate_lists_an_unreadable_file_in_one_line(small_manifest, tmp_path, capsys,
+                                                      deny_read, column):
+    man = shutil.copytree(small_manifest, tmp_path / "m")
+    if column is None:
+        path = man / RECORDINGS_FILE
+        want = f"{RECORDINGS_FILE}:0: cannot read file: Permission denied"
+    else:
+        first = (man / RECORDINGS_FILE).read_text(encoding="utf-8").splitlines()[1]
+        path = (man / first.split(",")[column]).resolve()
+        what = "dsp.read_wav: cannot read" if column == 2 else "cannot read transcript"
+        want = f"{RECORDINGS_FILE}:2: {what} {path}: Permission denied"
+    deny_read(path)
+    rc = cli.main(["validate", "--manifest", str(man)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out.splitlines() == [want, "1 error(s)"] and captured.err == ""
+
+
 def test_validate_missing_directory(tmp_path, capsys):
     rc = cli.main(["validate", "--manifest", str(tmp_path / "nope")])
     out = capsys.readouterr().out
@@ -551,9 +570,14 @@ def test_extract_csvs_of_both_acoustic_sets_independent_of_workers(small_manifes
                               [2])
 
 
+def _garble(path: Path) -> None:
+    path.write_bytes(b"not a wav at all")
+
+
 def _check_a_bad_wav_fails_alike(small_manifest, tmp_path, monkeypatch, capsys,
-                                 features: str):
-    """A train-eval whose fifth LongTerm recording stops decoding after the
+                                 features: str, spoil=_garble,
+                                 error="dsp.read_wav: {path}: not a RIFF/WAVE file"):
+    """A train-eval whose fifth LongTerm recording is spoiled after the
     manifest was read fails with the same one-line read_wav error, and no
     report, at 2 workers and at 1."""
     load_manifest = cli.corpus.load_manifest
@@ -563,7 +587,7 @@ def _check_a_bad_wav_fails_alike(small_manifest, tmp_path, monkeypatch, capsys,
         c = load_manifest(path)
         rec = sorted((r for r in c.recordings if r.task is Task.LONG_TERM),
                      key=lambda r: r.subject_id)[4]
-        Path(rec.audio_path).write_bytes(b"not a wav at all")
+        spoil(Path(rec.audio_path))
         broken.append(rec.audio_path)
         return c
 
@@ -581,7 +605,7 @@ def _check_a_bad_wav_fails_alike(small_manifest, tmp_path, monkeypatch, capsys,
 
     monkeypatch.setattr(cli.corpus, "load_manifest", load_then_break)
     for workers in ("2", "1"):
-        assert run(workers) == f"error: dsp.read_wav: {broken[-1]}: not a RIFF/WAVE file\n"
+        assert run(workers) == f"error: {error.format(path=broken[-1])}\n"
 
 
 def test_bad_wav_in_the_last_task_fails_the_pooled_run(small_manifest, tmp_path,
@@ -594,6 +618,17 @@ def test_bad_wav_fails_a_run_of_both_acoustic_sets_alike(small_manifest, tmp_pat
                                                          monkeypatch, capsys):
     _check_a_bad_wav_fails_alike(small_manifest, tmp_path, monkeypatch, capsys,
                                  "EgemapsLike88,CompareLike")
+
+
+def test_a_wav_a_worker_cannot_open_fails_the_pooled_run_in_one_line(small_manifest, tmp_path,
+                                                                    monkeypatch, capsys):
+    def into_directory(path: Path) -> None:  # open() then fails in any process
+        path.unlink()
+        path.mkdir()
+
+    _check_a_bad_wav_fails_alike(small_manifest, tmp_path, monkeypatch, capsys,
+                                 "EgemapsLike88,Lexical", into_directory,
+                                 "dsp.read_wav: cannot read {path}: Is a directory")
 
 
 @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])

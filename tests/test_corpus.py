@@ -186,16 +186,17 @@ def test_manifest_paths_resolve_as_path_resolve_does(tmp_path):
         assert got[sid, task] == (str((root / audio).resolve()), str((root / text).resolve()))
     assert got["A1", "ShortTerm"][0] == str(data / files["A1", Task.SHORT_TERM][0])
     assert got["B2", "LongTerm"][1] == str(data / files["B2", Task.LONG_TERM][1])
-    resolve = corpus._resolver(root)
-    for odd in ("missing/x.wav", "linkdir/missing.wav", "sub/..", "..", "linkdir", "/"):
-        assert resolve(odd) == (root / odd).resolve()
+    resolve = corpus._resolver(str(root))
+    for odd in ("missing/x.wav", "linkdir/missing.wav", "sub/..", "..", "linkdir", "linkdir/.",
+                "sub/inner/.", "/"):
+        assert resolve(odd) == str((root / odd).resolve())
     # a symlink loop, on which Path.resolve() raises, is named as realpath names it
     (root / "loop").symlink_to("loop")
     with pytest.raises(RuntimeError, match="Symlink loop"):
         (root / "loop/x/..").resolve()
     for looped in ("loop", "loop/x.wav", "loop/x/.."):
-        assert resolve(looped) == Path(os.path.realpath(root / looped))
-        assert not resolve(looped).exists()
+        assert resolve(looped) == os.path.realpath(root / looped)
+        assert not os.path.exists(resolve(looped))
 
 
 @pytest.mark.parametrize("name, data, line", [
@@ -211,6 +212,32 @@ def test_text_that_is_not_utf8_is_a_diagnostic(good_manifest, name, data, line):
     with pytest.raises(ManifestError) as exc:
         corpus.load_manifest(good_manifest)
     assert line.format(path=path.resolve()) in [str(d) for d in exc.value.diagnostics]
+
+
+@pytest.mark.parametrize("name, line", [
+    ("subjects.csv", "subjects.csv:0: cannot read file: Permission denied"),
+    ("recordings.csv", "recordings.csv:0: cannot read file: Permission denied"),
+    ("A1_ShortTerm.txt", "recordings.csv:2: cannot read transcript {path}: Permission denied"),
+    ("A1_ShortTerm.wav", "recordings.csv:2: dsp.read_wav: cannot read {path}: Permission denied"),
+], ids=["subjects", "recordings", "transcript", "audio"])
+def test_an_unreadable_file_is_one_diagnostic(good_manifest, deny_read, name, line):
+    path = good_manifest / name
+    deny_read(path)
+    with pytest.raises(ManifestError) as exc:
+        corpus.load_manifest(good_manifest)
+    assert [str(d) for d in exc.value.diagnostics] == [line.format(path=path.resolve())]
+
+
+def test_a_row_lists_its_problems_in_the_order_it_is_checked(good_manifest):
+    _append_row(good_manifest / "recordings.csv", "Z9,Karaoke,nowhere.wav,")
+    with pytest.raises(ManifestError) as exc:
+        corpus.load_manifest(good_manifest)
+    root = good_manifest.resolve()
+    assert [str(d) for d in exc.value.diagnostics] == [
+        "recordings.csv:6: unknown subject_id 'Z9'",
+        "recordings.csv:6: unknown task 'Karaoke'",
+        f"recordings.csv:6: audio file not found: {root}/nowhere.wav",
+    ]
 
 
 def _append_row(path, row):

@@ -111,6 +111,18 @@ def test_read_wav_rejects_malformed(tmp_path, raw, defect):
     assert defect.lower() in str(exc.value).lower()
 
 
+@pytest.mark.parametrize("read", [dsp.read_wav, dsp.read_wav_info])
+def test_a_wav_that_cannot_be_opened_is_an_audio_format_error(tmp_path, deny_read, read):
+    p = tmp_path / "x.wav"
+    dsp.write_wav(p, tone(180, 0.1), SR)
+    deny_read(p)
+    for path, reason in ((p, "Permission denied"), (tmp_path, "Is a directory"),
+                         (tmp_path / "gone.wav", "No such file or directory")):
+        with pytest.raises(AudioFormatError) as exc:
+            read(path)
+        assert str(exc.value) == f"dsp.read_wav: cannot read {path}: {reason}"
+
+
 def test_read_wav_skips_extra_chunks(tmp_path):
     """LIST/INFO chunks between fmt and data must be tolerated."""
     data = struct.pack("<4h", 100, -100, 200, -200)
