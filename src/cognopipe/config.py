@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -69,9 +70,6 @@ class RunConfig:
             ("acoustic.f0_min_hz", a.f0_min_hz, a.f0_min_hz > 0, "> 0"),
             ("acoustic.f0_max_hz", a.f0_max_hz, a.f0_max_hz > a.f0_min_hz,
              "> acoustic.f0_min_hz"),
-            ("acoustic.frame_len_s * acoustic.f0_min_hz", a.frame_len_s * a.f0_min_hz,
-             a.frame_len_s * a.f0_min_hz > 1,
-             "> 1 (a frame must hold one period at the pitch floor)"),
             ("acoustic.voicing_threshold", a.voicing_threshold,
              0 < a.voicing_threshold < 1, "in (0, 1)"),
             ("acoustic.n_mel_filters", a.n_mel_filters, a.n_mel_filters >= 1, ">= 1"),
@@ -127,18 +125,38 @@ _SECTIONS = {
 }
 
 
-def number_field_problem(cls, doc: dict) -> str | None:
-    """The first field of dataclass cls whose value in doc has the wrong type.
+def read_json_object(path, error, op: str, what: str) -> dict:
+    """The JSON object in file path, read as UTF-8 with an optional
+    byte-order mark; a file that cannot be read or decoded, text that is
+    not JSON and JSON that is not an object each raise error(op, ...)."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise error(op, f"cannot read {what} {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(op, f"{what} root must be an object, got {type(doc).__name__}")
+    return doc
 
-    Returns "name must be ..., got ..." or None.  A field with an int
-    default takes an int; one with a float default takes an int or a
-    float; a bool is neither.  Missing fields keep their defaults.
+
+def number_field_problem(cls, doc: dict, what: str, prefix: str = "") -> str | None:
+    """The first problem with doc as the numeric fields of dataclass cls.
+
+    Returns "unknown <what> keys: [...]", "<prefix><name> must be ...,
+    got ..." or None.  A field with an int default takes an int; one with
+    a float default takes a finite int or float; a bool is neither.
+    Missing fields keep their defaults.
     """
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        return f"unknown {what} keys: {sorted(unknown)}"
     for f in fields(cls):
         v = doc.get(f.name, f.default)
         is_float = isinstance(f.default, float)
         if isinstance(v, bool) or not isinstance(v, (int, float) if is_float else int):
-            return f"{f.name} must be {'a number' if is_float else 'an integer'}, got {v!r}"
+            return f"{prefix}{f.name} must be {'a number' if is_float else 'an integer'}, got {v!r}"
+        # NaN compares false; an int beyond the float range compares exactly
+        if is_float and not abs(v) <= sys.float_info.max:
+            return f"{prefix}{f.name} must be finite, got {v!r}"
     return None
 
 
@@ -156,32 +174,20 @@ def _coerce(key: str, value):
             raise ConfigError("parse", f"{key} must be {_SCALARS[key][0].__name__}, got {value!r}")
         return value
     if key in _SECTIONS:
-        cls = _SECTIONS[key]
         if not isinstance(value, dict):
             raise ConfigError("parse", f"{key} section must be an object, got {value!r}")
-        unknown = set(value) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError("parse", f"unknown {key} keys: {sorted(unknown)}")
-        problem = number_field_problem(cls, value)  # every section field is an int or a float
+        # every section field is an int or a float, and no section class checks more
+        problem = number_field_problem(_SECTIONS[key], value, key, f"{key}.")
         if problem:
-            raise ConfigError("parse", f"{key}.{problem}")
-        try:
-            return cls(**value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("parse", f"bad {key} section: {exc}")
+            raise ConfigError("parse", problem)
+        return _SECTIONS[key](**value)
     return value
 
 
 def load_config_file(path) -> dict:
     """Parse the JSON config document into RunConfig keyword arguments."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError("load", f"cannot read config {path}: {exc}")
-    if not isinstance(doc, dict):
-        raise ConfigError("load", f"config root must be an object, got {type(doc).__name__}")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(doc) - known
+    doc = read_json_object(path, ConfigError, "load", "config")
+    unknown = set(doc) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError("load", f"unknown config keys: {sorted(unknown)}")
     return {key: _coerce(key, value) for key, value in doc.items()}

@@ -691,21 +691,13 @@ def build_report(
         "corpus": {
             "n_subjects": len(corpus.subjects),
             "n_recordings": len(corpus.recordings),
-            "diagnosis_counts": {
-                d.value: n for d, n in sorted(
-                    corpus.diagnosis_counts().items(), key=lambda kv: kv[0].value
-                )
-            },
-            "label_counts": {
-                lab.value: n for lab, n in sorted(
-                    corpus.label_counts().items(), key=lambda kv: kv[0].value
-                )
-            },
+            "diagnosis_counts": {d.value: n for d, n in corpus.diagnosis_counts().items()},
+            "label_counts": {lab.value: n for lab, n in corpus.label_counts().items()},
         },
         "folds": {
             "k": folds.k,
             "sizes": list(folds.fold_sizes()),
-            "assignment": dict(sorted(folds.fold_of_subject.items())),
+            "assignment": dict(folds.fold_of_subject),
         },
         "per_task": per_task,
         "fused": fused_blocks,

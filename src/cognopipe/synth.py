@@ -12,14 +12,13 @@ are reproducible fixtures.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import corpus, dsp
-from .config import number_field_problem
+from .config import number_field_problem, read_json_object
 from .errors import SynthError
 
 _SHARED_WORDS = (
@@ -61,22 +60,15 @@ class SynthSpec:
             raise SynthError("spec", "separations must be >= 0")
         if self.duration_s < 1.0:
             raise SynthError("spec", f"duration_s must be >= 1, got {self.duration_s}")
-        if self.sample_rate_hz < 8000:
-            raise SynthError("spec", f"sample rate must be >= 8000, got {self.sample_rate_hz}")
+        if self.sample_rate_hz < corpus.MIN_SAMPLE_RATE_HZ:
+            raise SynthError("spec", f"sample rate must be >= {corpus.MIN_SAMPLE_RATE_HZ}, "
+                             f"got {self.sample_rate_hz}")
 
 
 def load_spec(path) -> SynthSpec:
     """Read a SynthSpec from a JSON file (missing keys keep defaults)."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SynthError("load_spec", f"cannot read spec {path}: {exc}")
-    if not isinstance(doc, dict):
-        raise SynthError("load_spec", f"spec root must be an object, got {type(doc).__name__}")
-    unknown = set(doc) - set(SynthSpec.__dataclass_fields__)
-    if unknown:
-        raise SynthError("load_spec", f"unknown spec fields: {sorted(unknown)}")
-    problem = number_field_problem(SynthSpec, doc)
+    doc = read_json_object(path, SynthError, "load_spec", "spec")
+    problem = number_field_problem(SynthSpec, doc, "spec")
     if problem:
         raise SynthError("load_spec", problem)
     return SynthSpec(**doc)

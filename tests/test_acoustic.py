@@ -401,8 +401,8 @@ def test_frame_must_hold_the_pitch_floor_period_plus_two(sr, max_lag, monkeypatc
 
 
 def test_config_frame_just_past_the_rule_is_rejected_at_extraction():
-    # 0.0182 s x 55 Hz = 1.001 passes the config rule, but at 16 kHz the
-    # frame is 291 samples and the 55 Hz period 290 samples
+    # 0.0182 s holds 1.001 periods of 55 Hz, but at 16 kHz the frame is 291
+    # samples and the 55 Hz period 290: the search needs two lags past it
     audio = dsp.AudioBuffer(sawtooth(160.0, 0.3), SR)
     with pytest.raises(FeatureError, match=r"^acoustic\.extract_llds: .* 291 samples"):
         acoustic.extract_llds(audio, full_span(audio), AcousticConfig(frame_len_s=0.0182))

@@ -95,16 +95,47 @@ def test_config_rejects_bad_enum_values(tmp_path):
     ({"acoustic": {"voicing_threshold": 1.5}}, "acoustic.voicing_threshold"),
     ({"acoustic": {"voicing_threshold": 1.0}}, "acoustic.voicing_threshold"),
     ({"acoustic": {"voicing_threshold": 0.0}}, "acoustic.voicing_threshold"),
-    ({"acoustic": {"frame_len_s": 0.005}}, "acoustic.frame_len_s * acoustic.f0_min_hz"),
-    ({"acoustic": {"f0_min_hz": 10}}, "acoustic.frame_len_s * acoustic.f0_min_hz"),
+    # Not finite: rejected with the types while the file is parsed, so these
+    # rows give the line's whole start.  The bytes row is the file as is:
+    # json.dumps cannot write 1e400, which json reads as infinity.
+    pytest.param({"vad": {"hop_s": float("nan")}},
+                 "config.parse: vad.hop_s must be finite, got nan", id="vad.hop_s:nan"),
+    pytest.param({"acoustic": {"frame_len_s": float("inf")}},
+                 "config.parse: acoustic.frame_len_s must be finite, got inf",
+                 id="acoustic.frame_len_s:inf"),
+    pytest.param({"vad": {"threshold_margin_db": float("-inf")}},
+                 "config.parse: vad.threshold_margin_db must be finite, got -inf",
+                 id="vad.threshold_margin_db:-inf"),
+    pytest.param({"classifier": {"lr_tol": float("inf")}},
+                 "config.parse: classifier.lr_tol must be finite, got inf",
+                 id="classifier.lr_tol:inf"),
+    pytest.param(b'{"acoustic": {"f0_max_hz": 1e400}}',
+                 "config.parse: acoustic.f0_max_hz must be finite, got inf",
+                 id="acoustic.f0_max_hz:1e400"),
+    pytest.param({"classifier": {"l2_lambda": 10 ** 400}},
+                 f"config.parse: classifier.l2_lambda must be finite, got {10 ** 400}",
+                 id="classifier.l2_lambda:10**400"),
 ])
 def test_config_rejects_out_of_range_sections(tmp_path, doc, field):
     cfg_file = tmp_path / "run.json"
-    cfg_file.write_text(json.dumps(doc))
+    cfg_file.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     with pytest.raises(ConfigError) as exc:
         cfgmod.merge_config(cfg_file)
-    assert str(exc.value).startswith(f"config.run_config: {field} must be ")
+    expected = field if field.startswith("config.") else f"config.run_config: {field} must be "
+    assert str(exc.value).startswith(expected)
     assert "\n" not in str(exc.value)
+
+
+def test_config_file_encodings(tmp_path):
+    """UTF-8 with or without a byte-order mark; anything else is one line."""
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_bytes(b'\xef\xbb\xbf{"k": 4}')
+    assert cfgmod.merge_config(cfg_file).k == 4
+    cfg_file.write_bytes(b'\xff\xfe{"k": 3}')  # a UTF-16 byte-order mark
+    with pytest.raises(ConfigError) as exc:
+        cfgmod.merge_config(cfg_file)
+    assert str(exc.value) == (f"config.load: cannot read config {cfg_file}: 'utf-8' codec "
+                              "can't decode byte 0xff in position 0: invalid start byte")
 
 
 def test_config_echo_excludes_workers():
@@ -421,6 +452,15 @@ def test_unknown_enum_flag_errors(small_manifest, capsys):
     pytest.param({"acoustic": {"f0_min_hz": 101.0, "f0_max_hz": 101.2}},
                  "acoustic.extract_llds: the [101.0, 101.2] Hz pitch range holds no "
                  "whole-sample period at 16000 Hz", id="doc5-acoustic.extract_llds:pitch"),
+    # frame_len_s * f0_min_hz <= 1: no frame holds one period at the pitch floor
+    pytest.param({"acoustic": {"frame_len_s": 0.005}},
+                 "acoustic.extract_llds: a 0.005 s frame at 16000 Hz is 80 samples, too short "
+                 "for the 55.0 Hz pitch floor's period of 290 samples plus 2\n",
+                 id="doc6-acoustic.extract_llds:frame"),
+    pytest.param({"acoustic": {"f0_min_hz": 10}},
+                 "acoustic.extract_llds: a 0.025 s frame at 16000 Hz is 400 samples, too short "
+                 "for the 10 Hz pitch floor's period of 1600 samples plus 2\n",
+                 id="doc7-acoustic.extract_llds:floor"),
 ])
 def test_train_eval_rejects_degenerate_frames(small_manifest, tmp_path, capsys,
                                               doc, error, workers):
@@ -767,8 +807,20 @@ def test_synth_rejects_bad_spec(tmp_path, capsys):
         ({"sample_rate_hz": 16000.5}, None, "synth.load_spec: sample_rate_hz must be an integer"),
         ({"n_case": True}, None, "synth.load_spec: n_case must be an integer, got True"),
         ([1, 2], None, "synth.load_spec: spec root must be an object, got list"),
+        ({"n_cases": 5}, None, "synth.load_spec: unknown spec keys: ['n_cases']"),
+        ({"duration_s": float("nan")}, None, "synth.load_spec: duration_s must be finite, got nan"),
+        ({"duration_s": float("inf")}, None, "synth.load_spec: duration_s must be finite, got inf"),
+        ({"snr_db_target": float("-inf")}, None,
+         "synth.load_spec: snr_db_target must be finite, got -inf"),
+        (b'{"duration_s": 1e400}', None, "synth.load_spec: duration_s must be finite, got inf"),
+        ({"acoustic_separation": 10 ** 400}, None,
+         "synth.load_spec: acoustic_separation must be finite, got 1000"),
+        (b'\xff\xfe{"k": 3}', None, f"synth.load_spec: cannot read spec {spec_file}: 'utf-8' "
+         "codec can't decode byte 0xff in position 0: invalid start byte"),
+        # past a UTF-8 byte-order mark the object is read, so its key is checked
+        (b'\xef\xbb\xbf{"k": 4}', None, "synth.load_spec: unknown spec keys: ['k']"),
     ]:
-        spec_file.write_text(json.dumps(doc))
+        spec_file.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         argv = ["synth", "--config", str(spec_file), "--out", str(tmp_path / "c")]
         rc = cli.main(argv + (["--seed", seed] if seed else []))
         assert rc == 1, doc
