@@ -101,7 +101,6 @@ class LldMatrix:
         return self.values[:, LLD_NAMES.index(name)]
 
 
-@lru_cache(maxsize=8)
 def _mel_filterbank(n_filters: int, nfft: int, sr: int) -> np.ndarray:
     """Triangular mel filters over rfft bins, (n_filters, nfft//2+1)."""
     mel = lambda f: 2595.0 * np.log10(1.0 + f / 700.0)
@@ -117,7 +116,6 @@ def _mel_filterbank(n_filters: int, nfft: int, sr: int) -> np.ndarray:
     return fb
 
 
-@lru_cache(maxsize=8)
 def _dct_rows(n_out: int, n_in: int) -> np.ndarray:
     """Orthonormal DCT-II basis rows 1..n_out (row 0 dropped)."""
     t = np.arange(n_in)
@@ -128,29 +126,68 @@ def _dct_rows(n_out: int, n_in: int) -> np.ndarray:
     return basis[1:]
 
 
-@lru_cache(maxsize=8)
-def _hamming(n: int) -> np.ndarray:
-    """Read-only Hamming window of n samples."""
-    win = np.hamming(n)
-    win.flags.writeable = False
-    return win
+@dataclass(frozen=True, eq=False)
+class AnalysisPlan:
+    """The rate- and config-derived constants of the frame analysis: pitch
+    lags, FFT size, window, bin frequencies, the dB span (bins < 1500 Hz),
+    each band's bins, and the mel filterbank and DCT rows, transposed."""
+
+    sr: int
+    cfg: AcousticConfig
+    min_lag: int
+    max_lag: int
+    nfft: int
+    window: np.ndarray
+    freqs: np.ndarray
+    low: int
+    slope_lo: np.ndarray
+    slope_hi: np.ndarray
+    alpha_lo: np.ndarray
+    alpha_hi: np.ndarray
+    ham_lo: np.ndarray
+    ham_hi: np.ndarray
+    mel: np.ndarray
+    dct: np.ndarray
 
 
-def _band_slope(db_spec: np.ndarray, freqs: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Per-frame OLS slope of the dB spectrum over [lo, hi) Hz."""
-    mask = (freqs >= lo) & (freqs < hi)
-    if mask.sum() < 2:
+@lru_cache(maxsize=16)
+def analysis_plan(sr: int, cfg: AcousticConfig) -> AnalysisPlan:
+    """The read-only frame analysis plan at sr Hz, built once per (sr, cfg).
+
+    The pitch search covers whole periods of max(2, ceil(sr / f0_max_hz))
+    to floor(sr / f0_min_hz) samples; no such period is an error, and so
+    is a frame too short for the floor's period plus two lags.  Bands are
+    index arrays: a slice would sum to other bits than a boolean mask."""
+    n = int(round(cfg.frame_len_s * sr))
+    min_lag, max_lag = max(2, int(np.ceil(sr / cfg.f0_max_hz))), int(np.floor(sr / cfg.f0_min_hz))
+    if max_lag < min_lag:
+        raise FeatureError("extract_llds", f"the [{cfg.f0_min_hz}, {cfg.f0_max_hz}] Hz pitch "
+                           f"range holds no whole-sample period at {sr} Hz")
+    if max_lag > n - 2:
+        raise FeatureError("extract_llds", f"a {cfg.frame_len_s} s frame at {sr} Hz is {n} "
+                           f"samples, too short for the {cfg.f0_min_hz} Hz pitch floor's "
+                           f"period of {max_lag} samples plus 2")
+    nfft = dsp.next_pow2(n)
+    freqs = np.arange(nfft // 2 + 1) * (sr / nfft)
+    band = lambda lo, hi: np.flatnonzero((freqs >= lo) & (freqs < min(hi, sr / 2.0)))
+    arrays = dict(window=np.hamming(n), freqs=freqs,
+                  slope_lo=band(0.0, 500.0), slope_hi=band(500.0, 1500.0),
+                  alpha_lo=band(50.0, 1000.0), alpha_hi=band(1000.0, 5000.0),
+                  ham_lo=band(0.0, 2000.0), ham_hi=band(2000.0, 5000.0),
+                  mel=_mel_filterbank(cfg.n_mel_filters, nfft, sr).T,
+                  dct=_dct_rows(N_MFCC, cfg.n_mel_filters).T)
+    for a in arrays.values():
+        a.flags.writeable = False
+    return AnalysisPlan(sr, cfg, min_lag, max_lag, nfft,
+                        low=int(np.count_nonzero(freqs < 1500.0)), **arrays)
+
+
+def _band_slope(db_spec: np.ndarray, freqs: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """Per-frame OLS slope of the dB spectrum over the given bins."""
+    if bins.size < 2:
         return np.zeros(db_spec.shape[0])
-    f = freqs[mask]
-    y = db_spec[:, mask]
-    fc = f - f.mean()
-    denom = np.sum(fc * fc)
-    return (y @ fc) / denom
-
-
-def _band_power(power: np.ndarray, freqs: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    mask = (freqs >= lo) & (freqs < hi)
-    return power[:, mask].sum(axis=1)
+    fc = freqs[bins] - freqs[bins].mean()
+    return (db_spec[:, bins] @ fc) / np.sum(fc * fc)
 
 
 def _pick_lags(r: np.ndarray, min_lag: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,14 +234,9 @@ def _pair_rel_diff(x: np.ndarray, valid_pair: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lag_range(sr: int, cfg: AcousticConfig) -> tuple[int, int]:
-    """The shortest and longest pitch period searched, in samples (the
-    ceiling's and the floor's)."""
-    return max(2, int(np.ceil(sr / cfg.f0_max_hz))), int(np.floor(sr / cfg.f0_min_hz))
-
-
-def _llds_for_frames(frames: np.ndarray, sr: int, cfg: AcousticConfig) -> np.ndarray:
+def _llds_for_frames(frames: np.ndarray, plan: AnalysisPlan) -> np.ndarray:
     m, n = frames.shape
+    sr, cfg = plan.sr, plan.cfg
     cols: dict[str, np.ndarray] = {}
 
     mean_sq = np.mean(frames * frames, axis=1)
@@ -213,13 +245,10 @@ def _llds_for_frames(frames: np.ndarray, sr: int, cfg: AcousticConfig) -> np.nda
     cols["zcr"] = np.mean(frames[:, 1:] * frames[:, :-1] < 0.0, axis=1)
 
     # pitch and periodicity
-    min_lag, max_lag = _lag_range(sr, cfg)
-    r = kernels.autocorr_norm_batch(frames, min_lag, max_lag)
-    lags, r_best = _pick_lags(r, min_lag)
+    r = kernels.autocorr_norm_batch(frames, plan.min_lag, plan.max_lag)
+    lags, r_best = _pick_lags(r, plan.min_lag)
     voiced = r_best >= cfg.voicing_threshold
-    f0 = np.where(voiced, sr / lags, 0.0)
-    f0 = np.clip(f0, 0.0, cfg.f0_max_hz)
-    cols["f0_hz"] = f0
+    cols["f0_hz"] = np.clip(np.where(voiced, sr / lags, 0.0), 0.0, cfg.f0_max_hz)
     cols["voiced_flag"] = voiced.astype(np.float64)
     r_clip = np.clip(r_best, 1e-6, 1.0 - 1e-6)
     cols["hnr_db"] = 10.0 * np.log10(r_clip / (1.0 - r_clip))
@@ -230,15 +259,11 @@ def _llds_for_frames(frames: np.ndarray, sr: int, cfg: AcousticConfig) -> np.nda
     cols["shimmer_local"] = _pair_rel_diff(cols["rms_energy"], pair)
 
     # spectral shape
-    nfft = dsp.next_pow2(n)
-    spec = kernels.rfft_pow2_batch(
-        np.pad(frames * _hamming(n), ((0, 0), (0, nfft - n)))
-    )
-    mag = np.abs(spec)
+    padded = np.pad(frames * plan.window, ((0, 0), (0, plan.nfft - n)))
+    mag = np.abs(kernels.rfft_pow2_batch(padded))
     power = mag * mag
-    freqs = np.arange(mag.shape[1]) * (sr / nfft)
 
-    cols["spectral_centroid_hz"] = (mag @ freqs) / (mag.sum(axis=1) + _EPS)
+    cols["spectral_centroid_hz"] = (mag @ plan.freqs) / (mag.sum(axis=1) + _EPS)
     norm = mag / (np.linalg.norm(mag, axis=1, keepdims=True) + _EPS)
     flux = np.zeros(m)
     if m >= 2:
@@ -246,26 +271,19 @@ def _llds_for_frames(frames: np.ndarray, sr: int, cfg: AcousticConfig) -> np.nda
     cols["spectral_flux"] = flux
 
     # the band slopes are the only readers of the dB spectrum
-    low = int(np.count_nonzero(freqs < 1500.0))
-    db_spec = 20.0 * np.log10(mag[:, :low] + _EPS)
-    cols["spectral_slope_0_500"] = _band_slope(db_spec, freqs[:low], 0.0, 500.0)
-    cols["spectral_slope_500_1500"] = _band_slope(db_spec, freqs[:low], 500.0, 1500.0)
+    db_spec = 20.0 * np.log10(mag[:, :plan.low] + _EPS)
+    cols["spectral_slope_0_500"] = _band_slope(db_spec, plan.freqs, plan.slope_lo)
+    cols["spectral_slope_500_1500"] = _band_slope(db_spec, plan.freqs, plan.slope_hi)
 
-    hi_edge = min(5000.0, sr / 2.0)
-    alpha_lo = _band_power(power, freqs, 50.0, 1000.0)
-    alpha_hi = _band_power(power, freqs, 1000.0, hi_edge)
+    alpha_lo = power[:, plan.alpha_lo].sum(axis=1)
+    alpha_hi = power[:, plan.alpha_hi].sum(axis=1)
     cols["alpha_ratio_db"] = 10.0 * np.log10((alpha_lo + _EPS) / (alpha_hi + _EPS))
-    ham_mask_lo = (freqs >= 0.0) & (freqs < 2000.0)
-    ham_mask_hi = (freqs >= 2000.0) & (freqs < hi_edge)
-    ham_lo = power[:, ham_mask_lo].max(axis=1) if ham_mask_lo.any() else np.zeros(m)
-    ham_hi = power[:, ham_mask_hi].max(axis=1) if ham_mask_hi.any() else np.zeros(m)
+    ham_lo = power[:, plan.ham_lo].max(axis=1) if plan.ham_lo.size else np.zeros(m)
+    ham_hi = power[:, plan.ham_hi].max(axis=1) if plan.ham_hi.size else np.zeros(m)
     cols["hammarberg_index_db"] = 10.0 * np.log10((ham_lo + _EPS) / (ham_hi + _EPS))
 
-    fb = _mel_filterbank(cfg.n_mel_filters, nfft, sr)
-    log_mel = np.log(power @ fb.T + _EPS)
-    mfcc = log_mel @ _dct_rows(N_MFCC, cfg.n_mel_filters).T
-    for i in range(N_MFCC):
-        cols[f"mfcc_{i + 1}"] = mfcc[:, i]
+    mfcc = np.log(power @ plan.mel + _EPS) @ plan.dct
+    cols.update((f"mfcc_{i + 1}", mfcc[:, i]) for i in range(N_MFCC))
 
     return np.column_stack([cols[name] for name in LLD_NAMES])
 
@@ -280,33 +298,17 @@ def extract_llds(
     Frames never straddle a segment boundary; pairwise descriptors
     (jitter, shimmer, flux) reset at each segment start.  No speech
     segments (or segments too short for one frame) yield an empty
-    matrix.  A pitch range that holds no whole-sample period is an
-    error, and so is a frame too short to hold the pitch floor's period
-    and the two lags past it: the search would stop above the floor.
+    matrix.  The rate's analysis_plan comes first, so a config that
+    breaks its pitch rules is an error whatever the speech.
     """
-    cfg = config or AcousticConfig()
-    sr = audio.sample_rate_hz
-    n = int(round(cfg.frame_len_s * sr))
-    min_lag, max_lag = _lag_range(sr, cfg)
-    if max_lag < min_lag:
-        raise FeatureError(
-            "extract_llds",
-            f"the [{cfg.f0_min_hz}, {cfg.f0_max_hz}] Hz pitch range holds no whole-sample "
-            f"period at {sr} Hz",
-        )
-    if max_lag > n - 2:
-        raise FeatureError(
-            "extract_llds",
-            f"a {cfg.frame_len_s} s frame at {sr} Hz is {n} samples, too short for "
-            f"the {cfg.f0_min_hz} Hz pitch floor's period of {max_lag} samples plus 2",
-        )
+    plan = analysis_plan(audio.sample_rate_hz, config or AcousticConfig())
+    sr, cfg = plan.sr, plan.cfg
     blocks = []
     for start_s, end_s in segments.speech:
-        lo = int(round(start_s * sr))
-        hi = int(round(end_s * sr))
+        lo, hi = int(round(start_s * sr)), int(round(end_s * sr))
         frames = dsp.frame_signal(audio.samples[lo:hi], sr, cfg.frame_len_s, cfg.hop_s)
         if frames.shape[0]:
-            blocks.append(_llds_for_frames(frames, sr, cfg))
+            blocks.append(_llds_for_frames(frames, plan))
     return LldMatrix(np.vstack(blocks) if blocks else np.zeros((0, len(LLD_NAMES))))
 
 

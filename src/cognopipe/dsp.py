@@ -51,10 +51,6 @@ class SegmentSet:
                 raise ValueError(f"segments not sorted/disjoint: {self.speech}")
             prev_end = end
 
-    @property
-    def total_speech_s(self) -> float:
-        return sum(e - s for s, e in self.speech)
-
     def sample_mask(self, n_samples: int, sample_rate_hz: int) -> np.ndarray:
         mask = np.zeros(n_samples, dtype=bool)
         for start, end in self.speech:

@@ -1,6 +1,7 @@
 """Low-level descriptors, functionals, and the two acoustic feature sets."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -183,6 +184,73 @@ def test_dct_rows_orthonormal():
     assert np.allclose(rows @ rows.T, np.eye(13), atol=1e-12)
     # orthogonal to the dropped constant basis row
     assert np.allclose(rows @ np.full(26, np.sqrt(1 / 26)), 0.0, atol=1e-12)
+
+
+# the GeMAPS bands, [lo, hi) Hz, and the plan field holding each one's bins
+BANDS_HZ = {"slope_lo": (0.0, 500.0), "slope_hi": (500.0, 1500.0),
+            "alpha_lo": (50.0, 1000.0), "alpha_hi": (1000.0, 5000.0),
+            "ham_lo": (0.0, 2000.0), "ham_hi": (2000.0, 5000.0)}
+
+
+@pytest.mark.parametrize("sr", [8000, 16000, 22050, 44100, 48000])
+def test_analysis_plan_holds_what_the_rate_and_config_derive(sr):
+    cfg = AcousticConfig()
+    plan = acoustic.analysis_plan(sr, cfg)
+    n = int(round(cfg.frame_len_s * sr))
+    assert (plan.min_lag, plan.max_lag) == (max(2, math.ceil(sr / cfg.f0_max_hz)),
+                                            math.floor(sr / cfg.f0_min_hz))
+    assert plan.nfft == dsp.next_pow2(n)
+    assert np.array_equal(plan.window, np.hamming(n))
+    freqs = np.arange(plan.nfft // 2 + 1) * (sr / plan.nfft)
+    assert np.array_equal(plan.freqs, freqs)
+    assert plan.low == np.count_nonzero(freqs < 1500.0)
+    for name, (lo, hi) in BANDS_HZ.items():
+        want = np.flatnonzero((freqs >= lo) & (freqs < min(hi, sr / 2)))
+        assert np.array_equal(getattr(plan, name), want), name
+    assert np.array_equal(plan.mel, acoustic._mel_filterbank(cfg.n_mel_filters, plan.nfft, sr).T)
+    assert np.array_equal(plan.dct, acoustic._dct_rows(acoustic.N_MFCC, cfg.n_mel_filters).T)
+    arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 10 and not any(a.flags.writeable for a in arrays)
+    assert acoustic.analysis_plan(sr, AcousticConfig()) is plan  # an equal config, one plan
+
+
+@pytest.mark.parametrize("sr", [8000, 16000])
+def test_band_descriptors_equal_boolean_masks_bit_for_bit(sr):
+    """alpha_ratio_db and both band slopes, recomputed over boolean masks of
+    each segment's spectrum: the plan's bins must read the same copies (a
+    strided slice reduces to other last bits)."""
+    rng = np.random.default_rng(sr)
+    x = np.concatenate([sawtooth(140.0, 0.4, sr=sr), tone(230.0, 0.3, sr=sr)])
+    x += 0.02 * rng.standard_normal(x.size)
+    segments = dsp.SegmentSet(((0.0, 0.35), (0.42, 0.7)))
+    want = []
+    for start, end in segments.speech:
+        frames = dsp.frame_signal(x[int(round(start * sr)):int(round(end * sr))], sr)
+        n = frames.shape[1]
+        nfft = dsp.next_pow2(n)
+        mag = np.abs(acoustic.kernels.rfft_pow2_batch(
+            np.pad(frames * np.hamming(n), ((0, 0), (0, nfft - n)))))
+        power = mag * mag
+        freqs = np.arange(mag.shape[1]) * (sr / nfft)
+        low = int(np.count_nonzero(freqs < 1500.0))
+        db_spec = 20.0 * np.log10(mag[:, :low] + 1e-12)
+
+        def slope(lo, hi):
+            mask = (freqs[:low] >= lo) & (freqs[:low] < hi)
+            fc = freqs[:low][mask] - freqs[:low][mask].mean()
+            return (db_spec[:, mask] @ fc) / np.sum(fc * fc)
+
+        def band_power(lo, hi):
+            return power[:, (freqs >= lo) & (freqs < hi)].sum(axis=1)
+
+        alpha = 10.0 * np.log10((band_power(50.0, 1000.0) + 1e-12)
+                                / (band_power(1000.0, min(5000.0, sr / 2.0)) + 1e-12))
+        want.append(np.column_stack([slope(0.0, 500.0), slope(500.0, 1500.0), alpha]))
+    llds = acoustic.extract_llds(dsp.AudioBuffer(x, sr), segments)
+    got = np.column_stack([llds.column(name) for name in
+                           ("spectral_slope_0_500", "spectral_slope_500_1500", "alpha_ratio_db")])
+    assert got.shape[0] > 20
+    assert np.array_equal(got, np.vstack(want))
 
 
 def test_mfcc_invariant_to_gain():

@@ -1,14 +1,16 @@
 """Vote fusion, confusion tables, metrics, cross-validated experiments, reports."""
 
 import itertools
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from cognopipe import acoustic, classifiers, corpus as corpusmod, dsp, evaluation as ev, linguistic
+from cognopipe import (acoustic, classifiers, corpus as corpusmod, dsp, evaluation as ev,
+                       linguistic, synth)
 from cognopipe.corpus import Diagnosis, FoldAssignment, Label, Task, label_of
-from cognopipe.errors import EvaluationError, LeakageError
+from cognopipe.errors import EvaluationError, FeatureError, LeakageError
 from cognopipe.evaluation import (
     AveragingMode,
     ExperimentConfig,
@@ -628,6 +630,26 @@ def test_extracting_ngram_tfidf_is_an_error_before_any_decode(small_corpus, monk
     with pytest.raises(EvaluationError, match=r"^evaluation\.extract_task_features: NgramTfidf "
                                               r"vectors are fitted per cross-validation fold"):
         ev.extract_task_features(small_corpus, (Task.SHORT_TERM,), sets, workers=1)
+    assert reads == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_bad_acoustic_config_fails_before_any_decode(tmp_path, monkeypatch, workers):
+    """Each rate's analysis plan is built before the first job runs: a frame
+    too short for the pitch floor fails with its own error, not with the
+    first job's unreadable WAV, at every worker count."""
+    spec = synth.SynthSpec(n_case=2, n_control=2, seed=5, duration_s=1.0)
+    corp = corpusmod.load_manifest(synth.generate(spec, tmp_path / "m"))
+    first = min((r for r in corp.recordings if r.task is Task.SHORT_TERM),
+                key=lambda r: r.subject_id)
+    os.remove(first.audio_path)
+    reads = []
+    read_wav = dsp.read_wav
+    monkeypatch.setattr(dsp, "read_wav", lambda path: reads.append(path) or read_wav(path))
+    with pytest.raises(FeatureError, match=r"^acoustic\.extract_llds: .* 291 samples"):
+        ev.extract_task_features(corp, (Task.SHORT_TERM,), (FeatureSetId.EGEMAPS_LIKE_88,),
+                                 ac_cfg=acoustic.AcousticConfig(frame_len_s=0.0182),
+                                 workers=workers)
     assert reads == []
 
 
