@@ -156,9 +156,10 @@ def analysis_plan(sr: int, cfg: AcousticConfig) -> AnalysisPlan:
 
     The pitch search covers whole periods of max(2, ceil(sr / f0_max_hz))
     to floor(sr / f0_min_hz) samples; no such period is an error, and so
-    is a frame too short for the floor's period plus two lags.  Bands are
-    index arrays: a slice would sum to other bits than a boolean mask."""
-    n = int(round(cfg.frame_len_s * sr))
+    is a frame too short for the floor's period plus two lags; frame and
+    hop samples come from dsp.frame_geometry, which checks them first.
+    Bands are index arrays: a slice would sum to other bits than a mask."""
+    n, _hop = dsp.frame_geometry(sr, cfg.frame_len_s, cfg.hop_s)
     min_lag, max_lag = max(2, int(np.ceil(sr / cfg.f0_max_hz))), int(np.floor(sr / cfg.f0_min_hz))
     if max_lag < min_lag:
         raise FeatureError("extract_llds", f"the [{cfg.f0_min_hz}, {cfg.f0_max_hz}] Hz pitch "

@@ -190,25 +190,32 @@ def write_wav(path: str | Path, samples: np.ndarray, sample_rate_hz: int) -> Non
 # ---------------------------------------------------------------------------
 # Framing and FFT
 
-def frame_signal(samples: np.ndarray, sample_rate_hz: int,
-                 frame_len_s: float = 0.025, hop_s: float = 0.010) -> np.ndarray:
-    """Overlapping frames as a read-only (num, frame_len) view of samples.
-
-    num = 1 + floor((N - len) / hop), or 0 for a signal shorter than one
-    frame.  Row i is samples[i*hop : i*hop + len]; nothing is copied.
-    Frame and hop must each round to at least one sample.
-    """
-    flen = int(round(frame_len_s * sample_rate_hz))
+def frame_geometry(sample_rate_hz: int, frame_len_s: float, hop_s: float) -> tuple[int, int]:
+    """(frame, hop) in samples: each length rounded to the nearest whole
+    sample at sample_rate_hz, and each must come to at least one."""
+    frame = int(round(frame_len_s * sample_rate_hz))
     hop = int(round(hop_s * sample_rate_hz))
-    if flen < 1 or hop < 1:
+    if frame < 1 or hop < 1:
         raise AudioFormatError(
             "frame_signal",
             f"frame {frame_len_s} s / hop {hop_s} s at {sample_rate_hz} Hz is "
-            f"{flen} / {hop} samples; each must be at least 1",
+            f"{frame} / {hop} samples; each must be at least 1",
         )
-    if samples.size < flen:
-        return np.empty((0, flen))
-    return np.lib.stride_tricks.sliding_window_view(samples, flen)[::hop]
+    return frame, hop
+
+
+def frame_signal(samples: np.ndarray, sample_rate_hz: int,
+                 frame_len_s: float = 0.025, hop_s: float = 0.010) -> np.ndarray:
+    """Overlapping frames as a read-only (num, frame) view of samples.
+
+    frame and hop come from frame_geometry.  num = 1 + floor((N - frame) /
+    hop), or 0 for a signal shorter than one frame.  Row i is
+    samples[i*hop : i*hop + frame]; nothing is copied.
+    """
+    frame, hop = frame_geometry(sample_rate_hz, frame_len_s, hop_s)
+    if samples.size < frame:
+        return np.empty((0, frame))
+    return np.lib.stride_tricks.sliding_window_view(samples, frame)[::hop]
 
 
 def next_pow2(n: int) -> int:
@@ -277,10 +284,15 @@ def detect_speech(audio: AudioBuffer, config: VadConfig | None = None) -> Segmen
     (see VadConfig).  The dynamic range runs from the noise floor to the
     90th percentile; both follow numpy's "linear" percentile rule (see
     sorted_percentiles).  The fallback's median is numpy's: the mean of
-    the two middle energies, or the middle one for an odd count.
+    the two middle energies, or the middle one for an odd count.  Frame
+    and hop are whole samples at the recording's rate (frame_geometry), and
+    segment times are the bounds of the frames scored: a run of frames
+    [i, j) spans i*hop/sr to (j-1)*hop/sr + frame/sr seconds.
     """
     cfg = config or VadConfig()
-    frames = frame_signal(audio.samples, audio.sample_rate_hz, cfg.frame_len_s, cfg.hop_s)
+    sr = audio.sample_rate_hz
+    frame, hop = frame_geometry(sr, cfg.frame_len_s, cfg.hop_s)
+    frames = frame_signal(audio.samples, sr, cfg.frame_len_s, cfg.hop_s)
     if frames.shape[0] == 0:
         return SegmentSet(())
     energies = frame_energies_db(frames)
@@ -297,8 +309,8 @@ def detect_speech(audio: AudioBuffer, config: VadConfig | None = None) -> Segmen
 
     # speech runs are frames [i, j): the padded mask changes value at i and j
     bounds = np.flatnonzero(np.diff(mask, prepend=False, append=False))
-    starts = bounds[0::2] * cfg.hop_s
-    ends = (bounds[1::2] - 1) * cfg.hop_s + cfg.frame_len_s
+    starts = bounds[0::2] * (hop / sr)
+    ends = (bounds[1::2] - 1) * (hop / sr) + frame / sr
     dur = audio.duration_s
     if mask[-1]:
         # the tail beyond the last full frame cannot be classified; it

@@ -202,8 +202,10 @@ def extract_task_features(
                               "select acoustic or Lexical sets")
     shared = tuple(f for f in feature_sets if f in acoustic.FEATURE_SETS)
     jobs = [r for task in tasks if shared for r in _task_recordings(corpus, task, shared[0])]
+    vad = vad_cfg or dsp.VadConfig()
     for sr in dict.fromkeys(r.sample_rate_hz for r in jobs):  # a bad config fails before a decode
         acoustic.analysis_plan(sr, ac_cfg or acoustic.AcousticConfig())
+        dsp.frame_geometry(sr, vad.frame_len_s, vad.hop_s)
     extract = functools.partial(_extract_one, feature_sets=shared, vad_cfg=vad_cfg, ac_cfg=ac_cfg)
     if workers <= 1 or len(jobs) <= 1:
         vectors = list(map(extract, jobs))

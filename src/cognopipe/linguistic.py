@@ -146,15 +146,6 @@ def vectorize_tfidf(
     return X
 
 
-@dataclass(frozen=True)
-class LexicalStats:
-    word_count: int
-    type_token_ratio: float
-    mean_word_length_chars: float
-    words_per_second: float | None
-    filler_rate: float  # fillers per 100 words
-
-
 @lru_cache(maxsize=1)
 def load_fillers() -> tuple[str, ...]:
     """Filler lexicon, one entry per line (entries may be bigrams)."""
@@ -170,41 +161,16 @@ def _count_fillers(tokens: Sequence[str], fillers: Sequence[str]) -> int:
     return count
 
 
-def lexical_stats(text: str, duration_s: float | None = None) -> LexicalStats:
-    """Interpretable transcript statistics.
-
-    words_per_second needs a positive duration and is None otherwise;
-    the empty transcript yields all-zero statistics by convention.
+def lexical_vector(text: str, duration_s: float) -> FeatureVector:
+    """Interpretable transcript statistics as a 5-vector: word count,
+    type/token ratio, mean word length in characters, words per second
+    of a duration_s > 0, and fillers per 100 words.  The empty transcript
+    yields all zeros by convention.
     """
     tokens = tokenize(text)
     n = len(tokens)
-    if n == 0:
-        return LexicalStats(0, 0.0, 0.0, None if not duration_s else 0.0, 0.0)
-    wps = None
-    if duration_s is not None and duration_s > 0:
-        wps = n / duration_s
-    return LexicalStats(
-        word_count=n,
-        type_token_ratio=len(set(tokens)) / n,
-        mean_word_length_chars=sum(map(len, tokens)) / n,
-        words_per_second=wps,
-        filler_rate=100.0 * _count_fillers(tokens, load_fillers()) / n,
-    )
-
-
-def lexical_vector(text: str, duration_s: float | None = None) -> FeatureVector:
-    """LexicalStats flattened to a 5-vector (absent words_per_second -> 0)."""
-    s = lexical_stats(text, duration_s)
-    return FeatureVector(
-        FeatureSetId.LEXICAL,
-        np.array(
-            [
-                float(s.word_count),
-                s.type_token_ratio,
-                s.mean_word_length_chars,
-                s.words_per_second or 0.0,
-                s.filler_rate,
-            ]
-        ),
-    )
-
+    values = [0.0] * 5
+    if n:
+        values = [float(n), len(set(tokens)) / n, sum(map(len, tokens)) / n, n / duration_s,
+                  100.0 * _count_fillers(tokens, load_fillers()) / n]
+    return FeatureVector(FeatureSetId.LEXICAL, np.array(values))

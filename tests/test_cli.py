@@ -475,6 +475,23 @@ def test_train_eval_rejects_degenerate_frames(small_manifest, tmp_path, capsys,
     assert not (out / "report.json").exists()
 
 
+def test_train_eval_at_22050_hz_is_byte_identical_across_workers(tmp_path):
+    # a 10 ms hop is 220.5 samples here: the VAD rounds it to whole samples
+    spec = synth.SynthSpec(n_case=3, n_control=3, seed=4, duration_s=2.0,
+                           acoustic_separation=40.0, sample_rate_hz=22050)
+    manifest = synth.generate(spec, tmp_path / "m")
+    out = tmp_path / "out"  # the report names its output directory
+    reports = []
+    for workers in ("1", "2"):
+        rc = cli.main(["train-eval", "--manifest", str(manifest), "--out", str(out),
+                       "--features", "EgemapsLike88,Lexical", "--k", "3",
+                       "--workers", workers])
+        assert rc == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert evaluation.read_report(out / "report.json")["per_task"]
+
+
 @pytest.mark.parametrize("classifier", ["LogisticRegression", "LinearSVM"])
 def test_train_eval_rejects_an_empty_fold_vocabulary(small_manifest, tmp_path, capsys,
                                                      classifier):

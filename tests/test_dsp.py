@@ -441,6 +441,35 @@ def test_detect_speech_gain_invariant():
     assert a.speech == b.speech
 
 
+def _tone_bursts(sr, spans, dur_s=20.0):
+    """A 180 Hz tone over each (start, end) span, in faint noise."""
+    x = 1e-4 * np.random.default_rng(3).standard_normal(int(dur_s * sr))
+    for a, b in spans:
+        t = np.arange(int(a * sr), int(b * sr))
+        x[t] += 0.3 * np.sin(2 * np.pi * 180 * t / sr)
+    return dsp.AudioBuffer(x, sr)
+
+
+@pytest.mark.parametrize("sr", [11025, 22050, 44100])
+def test_detect_speech_bounds_are_the_bounds_of_frames_scored(sr):
+    # at these rates a 10 ms hop is 110.25, 220.5 or 441 samples
+    audio = _tone_bursts(sr, ((1.0, 2.3), (4.5, 5.2), (10.0, 16.0), (18.7, 20.0)))
+    frame, hop = round(0.025 * sr), round(0.010 * sr)
+    segs = dsp.detect_speech(audio).speech
+    assert len(segs) == 4 and segs[-1][1] == audio.duration_s
+    for start, end in segs:
+        assert round(start * sr) % hop == 0
+        if end != audio.duration_s:
+            assert (round(end * sr) - frame) % hop == 0
+
+
+def test_detect_speech_late_bound_does_not_drift_with_the_rate():
+    at_16k = dsp.detect_speech(_tone_bursts(16000, ((10.0, 16.0),))).speech
+    at_22k = dsp.detect_speech(_tone_bursts(22050, ((10.0, 16.0),))).speech
+    assert len(at_16k) == len(at_22k) == 1
+    assert abs(at_22k[0][1] - at_16k[0][1]) <= 0.010
+
+
 def test_segment_set_validation():
     with pytest.raises(ValueError):
         dsp.SegmentSet(((1.0, 0.5),))

@@ -10,7 +10,7 @@ import pytest
 from cognopipe import (acoustic, classifiers, corpus as corpusmod, dsp, evaluation as ev,
                        linguistic, synth)
 from cognopipe.corpus import Diagnosis, FoldAssignment, Label, Task, label_of
-from cognopipe.errors import EvaluationError, FeatureError, LeakageError
+from cognopipe.errors import EvaluationError, LeakageError, PipelineError
 from cognopipe.evaluation import (
     AveragingMode,
     ExperimentConfig,
@@ -633,11 +633,24 @@ def test_extracting_ngram_tfidf_is_an_error_before_any_decode(small_corpus, monk
     assert reads == []
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_a_bad_acoustic_config_fails_before_any_decode(tmp_path, monkeypatch, workers):
-    """Each rate's analysis plan is built before the first job runs: a frame
-    too short for the pitch floor fails with its own error, not with the
-    first job's unreadable WAV, at every worker count."""
+_SHORT_FRAME = acoustic.AcousticConfig(frame_len_s=0.0182), r"^acoustic\.extract_llds: .* 291 samples"
+_ZERO_HOP = r"^dsp\.frame_signal: .* is 400 / 0 samples; each must be at least 1$"
+
+
+@pytest.mark.parametrize("workers, key, cfg, error", [
+    pytest.param(1, "ac_cfg", *_SHORT_FRAME, id="1"),
+    pytest.param(2, "ac_cfg", *_SHORT_FRAME, id="2"),
+    pytest.param(1, "ac_cfg", acoustic.AcousticConfig(hop_s=1e-5), _ZERO_HOP, id="acoustic_hop-1"),
+    pytest.param(2, "ac_cfg", acoustic.AcousticConfig(hop_s=1e-5), _ZERO_HOP, id="acoustic_hop-2"),
+    pytest.param(1, "vad_cfg", dsp.VadConfig(hop_s=1e-5), _ZERO_HOP, id="vad_hop-1"),
+    pytest.param(2, "vad_cfg", dsp.VadConfig(hop_s=1e-5), _ZERO_HOP, id="vad_hop-2"),
+])
+def test_a_bad_acoustic_config_fails_before_any_decode(tmp_path, monkeypatch, workers, key,
+                                                       cfg, error):
+    """Each rate's analysis plan and VAD frame geometry are checked before
+    the first job runs: a frame too short for the pitch floor, or an
+    acoustic or VAD hop that rounds to 0 samples, fails with its own
+    error, not with the first job's unreadable WAV, at every worker count."""
     spec = synth.SynthSpec(n_case=2, n_control=2, seed=5, duration_s=1.0)
     corp = corpusmod.load_manifest(synth.generate(spec, tmp_path / "m"))
     first = min((r for r in corp.recordings if r.task is Task.SHORT_TERM),
@@ -646,10 +659,9 @@ def test_a_bad_acoustic_config_fails_before_any_decode(tmp_path, monkeypatch, wo
     reads = []
     read_wav = dsp.read_wav
     monkeypatch.setattr(dsp, "read_wav", lambda path: reads.append(path) or read_wav(path))
-    with pytest.raises(FeatureError, match=r"^acoustic\.extract_llds: .* 291 samples"):
+    with pytest.raises(PipelineError, match=error):
         ev.extract_task_features(corp, (Task.SHORT_TERM,), (FeatureSetId.EGEMAPS_LIKE_88,),
-                                 ac_cfg=acoustic.AcousticConfig(frame_len_s=0.0182),
-                                 workers=workers)
+                                 workers=workers, **{key: cfg})
     assert reads == []
 
 

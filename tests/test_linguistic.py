@@ -137,27 +137,24 @@ def test_leakage_guard():
 # lexical statistics
 
 def test_lexical_stats_hand_computed():
-    s = linguistic.lexical_stats("The cat um you know sat", duration_s=3.0)
-    assert s.word_count == 6
-    assert s.type_token_ratio == 1.0
-    assert abs(s.mean_word_length_chars - 3.0) < 1e-12
-    assert abs(s.words_per_second - 2.0) < 1e-12
+    v = linguistic.lexical_vector("The cat um you know sat", duration_s=3.0).values
+    assert v[0] == 6.0  # word count
+    assert v[1] == 1.0  # type/token ratio
+    assert abs(v[2] - 3.0) < 1e-12  # mean word length
+    assert abs(v[3] - 2.0) < 1e-12  # words per second
     # one single filler (um) plus one bigram filler (you know)
-    assert abs(s.filler_rate - 100.0 * 2 / 6) < 1e-9
+    assert abs(v[4] - 100.0 * 2 / 6) < 1e-9
 
 
 def test_lexical_stats_repeated_words():
-    s = linguistic.lexical_stats("go go go stop")
-    assert s.word_count == 4
-    assert s.type_token_ratio == 0.5
-    assert s.words_per_second is None
+    v = linguistic.lexical_vector("go go go stop", duration_s=2.0).values
+    assert v[0] == 4.0
+    assert v[1] == 0.5
 
 
 def test_lexical_stats_empty():
-    s = linguistic.lexical_stats("", duration_s=2.0)
-    assert s.word_count == 0 and s.type_token_ratio == 0.0
-    s2 = linguistic.lexical_stats("")
-    assert s2.words_per_second is None
+    v = linguistic.lexical_vector("", duration_s=2.0).values
+    assert v[0] == 0.0 and v[1] == 0.0
 
 
 def test_lexical_vector_shape():
@@ -166,8 +163,6 @@ def test_lexical_vector_shape():
     assert v.dim == 5
     assert v.values[0] == 3.0
     assert abs(v.values[3] - 2.0) < 1e-12
-    # missing duration encodes words-per-second as zero
-    assert linguistic.lexical_vector("one two three").values[3] == 0.0
 
 
 def test_load_fillers_default():
