@@ -200,14 +200,12 @@ def _pick_lags(r: np.ndarray, min_lag: int) -> tuple[np.ndarray, np.ndarray]:
     (refined fractional lags, peak correlation values).
     """
     m, n_lags = r.shape
-    peak = r.max(axis=1)
-    interior = np.zeros_like(r, dtype=bool)
+    best = np.argmax(r, axis=1)
     if n_lags >= 3:
-        interior[:, 1:-1] = (r[:, 1:-1] >= r[:, :-2]) & (r[:, 1:-1] >= r[:, 2:])
-    good = interior & (r >= 0.9 * peak[:, None])
-    has_good = good.any(axis=1)
-    first_good = np.argmax(good, axis=1)
-    best = np.where(has_good, first_good, np.argmax(r, axis=1))
+        # local maxima are interior lags: column j of mid is lag j + 1
+        mid = r[:, 1:-1]
+        good = (mid >= r[:, :-2]) & (mid >= r[:, 2:]) & (mid >= 0.9 * r.max(axis=1)[:, None])
+        best = np.where(good.any(axis=1), np.argmax(good, axis=1) + 1, best)
 
     # parabolic refinement around the chosen sample
     lag = best.astype(np.float64)
@@ -224,69 +222,82 @@ def _pick_lags(r: np.ndarray, min_lag: int) -> tuple[np.ndarray, np.ndarray]:
     return lag + min_lag, r_at
 
 
-def _pair_rel_diff(x: np.ndarray, valid_pair: np.ndarray) -> np.ndarray:
-    """|x[t]-x[t-1]| / mean(x[t],x[t-1]) per consecutive valid pair, else 0."""
-    out = np.zeros(x.size)
-    if x.size < 2:
-        return out
+def _pair_rel_diff(x: np.ndarray, valid_pair: np.ndarray, out: np.ndarray) -> None:
+    """out[t] = |x[t]-x[t-1]| / mean(x[t],x[t-1]) per consecutive valid
+    pair, else 0; out[0] = 0."""
+    out[0] = 0.0
     avg = 0.5 * (x[1:] + x[:-1])
     rel = np.abs(np.diff(x)) / np.where(avg > _EPS, avg, 1.0)
     out[1:] = np.where(valid_pair & (avg > _EPS), rel, 0.0)
-    return out
+
+
+_COLUMN = {name: j for j, name in enumerate(LLD_NAMES)}
+_PAIRWISE = [_COLUMN[name] for name in ("jitter_local", "shimmer_local", "spectral_flux")]
+
+# Most frames per _llds_for_frames call that packs several segments.  On a
+# 2-CPU VM a call had a fixed cost of about 170 us, and past about 512
+# frames the cost per frame doubled
+_BLOCK_FRAMES = 256
 
 
 def _llds_for_frames(frames: np.ndarray, plan: AnalysisPlan) -> np.ndarray:
+    """The (m, len(LLD_NAMES)) LLDs of m >= 1 frames, each pairwise
+    descriptor taken against the row before it (0 at row 0)."""
     m, n = frames.shape
     sr, cfg = plan.sr, plan.cfg
-    cols: dict[str, np.ndarray] = {}
+    out = np.empty((m, len(LLD_NAMES)))
+    col = lambda name: out[:, _COLUMN[name]]
 
     mean_sq = np.mean(frames * frames, axis=1)
-    cols["rms_energy"] = np.sqrt(mean_sq)
-    cols["log_energy_db"] = 10.0 * np.log10(mean_sq + _EPS)
-    cols["zcr"] = np.mean(frames[:, 1:] * frames[:, :-1] < 0.0, axis=1)
+    rms = col("rms_energy")
+    np.sqrt(mean_sq, out=rms)
+    col("log_energy_db")[:] = 10.0 * np.log10(mean_sq + _EPS)
+    col("zcr")[:] = np.count_nonzero(frames[:, 1:] * frames[:, :-1] < 0.0, axis=1) / (n - 1)
 
     # pitch and periodicity
     r = kernels.autocorr_norm_batch(frames, plan.min_lag, plan.max_lag)
     lags, r_best = _pick_lags(r, plan.min_lag)
     voiced = r_best >= cfg.voicing_threshold
-    cols["f0_hz"] = np.clip(np.where(voiced, sr / lags, 0.0), 0.0, cfg.f0_max_hz)
-    cols["voiced_flag"] = voiced.astype(np.float64)
+    col("f0_hz")[:] = np.clip(np.where(voiced, sr / lags, 0.0), 0.0, cfg.f0_max_hz)
+    col("voiced_flag")[:] = voiced
     r_clip = np.clip(r_best, 1e-6, 1.0 - 1e-6)
-    cols["hnr_db"] = 10.0 * np.log10(r_clip / (1.0 - r_clip))
+    col("hnr_db")[:] = 10.0 * np.log10(r_clip / (1.0 - r_clip))
 
-    pair = voiced[1:] & voiced[:-1] if m >= 2 else np.zeros(0, dtype=bool)
-    periods = np.where(voiced, lags / sr, 0.0)
-    cols["jitter_local"] = _pair_rel_diff(periods, pair)
-    cols["shimmer_local"] = _pair_rel_diff(cols["rms_energy"], pair)
+    pair = voiced[1:] & voiced[:-1]
+    _pair_rel_diff(np.where(voiced, lags / sr, 0.0), pair, col("jitter_local"))
+    _pair_rel_diff(rms, pair, col("shimmer_local"))
 
-    # spectral shape
-    padded = np.pad(frames * plan.window, ((0, 0), (0, plan.nfft - n)))
-    mag = np.abs(kernels.rfft_pow2_batch(padded))
+    # spectral shape: the windowed frames, zero-padded to nfft
+    padded = np.zeros((m, plan.nfft))
+    np.multiply(frames, plan.window, out=padded[:, :n])
+    spec = kernels.rfft_pow2_batch(padded)
+    del padded
+    mag = np.abs(spec)
+    del spec
     power = mag * mag
 
-    cols["spectral_centroid_hz"] = (mag @ plan.freqs) / (mag.sum(axis=1) + _EPS)
-    norm = mag / (np.linalg.norm(mag, axis=1, keepdims=True) + _EPS)
-    flux = np.zeros(m)
-    if m >= 2:
-        flux[1:] = np.linalg.norm(np.diff(norm, axis=0), axis=1)
-    cols["spectral_flux"] = flux
+    col("spectral_centroid_hz")[:] = (mag @ plan.freqs) / (mag.sum(axis=1) + _EPS)
+    # each norm is np.linalg.norm's: sqrt(add.reduce(x * x))
+    norm = mag / (np.sqrt(np.add.reduce(power, axis=1))[:, None] + _EPS)
+    flux = col("spectral_flux")
+    flux[0] = 0.0
+    step = np.diff(norm, axis=0)
+    np.sqrt(np.add.reduce(step * step, axis=1), out=flux[1:])
 
     # the band slopes are the only readers of the dB spectrum
     db_spec = 20.0 * np.log10(mag[:, :plan.low] + _EPS)
-    cols["spectral_slope_0_500"] = _band_slope(db_spec, plan.freqs, plan.slope_lo)
-    cols["spectral_slope_500_1500"] = _band_slope(db_spec, plan.freqs, plan.slope_hi)
+    col("spectral_slope_0_500")[:] = _band_slope(db_spec, plan.freqs, plan.slope_lo)
+    col("spectral_slope_500_1500")[:] = _band_slope(db_spec, plan.freqs, plan.slope_hi)
 
     alpha_lo = power[:, plan.alpha_lo].sum(axis=1)
     alpha_hi = power[:, plan.alpha_hi].sum(axis=1)
-    cols["alpha_ratio_db"] = 10.0 * np.log10((alpha_lo + _EPS) / (alpha_hi + _EPS))
+    col("alpha_ratio_db")[:] = 10.0 * np.log10((alpha_lo + _EPS) / (alpha_hi + _EPS))
     ham_lo = power[:, plan.ham_lo].max(axis=1) if plan.ham_lo.size else np.zeros(m)
     ham_hi = power[:, plan.ham_hi].max(axis=1) if plan.ham_hi.size else np.zeros(m)
-    cols["hammarberg_index_db"] = 10.0 * np.log10((ham_lo + _EPS) / (ham_hi + _EPS))
+    col("hammarberg_index_db")[:] = 10.0 * np.log10((ham_lo + _EPS) / (ham_hi + _EPS))
 
-    mfcc = np.log(power @ plan.mel + _EPS) @ plan.dct
-    cols.update((f"mfcc_{i + 1}", mfcc[:, i]) for i in range(N_MFCC))
-
-    return np.column_stack([cols[name] for name in LLD_NAMES])
+    out[:, _COLUMN["mfcc_1"]:] = np.log(power @ plan.mel + _EPS) @ plan.dct
+    return out
 
 
 def extract_llds(
@@ -297,20 +308,34 @@ def extract_llds(
     """Compute per-frame LLDs over the speech segments only.
 
     Frames never straddle a segment boundary; pairwise descriptors
-    (jitter, shimmer, flux) reset at each segment start.  No speech
-    segments (or segments too short for one frame) yield an empty
-    matrix.  The rate's analysis_plan comes first, so a config that
-    breaks its pitch rules is an error whatever the speech.
+    (jitter, shimmer, flux) reset at each segment start.  Consecutive
+    segments are analysed together, in blocks of up to _BLOCK_FRAMES
+    frames (a longer segment is a block of its own), so each row equals
+    its segment's own analysis up to the rounding of the block's matrix
+    products.  No speech segments (or segments too short for one frame)
+    yield an empty matrix.  The rate's analysis_plan comes first, so a
+    config that breaks its pitch rules is an error whatever the speech.
     """
     plan = analysis_plan(audio.sample_rate_hz, config or AcousticConfig())
     sr, cfg = plan.sr, plan.cfg
-    blocks = []
+    blocks, rows, sizes = [], _BLOCK_FRAMES, []
     for start_s, end_s in segments.speech:
         lo, hi = int(round(start_s * sr)), int(round(end_s * sr))
         frames = dsp.frame_signal(audio.samples[lo:hi], sr, cfg.frame_len_s, cfg.hop_s)
-        if frames.shape[0]:
-            blocks.append(_llds_for_frames(frames, plan))
-    return LldMatrix(np.vstack(blocks) if blocks else np.zeros((0, len(LLD_NAMES))))
+        if not frames.shape[0]:
+            continue
+        if rows + frames.shape[0] > _BLOCK_FRAMES:  # the segment starts a new block
+            blocks.append([])
+            rows = 0
+        blocks[-1].append(frames)
+        rows += frames.shape[0]
+        sizes.append(frames.shape[0])
+    if not blocks:
+        return LldMatrix(np.zeros((0, len(LLD_NAMES))))
+    values = np.vstack([_llds_for_frames(np.concatenate(b) if len(b) > 1 else b[0], plan)
+                        for b in blocks])
+    values[np.cumsum([0] + sizes[:-1])[:, None], _PAIRWISE] = 0.0  # each segment's first row
+    return LldMatrix(values)
 
 
 def functional_table(values: np.ndarray) -> np.ndarray:

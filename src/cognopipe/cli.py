@@ -42,8 +42,8 @@ finally:
     gc.enable()
 
 # glibc returns a freed block above 128 KiB (at first) to the kernel, and
-# trims the heap top above 128 KiB, so each segment's multi-MB numpy
-# temporaries are page-faulted in again by the next segment.  Fixed
+# trims the heap top above 128 KiB, so each block's multi-MB numpy
+# temporaries are page-faulted in again by the next block.  Fixed
 # thresholds keep those pages resident for reuse.  Skipped where the C
 # library cannot be loaded or has no mallopt.
 try:

@@ -203,6 +203,8 @@ def extract_task_features(
     shared = tuple(f for f in feature_sets if f in acoustic.FEATURE_SETS)
     jobs = [r for task in tasks if shared for r in _task_recordings(corpus, task, shared[0])]
     vad = vad_cfg or dsp.VadConfig()
+    for fsid in shared:  # each set's cells are read and checked once, before any fork
+        acoustic._cells(fsid)
     for sr in dict.fromkeys(r.sample_rate_hz for r in jobs):  # a bad config fails before a decode
         acoustic.analysis_plan(sr, ac_cfg or acoustic.AcousticConfig())
         dsp.frame_geometry(sr, vad.frame_len_s, vad.hop_s)

@@ -64,20 +64,32 @@ def autocorr_norm_batch(frames: np.ndarray, min_lag: int, max_lag: int) -> np.nd
     """
     frames = np.asarray(frames, dtype=np.float64)
     m, n = frames.shape
-    out = np.zeros((m, max_lag - min_lag + 1), dtype=np.float64)
     top = min(max_lag, n - 1)
     if top < min_lag:
-        return out
-    nfft = smooth_length(n + top)
-    spec = np.fft.rfft(frames, nfft, axis=1)
-    num = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, nfft, axis=1)[:, min_lag:top + 1]
-
+        return np.zeros((m, max_lag - min_lag + 1))
     csum = np.zeros((m, n + 1))
     np.cumsum(frames * frames, axis=1, out=csum[:, 1:])
     # lag l: the head holds samples [0, n - l), the tail [l, n)
-    e_head = csum[:, n - top:n - min_lag + 1][:, ::-1]
-    e_tail = csum[:, n:] - csum[:, min_lag:top + 1]
-    denom = np.sqrt(e_head * e_tail)
+    denom = csum[:, n - top:n - min_lag + 1][:, ::-1] * (csum[:, n:] - csum[:, min_lag:top + 1])
+    np.sqrt(denom, out=denom)
+    del csum
+
+    # the frames are zero-padded here, not by rfft's n: the FFT of whole
+    # contiguous rows runs faster.  |X|^2 is then written over X itself:
+    # irfft takes complex input, and a real power array would be cast to a
+    # complex copy
+    nfft = smooth_length(n + top)
+    padded = np.zeros((m, nfft))
+    padded[:, :n] = frames
+    spec = np.fft.rfft(padded, axis=1)
+    del padded
+    re, im = spec.real, spec.imag
+    np.square(re, out=re)
+    re += np.square(im, out=im)
+    im[:] = 0.0
+    num = np.fft.irfft(spec, nfft, axis=1)[:, min_lag:top + 1]
+    del spec, re, im
+    out = np.zeros((m, max_lag - min_lag + 1))
     np.divide(num, denom, out=out[:, : top - min_lag + 1], where=denom > 0.0)
     return out
 

@@ -2,9 +2,12 @@
 
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cognopipe import acoustic, dsp
 from cognopipe.acoustic import FUNCTIONAL_NAMES, LLD_NAMES, AcousticConfig, LldMatrix
@@ -217,40 +220,40 @@ def test_analysis_plan_holds_what_the_rate_and_config_derive(sr):
 @pytest.mark.parametrize("sr", [8000, 16000])
 def test_band_descriptors_equal_boolean_masks_bit_for_bit(sr):
     """alpha_ratio_db and both band slopes, recomputed over boolean masks of
-    each segment's spectrum: the plan's bins must read the same copies (a
-    strided slice reduces to other last bits)."""
+    the spectrum of both segments' frames, the one block the kernel sees:
+    the plan's bins must read the same copies (a strided slice reduces to
+    other last bits)."""
     rng = np.random.default_rng(sr)
     x = np.concatenate([sawtooth(140.0, 0.4, sr=sr), tone(230.0, 0.3, sr=sr)])
     x += 0.02 * rng.standard_normal(x.size)
     segments = dsp.SegmentSet(((0.0, 0.35), (0.42, 0.7)))
-    want = []
-    for start, end in segments.speech:
-        frames = dsp.frame_signal(x[int(round(start * sr)):int(round(end * sr))], sr)
-        n = frames.shape[1]
-        nfft = dsp.next_pow2(n)
-        mag = np.abs(acoustic.kernels.rfft_pow2_batch(
-            np.pad(frames * np.hamming(n), ((0, 0), (0, nfft - n)))))
-        power = mag * mag
-        freqs = np.arange(mag.shape[1]) * (sr / nfft)
-        low = int(np.count_nonzero(freqs < 1500.0))
-        db_spec = 20.0 * np.log10(mag[:, :low] + 1e-12)
+    frames = np.concatenate([dsp.frame_signal(x[int(round(start * sr)):int(round(end * sr))], sr)
+                             for start, end in segments.speech])
+    n = frames.shape[1]
+    nfft = dsp.next_pow2(n)
+    mag = np.abs(acoustic.kernels.rfft_pow2_batch(
+        np.pad(frames * np.hamming(n), ((0, 0), (0, nfft - n)))))
+    power = mag * mag
+    freqs = np.arange(mag.shape[1]) * (sr / nfft)
+    low = int(np.count_nonzero(freqs < 1500.0))
+    db_spec = 20.0 * np.log10(mag[:, :low] + 1e-12)
 
-        def slope(lo, hi):
-            mask = (freqs[:low] >= lo) & (freqs[:low] < hi)
-            fc = freqs[:low][mask] - freqs[:low][mask].mean()
-            return (db_spec[:, mask] @ fc) / np.sum(fc * fc)
+    def slope(lo, hi):
+        mask = (freqs[:low] >= lo) & (freqs[:low] < hi)
+        fc = freqs[:low][mask] - freqs[:low][mask].mean()
+        return (db_spec[:, mask] @ fc) / np.sum(fc * fc)
 
-        def band_power(lo, hi):
-            return power[:, (freqs >= lo) & (freqs < hi)].sum(axis=1)
+    def band_power(lo, hi):
+        return power[:, (freqs >= lo) & (freqs < hi)].sum(axis=1)
 
-        alpha = 10.0 * np.log10((band_power(50.0, 1000.0) + 1e-12)
-                                / (band_power(1000.0, min(5000.0, sr / 2.0)) + 1e-12))
-        want.append(np.column_stack([slope(0.0, 500.0), slope(500.0, 1500.0), alpha]))
+    alpha = 10.0 * np.log10((band_power(50.0, 1000.0) + 1e-12)
+                            / (band_power(1000.0, min(5000.0, sr / 2.0)) + 1e-12))
+    want = np.column_stack([slope(0.0, 500.0), slope(500.0, 1500.0), alpha])
     llds = acoustic.extract_llds(dsp.AudioBuffer(x, sr), segments)
     got = np.column_stack([llds.column(name) for name in
                            ("spectral_slope_0_500", "spectral_slope_500_1500", "alpha_ratio_db")])
     assert got.shape[0] > 20
-    assert np.array_equal(got, np.vstack(want))
+    assert np.array_equal(got, want)
 
 
 def test_mfcc_invariant_to_gain():
@@ -288,6 +291,62 @@ def test_pairwise_descriptors_reset_at_segment_starts():
     assert two.column("spectral_flux")[per_half] == 0.0
     assert two.num_frames == 2 * per_half
     assert one.num_frames > two.num_frames  # straddling frames dropped
+
+
+_PAIRWISE = ("jitter_local", "shimmer_local", "spectral_flux")
+# 25 s of a gliding sawtooth in noise, with a quiet stretch: voiced and
+# unvoiced frames for any segment layout below
+_LAYOUT_SIGNAL = np.concatenate([
+    sawtooth(140.0, 10.0) * np.linspace(0.2, 1.0, 10 * SR),
+    0.001 * np.random.default_rng(7).standard_normal(2 * SR),
+    tone(210.0, 13.0),
+]) + 0.01 * np.random.default_rng(8).standard_normal(25 * SR)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 300)), min_size=1, max_size=8))
+@example([(0, 128), (3, 128), (5, 300), (0, 1)])  # a block of exactly 256, one of 300
+def test_blocks_equal_one_call_per_segment(layout):
+    """Segments of (gap hops, frames) packed into blocks give each
+    segment's own LLDs, with the pairwise descriptors 0 at its first row,
+    and no block past _BLOCK_FRAMES rows unless it is one segment."""
+    plan = acoustic.analysis_plan(SR, AcousticConfig())
+    frame, hop = dsp.frame_geometry(SR, 0.025, 0.010)
+    bounds, at = [], 0
+    for gap, count in layout:
+        at += gap * hop
+        bounds.append((at, at + (count - 1) * hop + frame))
+        at = bounds[-1][1]
+    x = _LAYOUT_SIGNAL[:at]
+    want = [acoustic._llds_for_frames(dsp.frame_signal(x[lo:hi], SR), plan) for lo, hi in bounds]
+
+    calls = []
+    kernel = acoustic._llds_for_frames
+
+    def recording(frames, plan_):
+        calls.append(frames.shape[0])
+        return kernel(frames, plan_)
+
+    with mock.patch.object(acoustic, "_llds_for_frames", recording):
+        got = acoustic.extract_llds(dsp.AudioBuffer(x, SR),
+                                    dsp.SegmentSet(tuple((lo / SR, hi / SR) for lo, hi in bounds)))
+    assert np.allclose(got.values, np.vstack(want), rtol=1e-9, atol=1e-9)
+    firsts = np.cumsum([0] + [count for _, count in layout[:-1]])
+    for name in _PAIRWISE:
+        assert not got.column(name)[firsts].any(), name
+
+    # each call packs the next whole segments, as many as fit in a block
+    sizes = [count for _, count in layout]
+    for rows in calls:
+        k, total = 1, sizes[0]
+        while total < rows:
+            total += sizes[k]
+            k += 1
+        assert total == rows
+        assert rows <= acoustic._BLOCK_FRAMES or k == 1
+        sizes = sizes[k:]
+        assert not sizes or rows + sizes[0] > acoustic._BLOCK_FRAMES
+    assert sizes == []
 
 
 def test_time_shift_by_one_hop_shifts_frames():

@@ -665,6 +665,30 @@ def test_a_bad_acoustic_config_fails_before_any_decode(tmp_path, monkeypatch, wo
     assert reads == []
 
 
+class _FirstRead(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_acoustic_cells_are_built_before_the_first_decode(tmp_path, monkeypatch, workers):
+    """Every requested set's cells are built in the calling process before
+    the first WAV is read, so forked workers inherit them and a broken data
+    file fails before any job.  The first read, in a worker or not, raises
+    with the cache size it sees."""
+    spec = synth.SynthSpec(n_case=2, n_control=2, seed=5, duration_s=1.0)
+    corp = corpusmod.load_manifest(synth.generate(spec, tmp_path / "m"))
+
+    def read_wav(path):
+        raise _FirstRead(f"cells cached: {acoustic._cells.cache_info().currsize}")
+
+    acoustic._cells.cache_clear()
+    monkeypatch.setattr(dsp, "read_wav", read_wav)
+    with pytest.raises(_FirstRead, match=r"^cells cached: 2$"):
+        ev.extract_task_features(corp, (Task.SHORT_TERM,), (FeatureSetId.EGEMAPS_LIKE_88,
+                                 FeatureSetId.COMPARE_LIKE, FeatureSetId.LEXICAL),
+                                 workers=workers)
+
+
 def test_fold_seed_stable_and_distinct():
     args = (7, Task.SHORT_TERM, FeatureSetId.EGEMAPS_LIKE_88,
             classifiers.ModelKind.LOGISTIC_REGRESSION)
