@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dsp, kernels
-from .errors import FeatureError
+from .errors import FeatureError, writing
 from .features import FeatureSetId, FeatureVector
 
 N_MFCC = 13
@@ -319,8 +319,7 @@ def extract_llds(
     plan = analysis_plan(audio.sample_rate_hz, config or AcousticConfig())
     sr, cfg = plan.sr, plan.cfg
     blocks, rows, sizes = [], _BLOCK_FRAMES, []
-    for start_s, end_s in segments.speech:
-        lo, hi = int(round(start_s * sr)), int(round(end_s * sr))
+    for lo, hi in segments.sample_bounds(audio.samples.size, sr):
         frames = dsp.frame_signal(audio.samples[lo:hi], sr, cfg.frame_len_s, cfg.hop_s)
         if not frames.shape[0]:
             continue
@@ -486,20 +485,21 @@ def write_feature_matrix(path, rows, feature_set_id: FeatureSetId, dim: int) -> 
     dim), then a column-header line, then one line per recording.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["feature_set_id", feature_set_id.value])
-        w.writerow(["version", MANIFEST_VERSION])
-        w.writerow(["dim", dim])
-        w.writerow(["subject_id", "task", "empty_speech"] + [f"v{i}" for i in range(dim)])
-        for subject_id, task_value, vec in rows:
-            if vec.dim != dim:
-                raise FeatureError(
-                    "write_feature_matrix",
-                    f"vector dim {vec.dim} != contracted dim {dim} for {subject_id}",
+    with writing(FeatureError, "write_feature_matrix", path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["feature_set_id", feature_set_id.value])
+            w.writerow(["version", MANIFEST_VERSION])
+            w.writerow(["dim", dim])
+            w.writerow(["subject_id", "task", "empty_speech"] + [f"v{i}" for i in range(dim)])
+            for subject_id, task_value, vec in rows:
+                if vec.dim != dim:
+                    raise FeatureError(
+                        "write_feature_matrix",
+                        f"vector dim {vec.dim} != contracted dim {dim} for {subject_id}",
+                    )
+                w.writerow(
+                    [subject_id, task_value, int(vec.empty_speech)]
+                    + [repr(float(v)) for v in vec.values]
                 )
-            w.writerow(
-                [subject_id, task_value, int(vec.empty_speech)]
-                + [repr(float(v)) for v in vec.values]
-            )

@@ -3,8 +3,10 @@
 Subcommands: validate, summarize, extract, train-eval, report, synth.
 Every hard error surfaces as one "module.operation: detail" line and a
 nonzero exit code.  Every command writes its files after its last
-check, so a failed command writes none.  COGNOPIPE_LOG sets verbosity
-(DEBUG, INFO, WARNING, ...).
+check, so a command that fails a check writes none.  A file that cannot
+be written is one "module.operation: cannot write <path>: <reason>"
+line; extract keeps the feature matrices it wrote before that one.
+COGNOPIPE_LOG sets verbosity (DEBUG, INFO, WARNING, ...).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ try:
     from pathlib import Path
 
     from . import acoustic, config as cfgmod, corpus, evaluation
-    from .errors import ConfigError, ManifestError, PipelineError
+    from .errors import ConfigError, ManifestError, PipelineError, writing
 finally:
     gc.freeze()
     gc.enable()
@@ -129,10 +131,16 @@ def cmd_summarize(args) -> int:
     text = "\n".join(_stats_lines(stats)) + "\n"
     print(text, end="")
     path = Path(cfg.out_dir) / "summary.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        with writing(ConfigError, "out_dir", tmp):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text, encoding="utf-8")
+        with writing(ConfigError, "out_dir", path):
+            os.replace(tmp, path)
+    finally:
+        if tmp.is_file():  # a write or rename failed; a directory there is not ours
+            tmp.unlink()
     log.info("wrote %s", path)
     return 0
 

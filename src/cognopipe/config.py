@@ -1,9 +1,9 @@
 """Run configuration: defaults <- config file <- command-line flags.
 
 The merged, effective configuration is echoed into every report for
-provenance, with one deliberate exception: the worker count is an
-execution detail that must not change results, so it is excluded from
-the echo (reports stay byte-identical across --workers values).
+provenance, minus the run's execution details: the worker count and the
+output directory must not change results, so neither is echoed, and a
+report's bytes do not depend on --workers or on where it is written.
 """
 
 from __future__ import annotations
@@ -215,6 +215,11 @@ def _echo(value):
     return value
 
 
+# Where and how wide a run executes; neither may change its results.
+_EXECUTION_FIELDS = ("workers", "out_dir")
+
+
 def config_echo(cfg: RunConfig) -> dict:
-    """JSON-able view of the effective config, minus execution details."""
-    return {f.name: _echo(getattr(cfg, f.name)) for f in fields(cfg) if f.name != "workers"}
+    """JSON-able view of the effective config, minus _EXECUTION_FIELDS."""
+    return {f.name: _echo(getattr(cfg, f.name)) for f in fields(cfg)
+            if f.name not in _EXECUTION_FIELDS}

@@ -51,11 +51,16 @@ class SegmentSet:
                 raise ValueError(f"segments not sorted/disjoint: {self.speech}")
             prev_end = end
 
+    def sample_bounds(self, n_samples: int, sample_rate_hz: int) -> list[tuple[int, int]]:
+        """Each interval as sample indices [a, b), rounded to the nearest
+        sample and clipped to a buffer of n_samples."""
+        return [(max(0, int(round(start * sample_rate_hz))),
+                 min(n_samples, int(round(end * sample_rate_hz))))
+                for start, end in self.speech]
+
     def sample_mask(self, n_samples: int, sample_rate_hz: int) -> np.ndarray:
         mask = np.zeros(n_samples, dtype=bool)
-        for start, end in self.speech:
-            a = max(0, int(round(start * sample_rate_hz)))
-            b = min(n_samples, int(round(end * sample_rate_hz)))
+        for a, b in self.sample_bounds(n_samples, sample_rate_hz):
             mask[a:b] = True
         return mask
 
@@ -228,11 +233,10 @@ def next_pow2(n: int) -> int:
 def fft_real(x: np.ndarray, n: int) -> np.ndarray:
     """Forward DFT of a real vector zero-padded/truncated to length n.
 
-    n must be a power of two >= 2; returns the n//2 + 1 low-frequency bins
-    where bin b = sum_t x[t] * exp(-2*pi*i*b*t/n).
+    n must be a power of two >= 2 (kernels.rfft_pow2_batch checks it);
+    returns the n//2 + 1 low-frequency bins where
+    bin b = sum_t x[t] * exp(-2*pi*i*b*t/n).
     """
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"fft_real length must be a power of two >= 2, got {n}")
     x = np.asarray(x, dtype=np.float64)
     buf = np.zeros(n)
     m = min(n, x.size)

@@ -4,6 +4,8 @@ Every hard error names the stage and operation that raised it plus the
 offending entity, so the CLI can surface a single actionable line.
 """
 
+from contextlib import contextmanager
+
 
 class PipelineError(Exception):
     """Base class for hard errors raised by pipeline operations."""
@@ -62,3 +64,13 @@ class EvaluationError(PipelineError):
 
 class SynthError(PipelineError):
     module = "synth"
+
+
+@contextmanager
+def writing(error: type[PipelineError], op: str, path):
+    """Turn an OSError raised in the block into error(op, "cannot write
+    <path>: <reason>"), so a file that cannot be written is one line."""
+    try:
+        yield
+    except OSError as exc:
+        raise error(op, f"cannot write {path}: {exc.strerror}") from None

@@ -23,10 +23,10 @@ import numpy as np
 
 from . import acoustic, classifiers, dsp, linguistic
 from .corpus import Corpus, Diagnosis, FoldAssignment, Label, Task, TaskRecording
-from .errors import EvaluationError
+from .errors import EvaluationError, writing
 from .features import FeatureSetId, FeatureVector
 
-REPORT_SCHEMA_VERSION = "1.3"
+REPORT_SCHEMA_VERSION = "1.4"
 
 DISCLAIMERS = (
     "speech segmentation uses energy-based voice activity detection",
@@ -722,10 +722,9 @@ def build_report(
 def write_report(report: Mapping, path) -> None:
     """Serialize with sorted keys so identical runs are byte-identical."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with writing(EvaluationError, "write_report", path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def read_report(path) -> dict:

@@ -1,6 +1,7 @@
 """Command-line behavior through cli.main, plus config merging."""
 
 import concurrent.futures
+import errno
 import json
 import os
 import re
@@ -139,9 +140,9 @@ def test_config_file_encodings(tmp_path):
 
 
 def test_config_echo_excludes_workers():
-    cfg = cfgmod.merge_config(None, manifest="m", workers=8)
+    cfg = cfgmod.merge_config(None, manifest="m", workers=8, out_dir="o")
     echo = cfgmod.config_echo(cfg)
-    assert "workers" not in echo
+    assert "workers" not in echo and "out_dir" not in echo
     assert echo["manifest"] == "m"
     assert echo["tasks"] == [t.value for t in Task]
     assert echo["tie_break"] == "score_sum"
@@ -328,6 +329,31 @@ def test_an_out_that_cannot_be_written_fails_first(small_manifest, tmp_path, cap
     assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "x"
 
 
+@pytest.mark.parametrize("command, name, error, workers", [
+    ("summarize", "summary.csv.tmp", "config.out_dir", None),
+    ("summarize", "summary.csv", "config.out_dir", None),
+    ("extract", "features_ShortTerm_Lexical.csv", "acoustic.write_feature_matrix", "1"),
+    ("extract", "features_ShortTerm_Lexical.csv", "acoustic.write_feature_matrix", "2"),
+    ("train-eval", "report.json", "evaluation.write_report", "1"),
+    ("train-eval", "report.json", "evaluation.write_report", "2"),
+])
+def test_an_output_file_that_cannot_be_written_is_one_line(small_manifest, tmp_path, capsys,
+                                                           command, name, error, workers):
+    """A directory where an output file goes: exit 1 and one line naming
+    the file, and the directory is left as it was."""
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    args = [command, "--manifest", str(small_manifest), "--out", str(out)]
+    if workers:  # Lexical is written first; EgemapsLike88 goes through the pool at 2
+        args += ["--tasks", "ShortTerm", "--features", "Lexical,EgemapsLike88",
+                 "--workers", workers]
+    rc = cli.main(args)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {error}: cannot write {out / name}: {os.strerror(errno.EISDIR)}\n"
+    assert list(out.iterdir()) == [out / name] and not list((out / name).iterdir())
+
+
 # ---------------------------------------------------------------------------
 # train-eval / report
 
@@ -480,9 +506,9 @@ def test_train_eval_at_22050_hz_is_byte_identical_across_workers(tmp_path):
     spec = synth.SynthSpec(n_case=3, n_control=3, seed=4, duration_s=2.0,
                            acoustic_separation=40.0, sample_rate_hz=22050)
     manifest = synth.generate(spec, tmp_path / "m")
-    out = tmp_path / "out"  # the report names its output directory
     reports = []
     for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}"
         rc = cli.main(["train-eval", "--manifest", str(manifest), "--out", str(out),
                        "--features", "EgemapsLike88,Lexical", "--k", "3",
                        "--workers", workers])
@@ -490,6 +516,23 @@ def test_train_eval_at_22050_hz_is_byte_identical_across_workers(tmp_path):
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
     assert evaluation.read_report(out / "report.json")["per_task"]
+
+
+def test_report_bytes_independent_of_the_output_directory(small_manifest, tmp_path):
+    """The same run written through --out and through the config file's
+    out_dir, at different depths, gives the same report bytes; its config
+    block names the corpus but neither output directory nor worker count."""
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"out_dir": str(tmp_path / "b" / "nested")}))
+    base = ["train-eval", "--manifest", str(small_manifest), "--tasks", "ShortTerm",
+            "--features", "Lexical", "--k", "3", "--workers", "1"]
+    assert cli.main(base + ["--out", str(tmp_path / "a")]) == 0
+    assert cli.main(base + ["--config", str(cfg_file)]) == 0
+    first = (tmp_path / "a" / "report.json").read_bytes()
+    assert (tmp_path / "b" / "nested" / "report.json").read_bytes() == first
+    echo = json.loads(first)["config"]
+    assert "out_dir" not in echo and "workers" not in echo
+    assert echo["manifest"] == str(small_manifest)
 
 
 @pytest.mark.parametrize("classifier", ["LogisticRegression", "LinearSVM"])
@@ -576,7 +619,7 @@ def pools(monkeypatch):
 
 def test_train_eval_extracts_through_one_pool(small_manifest, tmp_path, pools):
     def run(workers: str) -> bytes:
-        out = tmp_path / "out"  # the report echoes it
+        out = tmp_path / workers
         rc = cli.main(["train-eval", "--manifest", str(small_manifest), "--out", str(out),
                        "--tasks", "ShortTerm,LongTerm",
                        "--features", "EgemapsLike88,CompareLike,Lexical",
@@ -726,10 +769,10 @@ def test_cli_import_freezes_its_objects_and_keeps_collecting(fake_cdll):
 def test_entry_point_reports_byte_identical_across_workers(small_manifest, tmp_path):
     """`python -m cognopipe.cli train-eval` in fresh processes, at one
     worker and through the pool, writes the same report bytes."""
-    out = tmp_path / "out"  # the report echoes it
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     reports = []
     for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}"
         proc = subprocess.run(
             [sys.executable, "-m", "cognopipe.cli", "train-eval",
              "--manifest", str(small_manifest), "--out", str(out),

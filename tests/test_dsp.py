@@ -480,6 +480,14 @@ def test_segment_set_validation():
     assert mask[: SR].all() and not mask[SR : 2 * SR].any()
 
 
+def test_segment_sample_bounds_round_and_clip():
+    # extract_llds slices and sample_mask marks these same bounds
+    s = dsp.SegmentSet(((0.0, 1.00002), (2.5, 9.0)))
+    assert s.sample_bounds(4 * SR, SR) == [(0, SR), (5 * SR // 2, 4 * SR)]
+    mask = s.sample_mask(4 * SR, SR)
+    assert mask.sum() == SR + 3 * SR // 2 and mask[-1] and not mask[SR]
+
+
 # ---------------------------------------------------------------------------
 # SNR
 
