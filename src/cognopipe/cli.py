@@ -96,39 +96,10 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _stats_lines(stats: corpus.CorpusStats) -> list[str]:
-    lines = [f"subjects,{stats.n_subjects}", f"recordings,{stats.n_recordings}"]
-    counts = ",".join(
-        f"{d.value}={stats.diagnosis_counts[d]}" for d in corpus.Diagnosis
-    )
-    lines.append(f"diagnosis_counts,{counts}")
-    lines.append(
-        "group,diagnosis,task,count,duration_mean_s,duration_std_s,"
-        "snr_mean_db,snr_std_db"
-    )
-    for (d, t), g in stats.per_group.items():
-        lines.append(
-            f"group,{d.value},{t.value},{g.count},{g.duration_mean_s:.2f},"
-            f"{g.duration_std_s:.2f},{g.snr_mean_db:.2f},{g.snr_std_db:.2f}"
-        )
-    lines.append("demographics,diagnosis,count,age_mean,age_std,M,F,Undisclosed")
-    for d, demo in stats.demographics.items():
-        age_mean = "absent" if demo.age_mean is None else f"{demo.age_mean:.1f}"
-        age_std = "absent" if demo.age_std is None else f"{demo.age_std:.1f}"
-        lines.append(
-            f"demographics,{d.value},{demo.count},{age_mean},{age_std},"
-            f"{demo.gender_counts[corpus.Gender.M]},"
-            f"{demo.gender_counts[corpus.Gender.F]},"
-            f"{demo.gender_counts[corpus.Gender.UNDISCLOSED]}"
-        )
-    return lines
-
-
 def cmd_summarize(args) -> int:
     cfg = _run_config(args)
     c = corpus.load_manifest(cfg.manifest)
-    stats = corpus.summarize(c, cfg.vad)
-    text = "\n".join(_stats_lines(stats)) + "\n"
+    text = "\n".join(corpus.summarize(c, cfg.vad)) + "\n"
     print(text, end="")
     path = Path(cfg.out_dir) / "summary.csv"
     tmp = path.with_name(path.name + ".tmp")

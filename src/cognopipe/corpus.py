@@ -169,32 +169,6 @@ class FoldAssignment:
         return tuple(sizes)
 
 
-@dataclass(frozen=True)
-class GroupStats:
-    count: int
-    duration_mean_s: float
-    duration_std_s: float
-    snr_mean_db: float
-    snr_std_db: float
-
-
-@dataclass(frozen=True)
-class DemographicStats:
-    count: int
-    age_mean: float | None
-    age_std: float | None
-    gender_counts: Mapping[Gender, int]
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    n_subjects: int
-    n_recordings: int
-    diagnosis_counts: Mapping[Diagnosis, int]
-    per_group: Mapping[tuple[Diagnosis, Task], GroupStats]
-    demographics: Mapping[Diagnosis, DemographicStats]
-
-
 def _read_table(root: str, name: str, columns: tuple[str, ...], diags: list[Diagnostic]):
     """Read a CSV table, returning [(row_number, row_dict), ...].
 
@@ -384,13 +358,25 @@ def load_manifest(path) -> Corpus:
     return Corpus(tuple(subjects), tuple(recordings))
 
 
-def summarize(corpus: Corpus, vad_config: dsp.VadConfig | None = None) -> CorpusStats:
-    """Per (diagnosis, task) duration/SNR statistics plus demographics.
+def _sorted_mean_std(values) -> tuple[float, float]:
+    """Mean and population std (divisor N, so one value is well defined)
+    of the values sorted first, which makes both exactly invariant to
+    their order."""
+    v = np.sort(np.asarray(values, dtype=float))
+    return float(np.mean(v)), float(np.std(v))
 
-    Uses the population std (divisor N) so single-recording groups are
-    well defined.  Values are sorted before reduction, which makes the
-    result exactly invariant to manifest row order.  Groups with no
-    recordings are simply absent from per_group.
+
+def summarize(corpus: Corpus, vad_config: dsp.VadConfig | None = None) -> list[str]:
+    """The corpus census as CSV lines, the text of ``summary.csv``.
+
+    First the subject and recording counts and the count of each
+    diagnosis.  Then a header and one ``group`` line per (diagnosis,
+    task) that has recordings: its count and the mean and std of its
+    durations (s) and SNRs (dB).  Then a header and one ``demographics``
+    line per diagnosis that has subjects: its count, the mean and std of
+    the disclosed ages (``absent`` when none is) and its M, F and
+    Undisclosed counts.  Stds are population stds; values are sorted
+    before reduction, so the lines do not depend on manifest row order.
     """
     durations: dict[tuple[Diagnosis, Task], list[float]] = {}
     snrs: dict[tuple[Diagnosis, Task], list[float]] = {}
@@ -401,45 +387,42 @@ def summarize(corpus: Corpus, vad_config: dsp.VadConfig | None = None) -> Corpus
         durations.setdefault(key, []).append(rec.duration_s)
         snrs.setdefault(key, []).append(dsp.estimate_snr(audio, segments))
 
-    per_group: dict[tuple[Diagnosis, Task], GroupStats] = {}
+    counts = ",".join(f"{d.value}={n}" for d, n in corpus.diagnosis_counts().items())
+    lines = [
+        f"subjects,{len(corpus.subjects)}",
+        f"recordings,{len(corpus.recordings)}",
+        f"diagnosis_counts,{counts}",
+        "group,diagnosis,task,count,duration_mean_s,duration_std_s,snr_mean_db,snr_std_db",
+    ]
     for d in Diagnosis:
         for t in Task:
-            key = (d, t)
-            if key not in durations:
+            if (d, t) not in durations:
                 continue
-            dur = np.sort(np.asarray(durations[key]))
-            snr = np.sort(np.asarray(snrs[key]))
-            per_group[key] = GroupStats(
-                count=dur.size,
-                duration_mean_s=float(np.mean(dur)),
-                duration_std_s=float(np.std(dur)),
-                snr_mean_db=float(np.mean(snr)),
-                snr_std_db=float(np.std(snr)),
+            dur_mean, dur_std = _sorted_mean_std(durations[(d, t)])
+            snr_mean, snr_std = _sorted_mean_std(snrs[(d, t)])
+            lines.append(
+                f"group,{d.value},{t.value},{len(durations[(d, t)])},{dur_mean:.2f},"
+                f"{dur_std:.2f},{snr_mean:.2f},{snr_std:.2f}"
             )
 
-    demographics: dict[Diagnosis, DemographicStats] = {}
+    lines.append("demographics,diagnosis,count,age_mean,age_std,M,F,Undisclosed")
     for d in Diagnosis:
         members = [s for s in corpus.subjects if s.diagnosis is d]
         if not members:
             continue
-        ages = np.sort(np.asarray([s.age for s in members if s.age is not None], dtype=float))
+        ages = [s.age for s in members if s.age is not None]
+        age_mean, age_std = "absent", "absent"
+        if ages:
+            mean, std = _sorted_mean_std(ages)
+            age_mean, age_std = f"{mean:.1f}", f"{std:.1f}"
         genders = {g: 0 for g in Gender}
         for s in members:
             genders[s.gender] += 1
-        demographics[d] = DemographicStats(
-            count=len(members),
-            age_mean=float(np.mean(ages)) if ages.size else None,
-            age_std=float(np.std(ages)) if ages.size else None,
-            gender_counts=genders,
+        lines.append(
+            f"demographics,{d.value},{len(members)},{age_mean},{age_std},"
+            f"{genders[Gender.M]},{genders[Gender.F]},{genders[Gender.UNDISCLOSED]}"
         )
-
-    return CorpusStats(
-        n_subjects=len(corpus.subjects),
-        n_recordings=len(corpus.recordings),
-        diagnosis_counts=corpus.diagnosis_counts(),
-        per_group=per_group,
-        demographics=demographics,
-    )
+    return lines
 
 
 def stratified_folds(corpus: Corpus, k: int, seed: int) -> FoldAssignment:

@@ -26,7 +26,7 @@ from .corpus import Corpus, Diagnosis, FoldAssignment, Label, Task, TaskRecordin
 from .errors import EvaluationError, writing
 from .features import FeatureSetId, FeatureVector
 
-REPORT_SCHEMA_VERSION = "1.4"
+REPORT_SCHEMA_VERSION = "1.5"
 
 DISCLAIMERS = (
     "speech segmentation uses energy-based voice activity detection",
@@ -524,7 +524,6 @@ class MetricSet:
     f1_std: float
     sensitivity: float
     specificity: float
-    averaging_mode: AveragingMode
     zero_division: bool  # some cell had no predicted/true positives
 
 
@@ -595,7 +594,6 @@ def metrics(
         f1_std=float(np.std(arr[:, 2])),
         sensitivity=sens,
         specificity=spec,
-        averaging_mode=mode,
         zero_division=flagged,
     )
 
@@ -618,8 +616,6 @@ def _cell_block(keys: Mapping, preds: Sequence[FoldPrediction], corpus: Corpus) 
     """One report block: keys, confusion tables, every metric mode, predictions."""
     cb = confusion(preds, corpus)
     docs = {mode.value: asdict(metrics(cb, preds, mode)) for mode in AveragingMode}
-    for doc in docs.values():
-        del doc["averaging_mode"]  # the key it sits under
     return {
         **keys,
         "confusion_3x2": [list(r) for r in cb.three_by_two],
@@ -652,10 +648,12 @@ def build_report(
     """Assemble the full evaluation document (JSON-serializable).
 
     Per-task blocks cover each experiment; fusion blocks cover each
-    (feature set, classifier) cell over its available tasks.  CSV blocks
-    duplicate the metric tables for spreadsheet use; chart_data carries
-    the per-task F1 bars.  The document is deterministic: every list is
-    explicitly ordered, so serialization is byte-stable.
+    (feature set, classifier) cell over its available tasks; each block
+    holds its confusion tables, its metrics under every averaging mode
+    and its predictions.  Two CSV blocks repeat the Binary metrics of the
+    per-task and fused blocks for spreadsheet use.  The document is
+    deterministic: every list is explicitly ordered, so serialization is
+    byte-stable.
     """
     experiments = sorted(
         experiments, key=lambda e: (e.task.value, e.feature_set.value, e.classifier.value)
@@ -709,13 +707,6 @@ def build_report(
         "fused": fused_blocks,
         "per_task_csv": _csv(per_task, ("task", "feature_set", "classifier")),
         "fused_csv": _csv(fused_blocks, ("feature_set", "classifier", "n_tasks")),
-        "chart_data": {
-            "per_task_f1": [
-                {k: b[k] for k in ("task", "feature_set", "classifier")}
-                | {"f1": b["metrics"]["Binary"]["f1"]}
-                for b in per_task
-            ]
-        },
     }
 
 
@@ -727,9 +718,31 @@ def write_report(report: Mapping, path) -> None:
         path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
+_FUSED_KEYS = ("feature_set", "classifier", "confusion_3x2", "confusion_2x2")
+
+
+def _unreadable_part(report: dict) -> str | None:
+    """The first part `cognopipe report` reads that the report lacks or
+    holds in another form, or None."""
+    disclaimers = report.get("disclaimers")
+    if not (isinstance(disclaimers, list) and all(isinstance(d, str) for d in disclaimers)):
+        return "disclaimers is not a list of strings"
+    for key in ("per_task_csv", "fused_csv"):
+        if not isinstance(report.get(key), str):
+            return f"{key} is not a string"
+    fused = report.get("fused")
+    if not isinstance(fused, list):
+        return "fused is not a list"
+    for block in fused:
+        if not (isinstance(block, dict) and all(k in block for k in _FUSED_KEYS)):
+            return f"a fused block lacks one of {', '.join(_FUSED_KEYS)}"
+    return None
+
+
 def read_report(path) -> dict:
     """A report of this schema; a missing or unreadable file, text that is
-    not JSON and JSON that is not such a report are one EvaluationError."""
+    not JSON and JSON that is not such a report (another schema, or one
+    that lacks a part `cognopipe report` prints) are one EvaluationError."""
     try:
         report = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -741,4 +754,9 @@ def read_report(path) -> dict:
         raise EvaluationError(
             "read_report", f"{path} is not a report of schema {REPORT_SCHEMA_VERSION} "
             f"(schema_version {version!r})")
+    unreadable = _unreadable_part(report)
+    if unreadable:
+        raise EvaluationError(
+            "read_report", f"{path} is not a report of schema {REPORT_SCHEMA_VERSION}: "
+            f"{unreadable}")
     return report

@@ -390,11 +390,49 @@ def test_train_eval_then_report(small_manifest, tmp_path, capsys):
     assert "confusion 3x2" in out2
 
 
+# The least `cognopipe report` reads: one fused block and no per-task one.
+_READABLE = {
+    "schema_version": evaluation.REPORT_SCHEMA_VERSION,
+    "disclaimers": ["a note"],
+    "per_task_csv": "header\n",
+    "fused_csv": "header\n",
+    "fused": [{"feature_set": "Lexical", "classifier": "LinearSVM",
+               "confusion_3x2": [[0, 1], [1, 0], [0, 2]], "confusion_2x2": [[1, 1], [0, 2]]}],
+}
+
+
+def _report_without(key: str, **changes) -> bytes:
+    doc = {k: v for k, v in _READABLE.items() if k != key}
+    return json.dumps(doc | changes).encode()
+
+
+def test_report_reads_the_least_it_prints(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_bytes(json.dumps(_READABLE).encode())
+    assert cli.main(["report", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"schema {evaluation.REPORT_SCHEMA_VERSION}\nnote: a note\n")
+    assert "fused Lexical/LinearSVM confusion 3x2" in out
+
+
 @pytest.mark.parametrize("content, detail", [
     (None, "cannot read"),
     (b"{\"schema_version\": ", "is not JSON"),
     (b"{\"per_task\": []}\n", "is not a report of schema"),
-], ids=["missing", "not_json", "not_a_report"])
+    (b"{\"schema_version\": \"1.4\"}\n", "(schema_version '1.4')"),
+    (json.dumps({"schema_version": evaluation.REPORT_SCHEMA_VERSION}).encode(),
+     "disclaimers is not a list of strings"),
+    (_report_without("disclaimers", disclaimers=[1]), "disclaimers is not a list of strings"),
+    (_report_without("per_task_csv"), "per_task_csv is not a string"),
+    (_report_without("fused_csv", fused_csv=["header"]), "fused_csv is not a string"),
+    (_report_without("fused", fused={}), "fused is not a list"),
+    (_report_without("fused", fused=[{"feature_set": "Lexical", "confusion_3x2": [],
+                                      "confusion_2x2": []}]),
+     "a fused block lacks one of feature_set, classifier, confusion_3x2, confusion_2x2"),
+    (_report_without("fused", fused=[None]), "a fused block lacks one of"),
+], ids=["missing", "not_json", "not_a_report", "older_schema", "schema_version_alone",
+        "disclaimer_not_a_string", "no_per_task_csv", "fused_csv_not_a_string",
+        "fused_not_a_list", "fused_block_without_classifier", "fused_block_not_an_object"])
 def test_report_on_bad_input_is_one_line_error(tmp_path, capsys, content, detail):
     path = tmp_path / "report.json"
     if content is not None:

@@ -350,20 +350,35 @@ def test_counts():
 
 def test_summarize_basic(good_manifest):
     c = corpus.load_manifest(good_manifest)
-    stats = corpus.summarize(c)
-    assert stats.n_subjects == 2
-    assert stats.n_recordings == 4
-    g = stats.per_group[(Diagnosis.MCI, Task.SHORT_TERM)]
-    assert g.count == 1
-    assert abs(g.duration_mean_s - 0.5) < 1e-9
-    assert g.duration_std_s == 0.0
-    assert (Diagnosis.DEMENTIA, Task.SHORT_TERM) not in stats.per_group
-    assert Diagnosis.DEMENTIA not in stats.demographics
-    demo = stats.demographics[Diagnosis.MCI]
-    assert demo.count == 1 and demo.age_mean == 74.0
-    hc = stats.demographics[Diagnosis.HC]
-    assert hc.age_mean is None  # age undisclosed
-    assert hc.gender_counts[Gender.UNDISCLOSED] == 1
+    lines = corpus.summarize(c)
+    assert lines[:2] == ["subjects,2", "recordings,4"]
+    rows = [line.split(",") for line in lines]
+    group = next(r for r in rows if r[:3] == ["group", "MCI", "ShortTerm"])
+    assert group[3:6] == ["1", "0.50", "0.00"]  # count, duration mean and std
+    assert not any(r[1] == "Dementia" for r in rows if r[0] in ("group", "demographics"))
+    demo = {r[1]: r[2:] for r in rows if r[0] == "demographics"}
+    assert demo["MCI"][:2] == ["1", "74.0"]  # count, age mean
+    assert demo["HC"][1] == "absent"  # age undisclosed
+    assert demo["HC"][5] == "1"  # gender Undisclosed
+
+
+def test_summarize_census_of_pure_tones(good_manifest):
+    """Every recording is a 0.5 s tone with no non-speech, so every value
+    is exact and the SNR reads its +120 dB cap."""
+    c = corpus.load_manifest(good_manifest)
+    assert corpus.summarize(c) == [
+        "subjects,2",
+        "recordings,4",
+        "diagnosis_counts,Dementia=0,MCI=1,HC=1",
+        "group,diagnosis,task,count,duration_mean_s,duration_std_s,snr_mean_db,snr_std_db",
+        "group,MCI,ShortTerm,1,0.50,0.00,120.00,0.00",
+        "group,MCI,SemanticFluency,1,0.50,0.00,120.00,0.00",
+        "group,HC,ShortTerm,1,0.50,0.00,120.00,0.00",
+        "group,HC,SemanticFluency,1,0.50,0.00,120.00,0.00",
+        "demographics,diagnosis,count,age_mean,age_std,M,F,Undisclosed",
+        "demographics,MCI,1,74.0,0.0,0,1,0",
+        "demographics,HC,1,absent,absent,0,0,1",
+    ]
 
 
 def test_summarize_row_order_invariant(good_manifest):

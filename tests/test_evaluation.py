@@ -726,6 +726,9 @@ def tiny_report():
 
 def test_report_structure(tiny_report):
     corp, folds, experiments, rep = tiny_report
+    # no block derived from the others
+    assert set(rep) == {"schema_version", "disclaimers", "config", "corpus", "folds",
+                        "per_task", "fused", "per_task_csv", "fused_csv"}
     assert rep["schema_version"] == ev.REPORT_SCHEMA_VERSION
     assert rep["config"] == {"seed": 7, "manifest": "mem"}
     assert rep["corpus"]["n_subjects"] == 12
@@ -759,7 +762,7 @@ def test_report_metric_blocks_have_all_modes(tiny_report):
         assert tbl.shape == (3, 2) and tbl.sum() == block["n_predictions" if "n_predictions" in block else "n_subjects"]
 
 
-def test_report_csv_and_chart_read_the_blocks(tiny_report):
+def test_report_csv_reads_the_blocks(tiny_report):
     *_, rep = tiny_report
     cols = ["precision", "recall", "f1", "precision_std", "recall_std", "f1_std",
             "sensitivity", "specificity"]
@@ -774,11 +777,6 @@ def test_report_csv_and_chart_read_the_blocks(tiny_report):
             binary = block["metrics"]["Binary"]
             values = [block[k] for k in keys] + [binary[c] for c in cols]
             assert row == ",".join(str(v) for v in values)
-    bars = rep["chart_data"]["per_task_f1"]
-    assert len(bars) == len(rep["per_task"])
-    for bar, block in zip(bars, rep["per_task"]):
-        assert bar == {"task": block["task"], "feature_set": block["feature_set"],
-                       "classifier": block["classifier"], "f1": block["metrics"]["Binary"]["f1"]}
 
 
 def test_report_round_trip_and_byte_identity(tiny_report, tmp_path):
