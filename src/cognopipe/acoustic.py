@@ -234,7 +234,8 @@ def _pair_rel_diff(x: np.ndarray, valid_pair: np.ndarray, out: np.ndarray) -> No
 _COLUMN = {name: j for j, name in enumerate(LLD_NAMES)}
 _PAIRWISE = [_COLUMN[name] for name in ("jitter_local", "shimmer_local", "spectral_flux")]
 
-# Most frames per _llds_for_frames call that packs several segments.  On a
+# Most frames per _llds_for_frames call, past one overlap row: consecutive
+# segments are packed up to it, and a longer segment is cut at it.  On a
 # 2-CPU VM a call had a fixed cost of about 170 us, and past about 512
 # frames the cost per frame doubled
 _BLOCK_FRAMES = 256
@@ -257,6 +258,7 @@ def _llds_for_frames(frames: np.ndarray, plan: AnalysisPlan) -> np.ndarray:
     # pitch and periodicity
     r = kernels.autocorr_norm_batch(frames, plan.min_lag, plan.max_lag)
     lags, r_best = _pick_lags(r, plan.min_lag)
+    del r
     voiced = r_best >= cfg.voicing_threshold
     col("f0_hz")[:] = np.clip(np.where(voiced, sr / lags, 0.0), 0.0, cfg.f0_max_hz)
     col("voiced_flag")[:] = voiced
@@ -310,30 +312,46 @@ def extract_llds(
     Frames never straddle a segment boundary; pairwise descriptors
     (jitter, shimmer, flux) reset at each segment start.  Consecutive
     segments are analysed together, in blocks of up to _BLOCK_FRAMES
-    frames (a longer segment is a block of its own), so each row equals
+    frames.  A longer segment is cut into pieces of _BLOCK_FRAMES frames
+    (the last may be shorter); a piece after the first starts a block, led
+    by the frame before it as an extra row whose output is dropped, so its
+    pairwise descriptors carry across the cut.  Each row thus equals
     its segment's own analysis up to the rounding of the block's matrix
-    products.  No speech segments (or segments too short for one frame)
-    yield an empty matrix.  The rate's analysis_plan comes first, so a
-    config that breaks its pitch rules is an error whatever the speech.
+    products, and no call holds more than _BLOCK_FRAMES + 1 frames.  No
+    speech segments (or segments too short for one frame) yield an empty
+    matrix.  The rate's analysis_plan comes first, so a config that breaks
+    its pitch rules is an error whatever the speech.
     """
     plan = analysis_plan(audio.sample_rate_hz, config or AcousticConfig())
     sr, cfg = plan.sr, plan.cfg
-    blocks, rows, sizes = [], _BLOCK_FRAMES, []
+    segs = []
     for lo, hi in segments.sample_bounds(audio.samples.size, sr):
         frames = dsp.frame_signal(audio.samples[lo:hi], sr, cfg.frame_len_s, cfg.hop_s)
-        if not frames.shape[0]:
-            continue
-        if rows + frames.shape[0] > _BLOCK_FRAMES:  # the segment starts a new block
-            blocks.append([])
-            rows = 0
-        blocks[-1].append(frames)
-        rows += frames.shape[0]
-        sizes.append(frames.shape[0])
-    if not blocks:
+        if frames.shape[0]:
+            segs.append(frames)
+    if not segs:
         return LldMatrix(np.zeros((0, len(LLD_NAMES))))
-    values = np.vstack([_llds_for_frames(np.concatenate(b) if len(b) > 1 else b[0], plan)
-                        for b in blocks])
-    values[np.cumsum([0] + sizes[:-1])[:, None], _PAIRWISE] = 0.0  # each segment's first row
+    # each block: whether its first row is an overlap row, and its frames
+    blocks, rows = [], _BLOCK_FRAMES
+    for frames in segs:
+        for a in range(0, frames.shape[0], _BLOCK_FRAMES):
+            piece = frames[a:a + _BLOCK_FRAMES]
+            # a piece after a segment's first follows a full one, so it
+            # always starts a block, and that block starts at the frame before
+            if rows + piece.shape[0] > _BLOCK_FRAMES:
+                blocks.append((int(a > 0), []))
+                rows = 0
+            blocks[-1][1].append(frames[a - 1:a + _BLOCK_FRAMES] if a else piece)
+            rows += piece.shape[0]
+    values = np.empty((sum(frames.shape[0] for frames in segs), len(LLD_NAMES)))
+    at = 0
+    for overlap, parts in blocks:
+        out = _llds_for_frames(np.concatenate(parts) if len(parts) > 1 else parts[0], plan)
+        out = out[overlap:]
+        values[at:at + out.shape[0]] = out
+        at += out.shape[0]
+    firsts = np.cumsum([0] + [frames.shape[0] for frames in segs[:-1]])
+    values[firsts[:, None], _PAIRWISE] = 0.0  # each segment's first row
     return LldMatrix(values)
 
 

@@ -5,7 +5,8 @@ Every hard error surfaces as one "module.operation: detail" line and a
 nonzero exit code.  Every command writes its files after its last
 check, so a command that fails a check writes none.  A file that cannot
 be written is one "module.operation: cannot write <path>: <reason>"
-line; extract keeps the feature matrices it wrote before that one.
+line, and extract then keeps none of its feature matrices: each is
+written under a temporary name and renamed once all are written.
 COGNOPIPE_LOG sets verbosity (DEBUG, INFO, WARNING, ...).
 """
 
@@ -33,12 +34,13 @@ try:
     import argparse
     import ctypes
     import dataclasses
+    import functools
     import logging
     import sys
     from pathlib import Path
 
     from . import acoustic, config as cfgmod, corpus, evaluation
-    from .errors import ConfigError, ManifestError, PipelineError, writing
+    from .errors import ConfigError, FeatureError, ManifestError, PipelineError, writing
 finally:
     gc.freeze()
     gc.enable()
@@ -96,22 +98,45 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _write_all(files, error: type[PipelineError], op: str) -> None:
+    """Write every (path, write) file, or none of them.
+
+    write(tmp) writes a file's content at tmp, its path with ".tmp"
+    appended.  The files are renamed onto their paths only once all are
+    written, and a rename that fails is error(op, "cannot write <path>:
+    <reason>").  On any failure the temporary files and those already
+    renamed are removed; a directory found at one of these paths is left
+    as it was.
+    """
+    staged, renamed = [], []
+    try:
+        for path, write in files:
+            staged.append(path.with_name(path.name + ".tmp"))
+            write(staged[-1])
+        for tmp, (path, _write) in zip(staged, files):
+            with writing(error, op, path):
+                os.replace(tmp, path)
+            renamed.append(path)
+    except BaseException:
+        for written in staged + renamed:
+            if written.is_file():
+                written.unlink()
+        raise
+
+
 def cmd_summarize(args) -> int:
     cfg = _run_config(args)
     c = corpus.load_manifest(cfg.manifest)
     text = "\n".join(corpus.summarize(c, cfg.vad)) + "\n"
     print(text, end="")
     path = Path(cfg.out_dir) / "summary.csv"
-    tmp = path.with_name(path.name + ".tmp")
-    try:
+
+    def write(tmp: Path) -> None:
         with writing(ConfigError, "out_dir", tmp):
-            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.parent.mkdir(parents=True, exist_ok=True)
             tmp.write_text(text, encoding="utf-8")
-        with writing(ConfigError, "out_dir", path):
-            os.replace(tmp, path)
-    finally:
-        if tmp.is_file():  # a write or rename failed; a directory there is not ours
-            tmp.unlink()
+
+    _write_all([(path, write)], ConfigError, "out_dir")
     log.info("wrote %s", path)
     return 0
 
@@ -123,6 +148,7 @@ def cmd_extract(args) -> int:
     vectors = evaluation.extract_task_features(
         c, cfg.tasks, cfg.feature_sets, cfg.vad, cfg.acoustic, _effective_workers(cfg)
     )
+    files, lines = [], []
     for (task, fsid), cell in vectors.items():
         if not cell:
             log.info("no recordings for %s/%s", task.value, fsid.value)
@@ -130,8 +156,12 @@ def cmd_extract(args) -> int:
         dim = next(iter(cell.values())).dim
         path = out_dir / f"features_{task.value}_{fsid.value}.csv"
         rows = [(sid, task.value, vec) for sid, vec in sorted(cell.items())]
-        acoustic.write_feature_matrix(path, rows, fsid, dim)
-        print(f"wrote {path} ({len(rows)} rows, dim {dim})")
+        files.append((path, functools.partial(acoustic.write_feature_matrix, rows=rows,
+                                              feature_set_id=fsid, dim=dim)))
+        lines.append(f"wrote {path} ({len(rows)} rows, dim {dim})")
+    _write_all(files, FeatureError, "write_feature_matrix")
+    for line in lines:
+        print(line)
     return 0
 
 

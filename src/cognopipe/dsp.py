@@ -16,6 +16,8 @@ from .errors import AudioFormatError
 
 SNR_CAP_DB = 120.0
 _LOG_FLOOR = 1e-12  # mean-square floor, i.e. -120 dB
+# Frames per chunk of frame_energies_db: bounds its squared-signal buffer.
+_ENERGY_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,8 @@ def read_wav(path: str | Path) -> AudioBuffer:
             pcm = np.fromfile(fh, dtype="<i2", count=length // 2)
     except OSError as exc:
         raise _unreadable(path, exc) from None
-    return AudioBuffer(pcm.astype(np.float64) / 32768.0, sample_rate)
+    # 2**-15 is 1/32768 exactly, and one multiply makes one float64 array
+    return AudioBuffer(np.multiply(pcm, 2.0 ** -15, dtype=np.float64), sample_rate)
 
 
 def write_wav(path: str | Path, samples: np.ndarray, sample_rate_hz: int) -> None:
@@ -272,9 +275,24 @@ def sorted_percentiles(s: np.ndarray, q) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Speech detection and SNR
 
-def frame_energies_db(frames: np.ndarray) -> np.ndarray:
-    """Per-frame RMS energy in dB, floored at -120 dB."""
-    return 10.0 * np.log10(np.mean(frames * frames, axis=1) + _LOG_FLOOR)
+def frame_energies_db(samples: np.ndarray, frame: int, hop: int) -> np.ndarray:
+    """Per-frame RMS energy in dB, floored at -120 dB, of the frames that
+    frame_signal cuts at (frame, hop) samples.
+
+    Each energy is 10*log10(mean(x**2) + 1e-12) of its frame x, bit for
+    bit: the mean runs over the strided frames of the squared signal,
+    taken _ENERGY_CHUNK frames at a time, so no frames x frame matrix and
+    no squared copy of the whole signal is built.
+    """
+    num = 0 if samples.size < frame else 1 + (samples.size - frame) // hop
+    mean_sq = np.empty(num)
+    for lo in range(0, num, _ENERGY_CHUNK):
+        hi = min(num, lo + _ENERGY_CHUNK)
+        sq = np.square(samples[lo * hop:(hi - 1) * hop + frame])
+        np.mean(np.lib.stride_tricks.sliding_window_view(sq, frame)[::hop], axis=1,
+                out=mean_sq[lo:hi])
+        del sq
+    return 10.0 * np.log10(mean_sq + _LOG_FLOOR)
 
 
 def detect_speech(audio: AudioBuffer, config: VadConfig | None = None) -> SegmentSet:
@@ -296,10 +314,9 @@ def detect_speech(audio: AudioBuffer, config: VadConfig | None = None) -> Segmen
     cfg = config or VadConfig()
     sr = audio.sample_rate_hz
     frame, hop = frame_geometry(sr, cfg.frame_len_s, cfg.hop_s)
-    frames = frame_signal(audio.samples, sr, cfg.frame_len_s, cfg.hop_s)
-    if frames.shape[0] == 0:
+    energies = frame_energies_db(audio.samples, frame, hop)
+    if energies.size == 0:
         return SegmentSet(())
-    energies = frame_energies_db(frames)
     ranked = np.sort(energies)
     lo, hi = sorted_percentiles(ranked, (cfg.noise_floor_percentile, 90.0))
     if hi - lo < cfg.homogeneous_range_db:

@@ -31,6 +31,15 @@ def sawtooth(freq_hz: float, dur_s: float, sr: int = SR, amp: float = 0.3) -> np
     return amp * (2.0 * phase - 1.0)
 
 
+def glide(dur_s: float, sr: int = SR, seed: int = 0) -> np.ndarray:
+    """Continuous voicing: two harmonics of an f0 gliding from 130 to 150 Hz,
+    in faint noise.  The VAD makes the whole of it one speech segment."""
+    n = int(dur_s * sr)
+    phase = 2 * np.pi * np.cumsum(130.0 + 20.0 * np.arange(n) / n) / sr
+    noise = 0.001 * np.random.default_rng(seed).standard_normal(n)
+    return 0.3 * np.sin(phase) + 0.1 * np.sin(2 * phase) + noise
+
+
 def memory_corpus(n_case: int, n_control: int, n_dementia: int = 0) -> Corpus:
     """In-memory corpus with stub recordings (no files on disk).
 

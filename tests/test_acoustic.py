@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from cognopipe.acoustic import FUNCTIONAL_NAMES, LLD_NAMES, AcousticConfig, LldM
 from cognopipe.errors import FeatureError
 from cognopipe.features import FeatureSetId
 
-from conftest import SR, sawtooth, tone
+from conftest import SR, glide, sawtooth, tone
 
 
 def full_span(audio):
@@ -304,12 +305,19 @@ _LAYOUT_SIGNAL = np.concatenate([
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 300)), min_size=1, max_size=8))
+@given(st.lists(st.tuples(st.integers(0, 30),
+                          st.one_of(st.integers(1, 300), st.integers(257, 700))),
+                min_size=1, max_size=8))
 @example([(0, 128), (3, 128), (5, 300), (0, 1)])  # a block of exactly 256, one of 300
+@example([(0, 512), (2, 513), (0, 257), (4, 100)])  # cuts at whole blocks and one past
 def test_blocks_equal_one_call_per_segment(layout):
-    """Segments of (gap hops, frames) packed into blocks give each
-    segment's own LLDs, with the pairwise descriptors 0 at its first row,
-    and no block past _BLOCK_FRAMES rows unless it is one segment."""
+    """Segments of (gap hops, frames) packed into blocks, and cut where
+    longer than one, give each segment's own LLDs: the pairwise
+    descriptors are 0 at its first row and carry across each cut.  Each
+    call packs the next pieces, as many as fit in a block, and a piece
+    that continues a segment starts a call with the frame before it, so
+    no call holds more than _BLOCK_FRAMES + 1 rows."""
+    block = acoustic._BLOCK_FRAMES
     plan = acoustic.analysis_plan(SR, AcousticConfig())
     frame, hop = dsp.frame_geometry(SR, 0.025, 0.010)
     bounds, at = [], 0
@@ -317,7 +325,7 @@ def test_blocks_equal_one_call_per_segment(layout):
         at += gap * hop
         bounds.append((at, at + (count - 1) * hop + frame))
         at = bounds[-1][1]
-    x = _LAYOUT_SIGNAL[:at]
+    x = np.resize(_LAYOUT_SIGNAL, at)  # repeated past its 25 s
     want = [acoustic._llds_for_frames(dsp.frame_signal(x[lo:hi], SR), plan) for lo, hi in bounds]
 
     calls = []
@@ -334,19 +342,73 @@ def test_blocks_equal_one_call_per_segment(layout):
     firsts = np.cumsum([0] + [count for _, count in layout[:-1]])
     for name in _PAIRWISE:
         assert not got.column(name)[firsts].any(), name
+    cuts = [first + a for first, (_, count) in zip(firsts, layout) for a in range(block, count, block)]
+    assert got.column("spectral_flux")[cuts].all()
 
-    # each call packs the next whole segments, as many as fit in a block
-    sizes = [count for _, count in layout]
+    # (new frames, continues a segment) of each piece, in order
+    pieces = [(min(block, count - a), a > 0) for _, count in layout for a in range(0, count, block)]
     for rows in calls:
-        k, total = 1, sizes[0]
+        assert rows <= block + 1
+        new, overlap = pieces[0]
+        k, total = 1, new + overlap
         while total < rows:
-            total += sizes[k]
+            assert not pieces[k][1]
+            total += pieces[k][0]
             k += 1
         assert total == rows
-        assert rows <= acoustic._BLOCK_FRAMES or k == 1
-        sizes = sizes[k:]
-        assert not sizes or rows + sizes[0] > acoustic._BLOCK_FRAMES
-    assert sizes == []
+        pieces = pieces[k:]
+        assert not pieces or pieces[0][1] or rows - overlap + pieces[0][0] > block
+    assert pieces == []
+
+
+def test_a_long_segment_is_cut_into_calls_of_one_block_and_one_row():
+    """30 s of continuous voicing is one segment of 2,998 frames: it is
+    analysed in calls of 256 frames, then 257 (the frame before each cut
+    leads), and the pairwise descriptors reset only at its first frame."""
+    audio = dsp.AudioBuffer(glide(30.0), SR)
+    segments = dsp.detect_speech(audio)
+    assert segments.speech == ((0.0, 30.0),)
+    calls = []
+    kernel = acoustic._llds_for_frames
+
+    def recording(frames, plan_):
+        calls.append(frames.shape[0])
+        return kernel(frames, plan_)
+
+    with mock.patch.object(acoustic, "_llds_for_frames", recording):
+        llds = acoustic.extract_llds(audio, segments)
+    block = acoustic._BLOCK_FRAMES
+    assert llds.num_frames == 2998
+    assert calls == [block] + [block + 1] * 10 + [2998 - 11 * block + 1]
+    assert max(calls) == block + 1
+    flux = llds.column("spectral_flux")
+    assert flux[0] == 0.0 and flux[1:].all()
+    assert llds.column("voiced_flag").all() and llds.column("jitter_local")[1:].all()
+
+
+def test_extraction_memory_holds_one_block_past_its_output():
+    """Past the LLD matrix it returns, extract_llds holds what one call on
+    _BLOCK_FRAMES + 1 frames holds, on a 30 s segment and on one twice as
+    long (one call per segment took about 42 MB at 30 s)."""
+    plan = acoustic.analysis_plan(SR, AcousticConfig())
+    frames = dsp.frame_signal(glide(3.0), SR)[: acoustic._BLOCK_FRAMES + 1]
+    tracemalloc.start()
+    try:
+        acoustic._llds_for_frames(frames, plan)
+        block_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for seconds in (30.0, 60.0):
+        audio = dsp.AudioBuffer(glide(seconds), SR)
+        segments = dsp.SegmentSet(((0.0, seconds),))
+        tracemalloc.start()
+        try:
+            llds = acoustic.extract_llds(audio, segments)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert llds.num_frames == 100 * seconds - 2
+        assert peak - llds.values.nbytes < block_peak + (1 << 18), seconds
 
 
 def test_time_shift_by_one_hop_shifts_frames():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from cognopipe import cli, config as cfgmod, evaluation, synth
+from cognopipe import cli, config as cfgmod, dsp, evaluation, synth
 from cognopipe.corpus import (
     RECORDING_COLUMNS,
     RECORDINGS_FILE,
@@ -24,6 +24,8 @@ from cognopipe.corpus import (
 )
 from cognopipe.errors import ConfigError
 from cognopipe.features import FeatureSetId
+
+from conftest import SR, glide
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +336,19 @@ def test_an_out_that_cannot_be_written_fails_first(small_manifest, tmp_path, cap
     ("summarize", "summary.csv", "config.out_dir", None),
     ("extract", "features_ShortTerm_Lexical.csv", "acoustic.write_feature_matrix", "1"),
     ("extract", "features_ShortTerm_Lexical.csv", "acoustic.write_feature_matrix", "2"),
+    ("extract", "features_ShortTerm_EgemapsLike88.csv", "acoustic.write_feature_matrix", "1"),
+    ("extract", "features_ShortTerm_EgemapsLike88.csv", "acoustic.write_feature_matrix", "2"),
+    ("extract", "features_ShortTerm_EgemapsLike88.csv.tmp", "acoustic.write_feature_matrix",
+     "1"),
     ("train-eval", "report.json", "evaluation.write_report", "1"),
     ("train-eval", "report.json", "evaluation.write_report", "2"),
 ])
 def test_an_output_file_that_cannot_be_written_is_one_line(small_manifest, tmp_path, capsys,
                                                            command, name, error, workers):
     """A directory where an output file goes: exit 1 and one line naming
-    the file, and the directory is left as it was."""
+    the file, and the directory is left as it was.  extract writes all its
+    feature matrices or none, so the one written before the blocked one
+    (Lexical) is gone too."""
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)
     args = [command, "--manifest", str(small_manifest), "--out", str(out)]
@@ -348,9 +356,11 @@ def test_an_output_file_that_cannot_be_written_is_one_line(small_manifest, tmp_p
         args += ["--tasks", "ShortTerm", "--features", "Lexical,EgemapsLike88",
                  "--workers", workers]
     rc = cli.main(args)
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert rc == 1
-    assert err == f"error: {error}: cannot write {out / name}: {os.strerror(errno.EISDIR)}\n"
+    assert captured.err == (f"error: {error}: cannot write {out / name}: "
+                            f"{os.strerror(errno.EISDIR)}\n")
+    assert "wrote" not in captured.out
     assert list(out.iterdir()) == [out / name] and not list((out / name).iterdir())
 
 
@@ -554,6 +564,35 @@ def test_train_eval_at_22050_hz_is_byte_identical_across_workers(tmp_path):
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
     assert evaluation.read_report(out / "report.json")["per_task"]
+
+
+def test_a_long_segment_extracts_byte_identically_across_workers(tmp_path):
+    """A corpus whose first recording is one 30 s continuous voiced
+    segment, analysed in blocks cut across it: extract writes the same
+    CSV bytes at one worker and through the pool."""
+    manifest = tmp_path / "m"
+    (manifest / "audio").mkdir(parents=True)
+    signals = {"A": glide(30.0), "B": glide(2.0, seed=1), "C": glide(3.0, seed=2)}
+    for sid, x in signals.items():
+        dsp.write_wav(manifest / "audio" / f"{sid}.wav", x, SR)
+    (manifest / "subjects.csv").write_text(
+        "subject_id,age,gender,ethnicity,diagnosis\n"
+        "A,70,F,,MCI\nB,72,M,,HC\nC,68,Undisclosed,,Dementia\n", encoding="utf-8")
+    (manifest / "recordings.csv").write_text(
+        "subject_id,task,audio_path,transcript_path\n"
+        + "".join(f"{sid},ShortTerm,audio/{sid}.wav,\n" for sid in signals), encoding="utf-8")
+    long = dsp.detect_speech(dsp.read_wav(manifest / "audio" / "A.wav"))
+    assert long.speech == ((0.0, 30.0),)  # 2,998 frames, past ten blocks
+    written = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}"
+        assert cli.main(["extract", "--manifest", str(manifest), "--out", str(out),
+                         "--tasks", "ShortTerm", "--features", "EgemapsLike88,CompareLike",
+                         "--workers", workers]) == 0
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(written[0]) == ["features_ShortTerm_CompareLike.csv",
+                                  "features_ShortTerm_EgemapsLike88.csv"]
+    assert written[0] == written[1]
 
 
 def test_report_bytes_independent_of_the_output_directory(small_manifest, tmp_path):
