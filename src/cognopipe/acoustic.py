@@ -239,6 +239,12 @@ _PAIRWISE = [_COLUMN[name] for name in ("jitter_local", "shimmer_local", "spectr
 # 2-CPU VM a call had a fixed cost of about 170 us, and past about 512
 # frames the cost per frame doubled
 _BLOCK_FRAMES = 256
+# Rows per transform of a block's spectrum: bounds its padded buffer and
+# the complex spectrum of one tile beside the block's magnitudes.
+_SPECTRUM_TILE = 64
+# Most values in one group of columns of functional_table: bounds its
+# transposed, sorted and differenced copies however many frames there are.
+_GROUP_FLOATS = 1 << 16
 
 
 def _llds_for_frames(frames: np.ndarray, plan: AnalysisPlan) -> np.ndarray:
@@ -269,36 +275,46 @@ def _llds_for_frames(frames: np.ndarray, plan: AnalysisPlan) -> np.ndarray:
     _pair_rel_diff(np.where(voiced, lags / sr, 0.0), pair, col("jitter_local"))
     _pair_rel_diff(rms, pair, col("shimmer_local"))
 
-    # spectral shape: the windowed frames, zero-padded to nfft
-    padded = np.zeros((m, plan.nfft))
-    np.multiply(frames, plan.window, out=padded[:, :n])
-    spec = kernels.rfft_pow2_batch(padded)
-    del padded
-    mag = np.abs(spec)
-    del spec
-    power = mag * mag
+    # spectral shape: the magnitude spectrum of the windowed frames,
+    # zero-padded to nfft, taken _SPECTRUM_TILE rows at a time through one
+    # padded buffer.  Each row's transform is the same in any batch, and
+    # every product below still runs over the whole block, so it rounds as
+    # one block does
+    mag = np.empty((m, plan.nfft // 2 + 1))
+    padded = np.zeros((min(m, _SPECTRUM_TILE), plan.nfft))
+    for lo in range(0, m, _SPECTRUM_TILE):
+        tile = padded[:min(_SPECTRUM_TILE, m - lo)]
+        np.multiply(frames[lo:lo + tile.shape[0]], plan.window, out=tile[:, :n])
+        np.abs(kernels.rfft_pow2_batch(tile), out=mag[lo:lo + tile.shape[0]])
+    del padded, tile
 
     col("spectral_centroid_hz")[:] = (mag @ plan.freqs) / (mag.sum(axis=1) + _EPS)
-    # each norm is np.linalg.norm's: sqrt(add.reduce(x * x))
-    norm = mag / (np.sqrt(np.add.reduce(power, axis=1))[:, None] + _EPS)
-    flux = col("spectral_flux")
-    flux[0] = 0.0
-    step = np.diff(norm, axis=0)
-    np.sqrt(np.add.reduce(step * step, axis=1), out=flux[1:])
-
     # the band slopes are the only readers of the dB spectrum
     db_spec = 20.0 * np.log10(mag[:, :plan.low] + _EPS)
     col("spectral_slope_0_500")[:] = _band_slope(db_spec, plan.freqs, plan.slope_lo)
     col("spectral_slope_500_1500")[:] = _band_slope(db_spec, plan.freqs, plan.slope_hi)
+    del db_spec
 
+    power = mag * mag
     alpha_lo = power[:, plan.alpha_lo].sum(axis=1)
     alpha_hi = power[:, plan.alpha_hi].sum(axis=1)
     col("alpha_ratio_db")[:] = 10.0 * np.log10((alpha_lo + _EPS) / (alpha_hi + _EPS))
     ham_lo = power[:, plan.ham_lo].max(axis=1) if plan.ham_lo.size else np.zeros(m)
     ham_hi = power[:, plan.ham_hi].max(axis=1) if plan.ham_hi.size else np.zeros(m)
     col("hammarberg_index_db")[:] = 10.0 * np.log10((ham_lo + _EPS) / (ham_hi + _EPS))
-
     out[:, _COLUMN["mfcc_1"]:] = np.log(power @ plan.mel + _EPS) @ plan.dct
+    # each norm is np.linalg.norm's: sqrt(add.reduce(x * x))
+    norm = np.sqrt(np.add.reduce(power, axis=1))
+    del power
+
+    # the flux is the step between consecutive unit-norm spectra, both
+    # normalised and squared in place
+    mag /= norm[:, None] + _EPS
+    flux = col("spectral_flux")
+    flux[0] = 0.0
+    step = np.diff(mag, axis=0)
+    del mag
+    np.sqrt(np.add.reduce(np.square(step, out=step), axis=1), out=flux[1:])
     return out
 
 
@@ -355,35 +371,55 @@ def extract_llds(
     return LldMatrix(values)
 
 
-def functional_table(values: np.ndarray) -> np.ndarray:
+def functional_table(values: np.ndarray, delta: bool = False) -> np.ndarray:
     """Every functional of every column, (n_columns, len(FUNCTIONAL_NAMES)).
 
     Row j summarizes column j of a non-empty frames x columns array, in
-    FUNCTIONAL_NAMES order.  The percentiles follow numpy's "linear" rule
-    and, with range, are read off one sort of each column
-    (dsp.sorted_percentiles).  riseRate/fallRate are the mean positive /
-    mean negative frame-to-frame step (0 if no such step); slope is per
-    frame-step (0 for a single frame).
+    FUNCTIONAL_NAMES order; with delta, it summarizes the column's first
+    differences instead (one zero with fewer than two frames).  The
+    percentiles follow numpy's "linear" rule and, with range, are read off
+    one sort of each column (dsp.sorted_percentiles).  riseRate/fallRate
+    are the mean positive / mean negative frame-to-frame step (0 if no
+    such step); slope is per frame-step (0 for a single frame).  Every
+    functional reduces one column, so the columns are taken in groups of
+    at most _GROUP_FLOATS values, and the table is the same whatever the
+    grouping.
     """
-    x = np.ascontiguousarray(np.asarray(values, dtype=np.float64).T)
+    values = np.asarray(values, dtype=np.float64)
+    m, k = values.shape
+    table = np.empty((k, len(FUNCTIONAL_NAMES)))
+    per = max(1, _GROUP_FLOATS // m)
+    for lo in range(0, k, per):
+        x = np.ascontiguousarray(values[:, lo:lo + per].T)
+        if delta:
+            x = np.diff(x, axis=1) if m >= 2 else np.zeros((x.shape[0], 1))
+        _functionals(x, table[lo:lo + per])
+    return table
+
+
+def _functionals(x: np.ndarray, table: np.ndarray) -> None:
+    """table[j] = the functionals of row j of x, each a reduction of that row."""
     mean = x.mean(axis=1)
-    table = np.empty((x.shape[0], len(FUNCTIONAL_NAMES)))
     table[:, 0] = mean
     table[:, 1] = x.std(axis=1)
     ranked = np.sort(x, axis=1)
     table[:, 2:5] = dsp.sorted_percentiles(ranked, (20, 50, 80)).T
     table[:, 5] = ranked[:, -1] - ranked[:, 0]
+    del ranked
     if x.shape[1] >= 2:
         tc = np.arange(x.shape[1], dtype=np.float64)
         tc -= tc.mean()
-        table[:, 6] = np.sum(tc * (x - mean[:, None]), axis=1) / np.sum(tc * tc)
+        xc = x - mean[:, None]
+        xc *= tc
+        table[:, 6] = np.sum(xc, axis=1) / np.sum(tc * tc)
+        del xc
     else:
         table[:, 6] = 0.0
     d = np.diff(x, axis=1)
     rise, fall = d > 0, d < 0
     table[:, 7] = np.where(rise, d, 0.0).sum(axis=1) / np.maximum(rise.sum(axis=1), 1)
-    table[:, 8] = np.where(fall, -d, 0.0).sum(axis=1) / np.maximum(fall.sum(axis=1), 1)
-    return table
+    np.negative(d, out=d)
+    table[:, 8] = np.where(fall, d, 0.0).sum(axis=1) / np.maximum(fall.sum(axis=1), 1)
 
 
 def _load_data_json(filename: str) -> dict:
@@ -463,9 +499,7 @@ def vectors_from_llds(
     if not empty:
         table = functional_table(llds.values)
         if any(rows.max() >= len(LLD_NAMES) for rows, _ in cells):
-            deltas = (np.diff(llds.values, axis=0) if llds.num_frames >= 2
-                      else np.zeros((1, len(LLD_NAMES))))
-            table = np.vstack([table, functional_table(deltas)])
+            table = np.vstack([table, functional_table(llds.values, delta=True)])
     return tuple(FeatureVector(fsid, np.zeros(rows.size) if empty else table[rows, cols],
                                empty_speech=empty)
                  for fsid, (rows, cols) in zip(feature_sets, cells))

@@ -18,6 +18,11 @@ SNR_CAP_DB = 120.0
 _LOG_FLOOR = 1e-12  # mean-square floor, i.e. -120 dB
 # Frames per chunk of frame_energies_db: bounds its squared-signal buffer.
 _ENERGY_CHUNK = 1024
+# Samples per chunk of read_wav's PCM buffer: the decode holds one float64
+# copy of the recording and this many int16 samples.
+_DECODE_CHUNK = 1 << 16
+# Samples per chunk of estimate_snr's squared-signal buffer.
+_SNR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,12 +64,6 @@ class SegmentSet:
         return [(max(0, int(round(start * sample_rate_hz))),
                  min(n_samples, int(round(end * sample_rate_hz))))
                 for start, end in self.speech]
-
-    def sample_mask(self, n_samples: int, sample_rate_hz: int) -> np.ndarray:
-        mask = np.zeros(n_samples, dtype=bool)
-        for a, b in self.sample_bounds(n_samples, sample_rate_hz):
-            mask[a:b] = True
-        return mask
 
 
 @dataclass(frozen=True)
@@ -176,11 +175,18 @@ def read_wav(path: str | Path) -> AudioBuffer:
             if length == 0:
                 raise AudioFormatError("read_wav", f"{path}: empty data chunk")
             fh.seek(offset)
-            pcm = np.fromfile(fh, dtype="<i2", count=length // 2)
+            samples = np.empty(length // 2)
+            # the PCM is read _DECODE_CHUNK samples at a time into one
+            # buffer, and 2**-15 is 1/32768 exactly
+            pcm = np.empty(min(samples.size, _DECODE_CHUNK), dtype="<i2")
+            for lo in range(0, samples.size, _DECODE_CHUNK):
+                chunk = pcm[:min(_DECODE_CHUNK, samples.size - lo)]
+                if fh.readinto(chunk) != chunk.nbytes:
+                    raise AudioFormatError("read_wav", f"{path}: truncated data chunk")
+                np.multiply(chunk, 2.0 ** -15, out=samples[lo:lo + chunk.size])
     except OSError as exc:
         raise _unreadable(path, exc) from None
-    # 2**-15 is 1/32768 exactly, and one multiply makes one float64 array
-    return AudioBuffer(np.multiply(pcm, 2.0 ** -15, dtype=np.float64), sample_rate)
+    return AudioBuffer(samples, sample_rate)
 
 
 def write_wav(path: str | Path, samples: np.ndarray, sample_rate_hz: int) -> None:
@@ -345,24 +351,47 @@ def detect_speech(audio: AudioBuffer, config: VadConfig | None = None) -> Segmen
     return SegmentSet(tuple(zip(starts[keep].tolist(), ends[keep].tolist())))
 
 
+def _sum_squares(samples: np.ndarray, spans, buf: np.ndarray) -> tuple[float, int]:
+    """(sum of x**2, count) over the samples of the [a, b) spans, squared
+    into buf a chunk at a time."""
+    total, count = 0.0, 0
+    for a, b in spans:
+        for lo in range(a, b, buf.size):
+            hi = min(b, lo + buf.size)
+            total += float(np.square(samples[lo:hi], out=buf[:hi - lo]).sum())
+        count += b - a
+    return total, count
+
+
 def estimate_snr(audio: AudioBuffer, segments: SegmentSet) -> float:
     """10*log10 of speech power over non-speech power, capped at +/-120 dB.
 
     Powers are mean squared amplitudes over the samples inside vs outside
-    the speech segments.  No speech -> -120; no (or silent) non-speech
-    -> +120.
+    the speech segments (their sample_bounds).  No speech -> -120; no (or
+    silent) non-speech -> +120.  Each power is a sum of squares over the
+    speech spans or the gaps between them, squared _SNR_CHUNK samples at a
+    time, so no masked copy of the signal is built.
     """
-    mask = segments.sample_mask(audio.samples.size, audio.sample_rate_hz)
-    speech = audio.samples[mask]
-    noise = audio.samples[~mask]
-    if speech.size == 0:
+    x = audio.samples
+    speech, noise, at = [], [], 0
+    for a, b in segments.sample_bounds(x.size, audio.sample_rate_hz):
+        a = max(a, at)  # spans that meet after rounding count each sample once
+        if b > a:
+            speech.append((a, b))
+            noise.append((at, a))
+            at = b
+    noise.append((at, x.size))
+    buf = np.empty(min(x.size, _SNR_CHUNK))
+    sq_speech, n_speech = _sum_squares(x, speech, buf)
+    if n_speech == 0:
         return -SNR_CAP_DB
-    p_speech = float(np.mean(speech * speech))
+    p_speech = sq_speech / n_speech
     if p_speech <= 0.0:
         return -SNR_CAP_DB
-    if noise.size == 0:
+    sq_noise, n_noise = _sum_squares(x, noise, buf)
+    if n_noise == 0:
         return SNR_CAP_DB
-    p_noise = float(np.mean(noise * noise))
+    p_noise = sq_noise / n_noise
     if p_noise <= 0.0:
         return SNR_CAP_DB
     return float(np.clip(10.0 * np.log10(p_speech / p_noise), -SNR_CAP_DB, SNR_CAP_DB))

@@ -84,6 +84,24 @@ def test_order_statistic_functionals_equal_numpy(frames):
         assert np.array_equal(got, order_statistics_oracle(table))
 
 
+@pytest.mark.parametrize("frames", [1, 2, 40, 301])
+def test_functionals_by_column_groups_are_bit_identical(frames, monkeypatch):
+    """A table taken 1, 2 or 27 columns at a time equals one taken in a
+    single group, and its delta table equals the table of np.diff."""
+    rng = np.random.default_rng(frames)
+    values = rng.standard_normal((frames, len(LLD_NAMES))) * rng.uniform(0.1, 100.0, len(LLD_NAMES))
+    values[:, ::4] = np.round(values[:, ::4])  # ties and flat steps
+    monkeypatch.setattr(acoustic, "_GROUP_FLOATS", 1 << 40)
+    want = acoustic.functional_table(values)
+    deltas = np.diff(values, axis=0) if frames >= 2 else np.zeros((1, len(LLD_NAMES)))
+    want_delta = acoustic.functional_table(deltas)
+    assert np.array_equal(acoustic.functional_table(values, delta=True), want_delta)
+    for per in (1, 2, len(LLD_NAMES)):
+        monkeypatch.setattr(acoustic, "_GROUP_FLOATS", per * frames)
+        assert np.array_equal(acoustic.functional_table(values), want), per
+        assert np.array_equal(acoustic.functional_table(values, delta=True), want_delta), per
+
+
 def test_functionals_edge_cases():
     one = acoustic.functional_table(np.ones((1, len(LLD_NAMES))))
     cols = [FUNCTIONAL_NAMES.index(fn) for fn in ("slope", "riseRate", "fallRate")]
@@ -409,6 +427,38 @@ def test_extraction_memory_holds_one_block_past_its_output():
             tracemalloc.stop()
         assert llds.num_frames == 100 * seconds - 2
         assert peak - llds.values.nbytes < block_peak + (1 << 18), seconds
+
+
+@pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 257])
+def test_spectrum_tiles_are_bit_identical(m, monkeypatch):
+    """The block's spectrum taken one row, 7 rows or all rows at a time
+    gives the LLDs of the default 64-row tiles, bit for bit."""
+    plan = acoustic.analysis_plan(SR, AcousticConfig())
+    n = 400 + 160 * (m - 1)  # m frames of 25 ms every 10 ms
+    x = glide(0.1 + n / SR)[:n] + 0.05 * np.random.default_rng(m).standard_normal(n)
+    frames = dsp.frame_signal(x, SR)
+    assert frames.shape[0] == m
+    want = acoustic._llds_for_frames(frames, plan)
+    for tile in (1, 7, 1 << 20):
+        monkeypatch.setattr(acoustic, "_SPECTRUM_TILE", tile)
+        assert np.array_equal(acoustic._llds_for_frames(frames, plan), want), tile
+
+
+def test_a_block_holds_its_magnitudes_and_a_few_tiles():
+    """A 257-frame call holds at most 1.6 MB past its input: the block's
+    magnitude and power spectra, one band's copy and 64-row tiles (the
+    padded frames and their complex spectrum over the whole block took
+    2.7 MB)."""
+    plan = acoustic.analysis_plan(SR, AcousticConfig())
+    frames = np.ascontiguousarray(dsp.frame_signal(glide(3.0), SR)[: acoustic._BLOCK_FRAMES + 1])
+    acoustic._llds_for_frames(frames, plan)  # numpy's FFT plan caches, once
+    tracemalloc.start()
+    try:
+        acoustic._llds_for_frames(frames, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6e6
 
 
 def test_time_shift_by_one_hop_shifts_frames():

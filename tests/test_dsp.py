@@ -16,6 +16,14 @@ from cognopipe.errors import AudioFormatError
 from conftest import SR, tone
 
 
+def speech_mask(segments, n_samples, sample_rate_hz):
+    """True at each sample inside a speech segment's sample_bounds."""
+    mask = np.zeros(n_samples, dtype=bool)
+    for a, b in segments.sample_bounds(n_samples, sample_rate_hz):
+        mask[a:b] = True
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # WAV I/O
 
@@ -43,6 +51,38 @@ def test_wav_write_clips_overdrive(tmp_path):
     got = dsp.read_wav(p).samples
     assert got[0] == 32767 / 32768.0
     assert got[1] == -1.0
+
+
+@pytest.mark.parametrize("n", [1, 3, 4097])
+def test_read_wav_in_chunks_is_bit_identical(tmp_path, monkeypatch, n):
+    """An odd number of samples decodes to the same floats read 1, 2 or 7
+    samples at a time, or all at once: each PCM value times 2**-15."""
+    pcm = np.random.default_rng(n).integers(-32768, 32768, n).astype("<i2")
+    pcm[:2] = (-32768, 32767)[: min(n, 2)]
+    p = tmp_path / "odd.wav"
+    dsp.write_wav(p, pcm / 32768.0, 8000)
+    want = pcm.astype(np.float64) / 32768.0
+    for chunk in (1, 2, 7, 1 << 20):
+        monkeypatch.setattr(dsp, "_DECODE_CHUNK", chunk)
+        got = dsp.read_wav(p).samples
+        assert got.dtype == np.float64 and np.array_equal(got, want), chunk
+
+
+def test_read_wav_rejects_pcm_that_ends_early(tmp_path, monkeypatch):
+    """A data chunk that ends before the length its header gave (the file
+    shrank after the header was read) is an error, not a short buffer."""
+    p = tmp_path / "short.wav"
+    dsp.write_wav(p, tone(100, 0.01), SR)
+    header = dsp._read_wav_header
+
+    def one_sample_more(fh, path):
+        sample_rate, offset, length = header(fh, path)
+        return sample_rate, offset, length + 2
+
+    monkeypatch.setattr(dsp, "_read_wav_header", one_sample_more)
+    monkeypatch.setattr(dsp, "_DECODE_CHUNK", 64)
+    with pytest.raises(AudioFormatError, match=r"^dsp\.read_wav: .*: truncated data chunk$"):
+        dsp.read_wav(p)
 
 
 def test_read_wav_info_matches_read_wav(tmp_path):
@@ -511,15 +551,15 @@ def test_segment_set_validation():
     with pytest.raises(ValueError):
         dsp.SegmentSet(((0.0, 1.0), (0.5, 2.0)))
     s = dsp.SegmentSet(((0.0, 1.0), (2.0, 3.0)))
-    mask = s.sample_mask(4 * SR, SR)
+    mask = speech_mask(s, 4 * SR, SR)
     assert mask[: SR].all() and not mask[SR : 2 * SR].any()
 
 
 def test_segment_sample_bounds_round_and_clip():
-    # extract_llds slices and sample_mask marks these same bounds
+    # extract_llds slices and estimate_snr sums over these same bounds
     s = dsp.SegmentSet(((0.0, 1.00002), (2.5, 9.0)))
     assert s.sample_bounds(4 * SR, SR) == [(0, SR), (5 * SR // 2, 4 * SR)]
-    mask = s.sample_mask(4 * SR, SR)
+    mask = speech_mask(s, 4 * SR, SR)
     assert mask.sum() == SR + 3 * SR // 2 and mask[-1] and not mask[SR]
 
 
@@ -550,6 +590,59 @@ def test_snr_through_vad_tail_not_leaked():
     audio = dsp.AudioBuffer(_tone_silence_tone(), SR)
     segs = dsp.detect_speech(audio)
     assert dsp.estimate_snr(audio, segs) == 120.0
+
+
+def masked_snr(audio, segments):
+    """The SNR from boolean-mask copies of the speech and non-speech samples."""
+    mask = speech_mask(segments, audio.samples.size, audio.sample_rate_hz)
+    speech, noise = audio.samples[mask], audio.samples[~mask]
+    if speech.size == 0 or not np.any(speech):
+        return -dsp.SNR_CAP_DB
+    if noise.size == 0 or not np.any(noise):
+        return dsp.SNR_CAP_DB
+    ratio = np.mean(speech * speech) / np.mean(noise * noise)
+    return float(np.clip(10.0 * np.log10(ratio), -dsp.SNR_CAP_DB, dsp.SNR_CAP_DB))
+
+
+@pytest.mark.parametrize("speech", [
+    (),  # no speech: -120
+    ((0.0, 3.0),),  # no non-speech: +120
+    ((0.0, 1.0),),
+    ((0.25, 0.75), (1.5, 2.0), (2.0, 2.9)),  # spans that meet
+    ((0.5, 0.5000001), (1.0, 3.5)),  # a span that rounds to nothing, one past the end
+])
+def test_snr_equals_the_masked_formula(speech, monkeypatch):
+    rng = np.random.default_rng(len(speech))
+    x = 0.3 * rng.standard_normal(3 * SR)
+    x[SR // 2:2 * SR] *= 0.02
+    audio, segments = dsp.AudioBuffer(x, SR), dsp.SegmentSet(speech)
+    want = masked_snr(audio, segments)
+    for chunk in (1000, 1 << 20):
+        monkeypatch.setattr(dsp, "_SNR_CHUNK", chunk)
+        got = dsp.estimate_snr(audio, segments)
+        assert abs(got - want) <= 1e-12 * abs(want), (chunk, got, want)
+    if not speech:
+        assert want == -120.0
+    elif speech == ((0.0, 3.0),):
+        assert want == 120.0
+
+
+def test_snr_copies_nothing():
+    """On 60 s of 16 kHz audio the SNR holds one chunk of squares, under
+    0.2 times the signal's bytes (the masked copies took 1.6 times)."""
+    rng = np.random.default_rng(5)
+    x = 0.1 * rng.standard_normal(60 * SR)
+    x[: 30 * SR] *= 0.01
+    audio = dsp.AudioBuffer(x, SR)
+    segments = dsp.SegmentSet(tuple((t + 30.0, t + 30.5) for t in np.arange(0.0, 30.0, 0.75)))
+    tracemalloc.start()
+    try:
+        snr = dsp.estimate_snr(audio, segments)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(snr - masked_snr(audio, segments)) <= 1e-12 * abs(snr)
+    assert peak < 0.2 * x.nbytes
 
 
 def test_snr_gain_invariant():

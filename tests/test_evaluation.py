@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -21,7 +22,7 @@ from cognopipe.evaluation import (
 )
 from cognopipe.features import FeatureSetId, FeatureVector
 
-from conftest import memory_corpus
+from conftest import SR, glide, memory_corpus
 
 TASKS = tuple(Task)
 
@@ -620,6 +621,35 @@ def test_one_decode_vad_and_lld_pass_per_recording(small_corpus, monkeypatch):
                           (FeatureSetId.COMPARE_LIKE, acoustic.compare_like)):
         assert np.array_equal(vectors[Task.SHORT_TERM, fsid][rec.subject_id].values,
                               extract(audio, segs).values), fsid
+
+
+@pytest.mark.parametrize("seconds", [60, 120])
+def test_an_extraction_job_holds_its_recording_its_llds_and_fixed_buffers(tmp_path, seconds):
+    """One job on voiced bursts (3.2 s of voicing every 4 s) holds, past
+    one float64 copy of the recording and its LLD matrix, under 2.5 MB at
+    60 s and at 120 s: the decode chunk, one block of frames, the spectrum
+    tiles and one group of functional columns.  With an int16 copy of the
+    PCM and the functionals of the whole matrix at once, it held 6.6 and
+    13.1 MB."""
+    x = glide(seconds)
+    x[np.mod(np.arange(x.size), 4 * SR) >= 3.2 * SR] = 0.0
+    path = tmp_path / "bursts.wav"
+    dsp.write_wav(path, x, SR)
+    rec = corpusmod.TaskRecording("P000", Task.SHORT_TERM, str(path), None, None, seconds, SR)
+    sets = (FeatureSetId.EGEMAPS_LIKE_88, FeatureSetId.COMPARE_LIKE)
+    audio = dsp.read_wav(path)
+    llds = acoustic.extract_llds(audio, dsp.detect_speech(audio))
+    assert llds.num_frames > 70 * seconds
+    signal_bytes, lld_bytes = audio.samples.nbytes, llds.values.nbytes
+    del audio, llds
+    ev._extract_one(rec, sets, None, None)  # numpy's FFT plan caches, once
+    tracemalloc.start()
+    try:
+        ev._extract_one(rec, sets, None, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - signal_bytes - lld_bytes < 2.5e6
 
 
 def test_extracting_ngram_tfidf_is_an_error_before_any_decode(small_corpus, monkeypatch):
