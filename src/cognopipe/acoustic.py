@@ -242,9 +242,6 @@ _BLOCK_FRAMES = 256
 # Rows per transform of a block's spectrum: bounds its padded buffer and
 # the complex spectrum of one tile beside the block's magnitudes.
 _SPECTRUM_TILE = 64
-# Most values in one group of columns of functional_table: bounds its
-# transposed, sorted and differenced copies however many frames there are.
-_GROUP_FLOATS = 1 << 16
 
 
 def _llds_for_frames(frames: np.ndarray, plan: AnalysisPlan) -> np.ndarray:
@@ -380,26 +377,13 @@ def functional_table(values: np.ndarray, delta: bool = False) -> np.ndarray:
     percentiles follow numpy's "linear" rule and, with range, are read off
     one sort of each column (dsp.sorted_percentiles).  riseRate/fallRate
     are the mean positive / mean negative frame-to-frame step (0 if no
-    such step); slope is per frame-step (0 for a single frame).  Every
-    functional reduces one column, so the columns are taken in groups of
-    at most _GROUP_FLOATS values, and the table is the same whatever the
-    grouping.
+    such step); slope is per frame-step (0 for a single frame).
     """
-    values = np.asarray(values, dtype=np.float64)
-    m, k = values.shape
-    table = np.empty((k, len(FUNCTIONAL_NAMES)))
-    per = max(1, _GROUP_FLOATS // m)
-    for lo in range(0, k, per):
-        x = np.ascontiguousarray(values[:, lo:lo + per].T)
-        if delta:
-            x = np.diff(x, axis=1) if m >= 2 else np.zeros((x.shape[0], 1))
-        _functionals(x, table[lo:lo + per])
-    return table
-
-
-def _functionals(x: np.ndarray, table: np.ndarray) -> None:
-    """table[j] = the functionals of row j of x, each a reduction of that row."""
+    x = np.ascontiguousarray(np.asarray(values, dtype=np.float64).T)
+    if delta:
+        x = np.diff(x, axis=1) if x.shape[1] >= 2 else np.zeros((x.shape[0], 1))
     mean = x.mean(axis=1)
+    table = np.empty((x.shape[0], len(FUNCTIONAL_NAMES)))
     table[:, 0] = mean
     table[:, 1] = x.std(axis=1)
     ranked = np.sort(x, axis=1)
@@ -420,6 +404,7 @@ def _functionals(x: np.ndarray, table: np.ndarray) -> None:
     table[:, 7] = np.where(rise, d, 0.0).sum(axis=1) / np.maximum(rise.sum(axis=1), 1)
     np.negative(d, out=d)
     table[:, 8] = np.where(fall, d, 0.0).sum(axis=1) / np.maximum(fall.sum(axis=1), 1)
+    return table
 
 
 def _load_data_json(filename: str) -> dict:

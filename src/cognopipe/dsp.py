@@ -21,8 +21,6 @@ _ENERGY_CHUNK = 1024
 # Samples per chunk of read_wav's PCM buffer: the decode holds one float64
 # copy of the recording and this many int16 samples.
 _DECODE_CHUNK = 1 << 16
-# Samples per chunk of estimate_snr's squared-signal buffer.
-_SNR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -167,6 +165,21 @@ def read_wav_info(path: str | Path) -> tuple[int, int]:
     return sample_rate, length // 2
 
 
+def _readinto_all(fh, buf: np.ndarray) -> int:
+    """Fill buf from fh, read after read, until it is full or the file
+    ends (a read of 0 bytes); return the bytes read.  One read of an
+    unbuffered file may return fewer bytes than asked without being at
+    its end."""
+    view = memoryview(buf).cast("B")
+    got = 0
+    while got < view.nbytes:
+        n = fh.readinto(view[got:])
+        if not n:
+            break
+        got += n
+    return got
+
+
 def read_wav(path: str | Path) -> AudioBuffer:
     """Read a PCM-16 mono WAV file; samples are scaled by 1/32768."""
     try:
@@ -181,7 +194,7 @@ def read_wav(path: str | Path) -> AudioBuffer:
             pcm = np.empty(min(samples.size, _DECODE_CHUNK), dtype="<i2")
             for lo in range(0, samples.size, _DECODE_CHUNK):
                 chunk = pcm[:min(_DECODE_CHUNK, samples.size - lo)]
-                if fh.readinto(chunk) != chunk.nbytes:
+                if _readinto_all(fh, chunk) != chunk.nbytes:
                     raise AudioFormatError("read_wav", f"{path}: truncated data chunk")
                 np.multiply(chunk, 2.0 ** -15, out=samples[lo:lo + chunk.size])
     except OSError as exc:
@@ -351,14 +364,12 @@ def detect_speech(audio: AudioBuffer, config: VadConfig | None = None) -> Segmen
     return SegmentSet(tuple(zip(starts[keep].tolist(), ends[keep].tolist())))
 
 
-def _sum_squares(samples: np.ndarray, spans, buf: np.ndarray) -> tuple[float, int]:
-    """(sum of x**2, count) over the samples of the [a, b) spans, squared
-    into buf a chunk at a time."""
+def _sum_squares(samples: np.ndarray, spans) -> tuple[float, int]:
+    """(sum of x**2, count) over the samples of the [a, b) spans."""
     total, count = 0.0, 0
     for a, b in spans:
-        for lo in range(a, b, buf.size):
-            hi = min(b, lo + buf.size)
-            total += float(np.square(samples[lo:hi], out=buf[:hi - lo]).sum())
+        span = samples[a:b]
+        total += float(np.dot(span, span))
         count += b - a
     return total, count
 
@@ -369,8 +380,8 @@ def estimate_snr(audio: AudioBuffer, segments: SegmentSet) -> float:
     Powers are mean squared amplitudes over the samples inside vs outside
     the speech segments (their sample_bounds).  No speech -> -120; no (or
     silent) non-speech -> +120.  Each power is a sum of squares over the
-    speech spans or the gaps between them, squared _SNR_CHUNK samples at a
-    time, so no masked copy of the signal is built.
+    speech spans or the gaps between them, a dot product of each span's
+    view with itself, so no copy of the signal is built.
     """
     x = audio.samples
     speech, noise, at = [], [], 0
@@ -381,14 +392,13 @@ def estimate_snr(audio: AudioBuffer, segments: SegmentSet) -> float:
             noise.append((at, a))
             at = b
     noise.append((at, x.size))
-    buf = np.empty(min(x.size, _SNR_CHUNK))
-    sq_speech, n_speech = _sum_squares(x, speech, buf)
+    sq_speech, n_speech = _sum_squares(x, speech)
     if n_speech == 0:
         return -SNR_CAP_DB
     p_speech = sq_speech / n_speech
     if p_speech <= 0.0:
         return -SNR_CAP_DB
-    sq_noise, n_noise = _sum_squares(x, noise, buf)
+    sq_noise, n_noise = _sum_squares(x, noise)
     if n_noise == 0:
         return SNR_CAP_DB
     p_noise = sq_noise / n_noise

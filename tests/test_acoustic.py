@@ -85,21 +85,15 @@ def test_order_statistic_functionals_equal_numpy(frames):
 
 
 @pytest.mark.parametrize("frames", [1, 2, 40, 301])
-def test_functionals_by_column_groups_are_bit_identical(frames, monkeypatch):
-    """A table taken 1, 2 or 27 columns at a time equals one taken in a
-    single group, and its delta table equals the table of np.diff."""
+def test_delta_table_equals_the_table_of_np_diff(frames):
+    """functional_table(values, delta=True) is the table of the frame-to-
+    frame differences, bit for bit, and of one zero row for a single frame."""
     rng = np.random.default_rng(frames)
     values = rng.standard_normal((frames, len(LLD_NAMES))) * rng.uniform(0.1, 100.0, len(LLD_NAMES))
     values[:, ::4] = np.round(values[:, ::4])  # ties and flat steps
-    monkeypatch.setattr(acoustic, "_GROUP_FLOATS", 1 << 40)
-    want = acoustic.functional_table(values)
     deltas = np.diff(values, axis=0) if frames >= 2 else np.zeros((1, len(LLD_NAMES)))
-    want_delta = acoustic.functional_table(deltas)
-    assert np.array_equal(acoustic.functional_table(values, delta=True), want_delta)
-    for per in (1, 2, len(LLD_NAMES)):
-        monkeypatch.setattr(acoustic, "_GROUP_FLOATS", per * frames)
-        assert np.array_equal(acoustic.functional_table(values), want), per
-        assert np.array_equal(acoustic.functional_table(values, delta=True), want_delta), per
+    assert np.array_equal(acoustic.functional_table(values, delta=True),
+                          acoustic.functional_table(deltas))
 
 
 def test_functionals_edge_cases():
