@@ -89,7 +89,7 @@ class LldMatrix:
             raise FeatureError(
                 "lld_matrix", f"expected (m, {len(LLD_NAMES)}) array, got {vals.shape}"
             )
-        if vals.size and not np.all(np.isfinite(vals)):
+        if vals.size and not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
             raise FeatureError("lld_matrix", "non-finite LLD values")
         object.__setattr__(self, "values", vals)
 
@@ -239,9 +239,9 @@ _PAIRWISE = [_COLUMN[name] for name in ("jitter_local", "shimmer_local", "spectr
 # 2-CPU VM a call had a fixed cost of about 170 us, and past about 512
 # frames the cost per frame doubled
 _BLOCK_FRAMES = 256
-# Rows per transform of a block's spectrum: bounds its padded buffer and
-# the complex spectrum of one tile beside the block's magnitudes.
-_SPECTRUM_TILE = 64
+# Rows per tile of a block's autocorrelation, lag choice and spectrum:
+# bounds their buffers beside the block's per-frame arrays.
+_TILE = 64
 
 
 def _llds_for_frames(frames: np.ndarray, plan: AnalysisPlan) -> np.ndarray:
@@ -258,9 +258,12 @@ def _llds_for_frames(frames: np.ndarray, plan: AnalysisPlan) -> np.ndarray:
     col("log_energy_db")[:] = 10.0 * np.log10(mean_sq + _EPS)
     col("zcr")[:] = np.count_nonzero(frames[:, 1:] * frames[:, :-1] < 0.0, axis=1) / (n - 1)
 
-    # pitch and periodicity
-    r = kernels.autocorr_norm_batch(frames, plan.min_lag, plan.max_lag)
-    lags, r_best = _pick_lags(r, plan.min_lag)
+    # pitch and periodicity, _TILE rows at a time: each row's lags and
+    # choice are the same in any batch
+    lags, r_best = np.empty(m), np.empty(m)
+    for lo in range(0, m, _TILE):
+        r = kernels.autocorr_norm_batch(frames[lo:lo + _TILE], plan.min_lag, plan.max_lag)
+        lags[lo:lo + _TILE], r_best[lo:lo + _TILE] = _pick_lags(r, plan.min_lag)
     del r
     voiced = r_best >= cfg.voicing_threshold
     col("f0_hz")[:] = np.clip(np.where(voiced, sr / lags, 0.0), 0.0, cfg.f0_max_hz)
@@ -273,14 +276,15 @@ def _llds_for_frames(frames: np.ndarray, plan: AnalysisPlan) -> np.ndarray:
     _pair_rel_diff(rms, pair, col("shimmer_local"))
 
     # spectral shape: the magnitude spectrum of the windowed frames,
-    # zero-padded to nfft, taken _SPECTRUM_TILE rows at a time through one
-    # padded buffer.  Each row's transform is the same in any batch, and
-    # every product below still runs over the whole block, so it rounds as
-    # one block does
+    # zero-padded to nfft, taken _TILE rows at a time through one padded
+    # buffer.  Each row's transform is the same in any batch, and every
+    # product below still runs over the whole block, so it rounds as one
+    # block does.  It runs after the lag search, whose buffers thus never
+    # sit beside the magnitudes
     mag = np.empty((m, plan.nfft // 2 + 1))
-    padded = np.zeros((min(m, _SPECTRUM_TILE), plan.nfft))
-    for lo in range(0, m, _SPECTRUM_TILE):
-        tile = padded[:min(_SPECTRUM_TILE, m - lo)]
+    padded = np.zeros((min(m, _TILE), plan.nfft))
+    for lo in range(0, m, _TILE):
+        tile = padded[:min(_TILE, m - lo)]
         np.multiply(frames[lo:lo + tile.shape[0]], plan.window, out=tile[:, :n])
         np.abs(kernels.rfft_pow2_batch(tile), out=mag[lo:lo + tile.shape[0]])
     del padded, tile

@@ -33,7 +33,8 @@ class AudioBuffer:
     def __post_init__(self):
         if self.samples.size == 0:
             raise AudioFormatError("audio_buffer", "audio buffer is empty")
-        if not np.all(np.isfinite(self.samples)):
+        # NaN reaches both extremes and an infinity one: no bool per sample
+        if not (np.isfinite(self.samples.min()) and np.isfinite(self.samples.max())):
             raise AudioFormatError("audio_buffer", "audio buffer contains non-finite samples")
         if self.sample_rate_hz <= 0:
             raise AudioFormatError("audio_buffer", f"invalid sample rate {self.sample_rate_hz}")

@@ -18,10 +18,6 @@ USE_NUMBA = False
 # Floats per block of pegasos's post-loop weight sum: bounds its buffer.
 _SUM_BLOCK_FLOATS = 1 << 14
 
-# Rows per tile of autocorr_norm_batch: bounds its padded, spectrum and lag
-# buffers whatever the number of frames.
-_ACF_TILE = 64
-
 
 def rfft_pow2_batch(frames: np.ndarray) -> np.ndarray:
     """Real FFT of each row; row length must be a power of two >= 2.
@@ -64,8 +60,7 @@ def autocorr_norm_batch(frames: np.ndarray, min_lag: int, max_lag: int) -> np.nd
     smallest 5-smooth N >= n + min(max_lag, n - 1), so no lag wraps
     around (Boersma 1993); the energies come from a cumulative sum.  The
     numerator carries an absolute error of order eps * sum(x^2), so r is
-    accurate to about eps * sum(x^2) / denominator.  The frames are taken
-    _ACF_TILE rows at a time, so past the output the buffers hold one tile.
+    accurate to about eps * sum(x^2) / denominator.
     """
     frames = np.asarray(frames, dtype=np.float64)
     m, n = frames.shape
@@ -74,34 +69,28 @@ def autocorr_norm_batch(frames: np.ndarray, min_lag: int, max_lag: int) -> np.nd
     if top < min_lag:
         return out
     nfft = smooth_length(n + top)
-    # every step works row by row, so each tile of rows gives the rows that
-    # one call over all of them would; only the buffers shrink to a tile
-    for lo in range(0, m, _ACF_TILE):
-        rows = frames[lo:lo + _ACF_TILE]
-        k = rows.shape[0]
-        csum = np.zeros((k, n + 1))
-        np.cumsum(rows * rows, axis=1, out=csum[:, 1:])
-        # lag l: the head holds samples [0, n - l), the tail [l, n)
-        denom = csum[:, n - top:n - min_lag + 1][:, ::-1] * (csum[:, n:] - csum[:, min_lag:top + 1])
-        np.sqrt(denom, out=denom)
-        del csum
+    csum = np.zeros((m, n + 1))
+    np.cumsum(frames * frames, axis=1, out=csum[:, 1:])
+    # lag l: the head holds samples [0, n - l), the tail [l, n)
+    denom = csum[:, n - top:n - min_lag + 1][:, ::-1] * (csum[:, n:] - csum[:, min_lag:top + 1])
+    np.sqrt(denom, out=denom)
+    del csum
 
-        # the frames are zero-padded here, not by rfft's n: the FFT of whole
-        # contiguous rows runs faster.  |X|^2 is then written over X itself:
-        # irfft takes complex input, and a real power array would be cast to
-        # a complex copy
-        padded = np.zeros((k, nfft))
-        padded[:, :n] = rows
-        spec = np.fft.rfft(padded, axis=1)
-        del padded
-        re, im = spec.real, spec.imag
-        np.square(re, out=re)
-        re += np.square(im, out=im)
-        im[:] = 0.0
-        num = np.fft.irfft(spec, nfft, axis=1)[:, min_lag:top + 1]
-        del spec, re, im
-        np.divide(num, denom, out=out[lo:lo + k, : top - min_lag + 1], where=denom > 0.0)
-        del num, denom
+    # the frames are zero-padded here, not by rfft's n: the FFT of whole
+    # contiguous rows runs faster.  |X|^2 is then written over X itself:
+    # irfft takes complex input, and a real power array would be cast to
+    # a complex copy
+    padded = np.zeros((m, nfft))
+    padded[:, :n] = frames
+    spec = np.fft.rfft(padded, axis=1)
+    del padded
+    re, im = spec.real, spec.imag
+    np.square(re, out=re)
+    re += np.square(im, out=im)
+    im[:] = 0.0
+    num = np.fft.irfft(spec, nfft, axis=1)[:, min_lag:top + 1]
+    del spec, re, im
+    np.divide(num, denom, out=out[:, : top - min_lag + 1], where=denom > 0.0)
     return out
 
 

@@ -59,6 +59,15 @@ def test_functionals_match_naive_oracle():
             assert abs(table[i, j] - want) < 1e-12, (lld, fn)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lld_matrix_rejects_each_non_finite_value(bad):
+    values = np.zeros((30, len(LLD_NAMES)))
+    values[17, 5] = bad
+    with pytest.raises(FeatureError) as err:
+        LldMatrix(values)
+    assert str(err.value) == "acoustic.lld_matrix: non-finite LLD values"
+
+
 ORDER_STATISTICS = [FUNCTIONAL_NAMES.index(fn)
                     for fn in ("percentile20", "percentile50", "percentile80", "range")]
 
@@ -424,9 +433,10 @@ def test_extraction_memory_holds_one_block_past_its_output():
 
 
 @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 257])
-def test_spectrum_tiles_are_bit_identical(m, monkeypatch):
-    """The block's spectrum taken one row, 7 rows or all rows at a time
-    gives the LLDs of the default 64-row tiles, bit for bit."""
+def test_lag_and_spectrum_tiles_are_bit_identical(m, monkeypatch):
+    """The block's autocorrelation, lag choice and spectrum taken one row,
+    7 rows or all rows at a time give the LLDs of the default 64-row
+    tiles, bit for bit."""
     plan = acoustic.analysis_plan(SR, AcousticConfig())
     n = 400 + 160 * (m - 1)  # m frames of 25 ms every 10 ms
     x = glide(0.1 + n / SR)[:n] + 0.05 * np.random.default_rng(m).standard_normal(n)
@@ -434,15 +444,28 @@ def test_spectrum_tiles_are_bit_identical(m, monkeypatch):
     assert frames.shape[0] == m
     want = acoustic._llds_for_frames(frames, plan)
     for tile in (1, 7, 1 << 20):
-        monkeypatch.setattr(acoustic, "_SPECTRUM_TILE", tile)
+        monkeypatch.setattr(acoustic, "_TILE", tile)
         assert np.array_equal(acoustic._llds_for_frames(frames, plan), want), tile
 
 
+def test_a_block_takes_its_autocorrelation_a_tile_at_a_time():
+    """On 257 frames, each autocorrelation call gets at most _TILE rows,
+    and the calls cover the 257 rows."""
+    plan = acoustic.analysis_plan(SR, AcousticConfig())
+    frames = dsp.frame_signal(glide(3.0), SR)[:257]
+    with mock.patch.object(acoustic.kernels, "autocorr_norm_batch",
+                           wraps=acoustic.kernels.autocorr_norm_batch) as acf:
+        acoustic._llds_for_frames(frames, plan)
+    rows = [c.args[0].shape[0] for c in acf.call_args_list]
+    assert max(rows) <= acoustic._TILE
+    assert sum(rows) == 257
+
+
 def test_a_block_holds_its_magnitudes_and_a_few_tiles():
-    """A 257-frame call holds at most 1.6 MB past its input: the block's
+    """A 257-frame call holds at most 1.45 MB past its input: the block's
     magnitude and power spectra, one band's copy and 64-row tiles (the
     padded frames and their complex spectrum over the whole block took
-    2.7 MB)."""
+    2.7 MB, and the block's whole lag matrix beside its tiles 1.48 MB)."""
     plan = acoustic.analysis_plan(SR, AcousticConfig())
     frames = np.ascontiguousarray(dsp.frame_signal(glide(3.0), SR)[: acoustic._BLOCK_FRAMES + 1])
     acoustic._llds_for_frames(frames, plan)  # numpy's FFT plan caches, once
@@ -452,7 +475,7 @@ def test_a_block_holds_its_magnitudes_and_a_few_tiles():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6e6
+    assert peak <= 1.45e6
 
 
 def test_time_shift_by_one_hop_shifts_frames():

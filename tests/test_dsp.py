@@ -339,6 +339,28 @@ def test_audio_buffer_validation():
         dsp.AudioBuffer(np.zeros(10), 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_audio_buffer_rejects_each_non_finite_value(bad):
+    samples = np.zeros(1000)
+    samples[537] = bad
+    with pytest.raises(AudioFormatError) as err:
+        dsp.AudioBuffer(samples, SR)
+    assert str(err.value) == "dsp.audio_buffer: audio buffer contains non-finite samples"
+
+
+def test_audio_buffer_checks_finiteness_without_a_mask():
+    """Checking 60 s at 16 kHz (7.7 MB) allocates under 64 KB: a bool
+    per sample would take 0.96 MB."""
+    samples = np.random.default_rng(2).uniform(-1.0, 1.0, 60 * SR)
+    tracemalloc.start()
+    try:
+        dsp.AudioBuffer(samples, SR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 # ---------------------------------------------------------------------------
 # framing / FFT wrappers
 
