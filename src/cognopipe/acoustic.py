@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,8 +67,10 @@ MANIFEST_VERSION = "1.0"
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class AcousticConfig:
+    """Frame analysis parameters (the config file's acoustic section)."""
+
     frame_len_s: float = 0.025
     hop_s: float = 0.010
     f0_min_hz: float = 55.0
@@ -77,7 +79,7 @@ class AcousticConfig:
     n_mel_filters: int = 26
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class LldMatrix:
     """num_frames x len(LLD_NAMES) array of per-frame descriptors."""
 
@@ -126,8 +128,7 @@ def _dct_rows(n_out: int, n_in: int) -> np.ndarray:
     return basis[1:]
 
 
-@dataclass(frozen=True, eq=False)
-class AnalysisPlan:
+class AnalysisPlan(NamedTuple):
     """The rate- and config-derived constants of the frame analysis: pitch
     lags, FFT size, window, bin frequencies, the dB span (bins < 1500 Hz),
     each band's bins, and the mel filterbank and DCT rows, transposed."""
@@ -429,7 +430,7 @@ def egemaps_manifest() -> tuple[dict, ...]:
     return entries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class CompareGrid:
     """LLD x functional grid spec for the extended feature set."""
 

@@ -18,8 +18,8 @@ matrix as well.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,10 @@ class ModelKind(enum.Enum):
     LINEAR_SVM = "LinearSVM"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class StandardizerParams:
+    """Per-column training mean and std, and the subjects they came from."""
+
     mean: np.ndarray
     std: np.ndarray
     fitted_subjects: frozenset[str] = frozenset()
@@ -43,14 +45,13 @@ class StandardizerParams:
             raise TrainingError("fit_standardizer", "mean/std shape mismatch")
 
 
-@dataclass(frozen=True, eq=False)
-class LinearModel:
+class LinearModel(NamedTuple):
     kind: ModelKind
     weights: np.ndarray
     bias: float
     l2_lambda: float
     class_weights: tuple[float, float]  # (w_case, w_control)
-    training_meta: Mapping[str, float] = field(default_factory=dict)
+    training_meta: Mapping[str, float]
     fitted_subjects: frozenset[str] = frozenset()
 
 

@@ -23,8 +23,10 @@ from .evaluation import ClassifierConfig, TieBreak
 from .features import FeatureSetId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class NgramConfig:
+    """Word n-gram range and document-frequency floor (the ngram section)."""
+
     n_lo: int = 1
     n_hi: int = 2
     min_doc_freq: int = 2
@@ -35,8 +37,10 @@ DEFAULT_FEATURE_SETS = (FeatureSetId.EGEMAPS_LIKE_88, FeatureSetId.NGRAM_TFIDF)
 DEFAULT_CLASSIFIERS = (ModelKind.LOGISTIC_REGRESSION, ModelKind.LINEAR_SVM)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class RunConfig:
+    """The effective run configuration; every range is checked when made."""
+
     manifest: str | None = None
     out_dir: str = "out"
     tasks: tuple[Task, ...] = DEFAULT_TASKS
@@ -67,6 +71,8 @@ class RunConfig:
             ("seed", self.seed, self.seed >= 0, ">= 0"),
             ("vad.noise_floor_percentile", v.noise_floor_percentile,
              0 <= v.noise_floor_percentile <= 100, "in [0, 100]"),
+            ("vad.bridge_gap_s", v.bridge_gap_s, v.bridge_gap_s >= 0, ">= 0"),
+            ("vad.min_segment_s", v.min_segment_s, v.min_segment_s >= 0, ">= 0"),
             ("acoustic.f0_min_hz", a.f0_min_hz, a.f0_min_hz > 0, "> 0"),
             ("acoustic.f0_max_hz", a.f0_max_hz, a.f0_max_hz > a.f0_min_hz,
              "> acoustic.f0_min_hz"),

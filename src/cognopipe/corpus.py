@@ -13,7 +13,7 @@ import enum
 import functools
 import os
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,7 @@ def label_of(diagnosis: Diagnosis) -> Label:
     return Label.CONTROL if diagnosis is Diagnosis.HC else Label.CASE
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One manifest problem, addressable as file:row."""
 
     file: str
@@ -71,8 +70,7 @@ class Diagnostic:
         return f"{self.file}:{self.row}: {self.message}"
 
 
-@dataclass(frozen=True)
-class SubjectRecord:
+class SubjectRecord(NamedTuple):
     subject_id: str
     age: int | None
     gender: Gender
@@ -84,8 +82,7 @@ class SubjectRecord:
         return label_of(self.diagnosis)
 
 
-@dataclass(frozen=True)
-class TaskRecording:
+class TaskRecording(NamedTuple):
     subject_id: str
     task: Task
     audio_path: str
@@ -95,8 +92,10 @@ class TaskRecording:
     sample_rate_hz: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Corpus:
+    """A validated set of subjects and their recordings."""
+
     subjects: tuple[SubjectRecord, ...]
     recordings: tuple[TaskRecording, ...]
 
@@ -145,8 +144,7 @@ class Corpus:
         return counts
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
+class FoldAssignment(NamedTuple):
     """Subject-level partition into k disjoint folds."""
 
     k: int

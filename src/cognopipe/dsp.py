@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import struct
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
@@ -23,7 +22,7 @@ _ENERGY_CHUNK = 1024
 _DECODE_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class AudioBuffer:
     """Mono audio with samples normalized to [-1, 1]."""
 
@@ -44,7 +43,7 @@ class AudioBuffer:
         return self.samples.size / self.sample_rate_hz
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class SegmentSet:
     """Sorted, non-overlapping speech intervals in seconds."""
 
@@ -65,7 +64,7 @@ class SegmentSet:
                 for start, end in self.speech]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class VadConfig:
     """Energy VAD parameters; see detect_speech."""
 
@@ -88,7 +87,9 @@ class VadConfig:
 _FORMAT_PCM = 1
 _FORMAT_EXTENSIBLE = 0xFFFE
 _FMT_EXTENSIBLE_LEN = 40
-_SUBFORMAT_PCM = uuid.UUID("00000001-0000-0010-8000-00aa00389b71")
+# The PCM subformat GUID 00000001-0000-0010-8000-00aa00389b71, in the
+# byte order a fmt chunk stores it (uuid's bytes_le).
+_SUBFORMAT_PCM = bytes.fromhex("0100000000001000800000aa00389b71")
 
 
 def _read_wav_header(fh: BinaryIO, path: str | Path) -> tuple[int, int, int]:
@@ -130,8 +131,10 @@ def _read_wav_header(fh: BinaryIO, path: str | Path) -> tuple[int, int, int]:
     if audio_format == _FORMAT_EXTENSIBLE:
         if len(fmt) < _FMT_EXTENSIBLE_LEN:
             raise bad("truncated fmt chunk")
-        subformat = uuid.UUID(bytes_le=fmt[24:40])
-        if subformat != _SUBFORMAT_PCM:
+        if fmt[24:40] != _SUBFORMAT_PCM:
+            import uuid  # only this rejection names a GUID
+
+            subformat = uuid.UUID(bytes_le=fmt[24:40])
             raise bad(f"non-PCM format tag {audio_format} (subformat {subformat})")
     elif audio_format != _FORMAT_PCM:
         raise bad(f"non-PCM format tag {audio_format}")

@@ -15,9 +15,9 @@ import enum
 import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Iterator, Mapping, Sequence
+from typing import ClassVar, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,8 +50,7 @@ class TieBreak(enum.Enum):
     ALWAYS_CONTROL = "always_control"
 
 
-@dataclass(frozen=True)
-class FoldPrediction:
+class FoldPrediction(NamedTuple):
     """One subject's prediction for one task (or fused when task is None)."""
 
     subject_id: str
@@ -62,7 +61,7 @@ class FoldPrediction:
     score: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class ClassifierConfig:
     """Classifier hyper-parameters (the config file's classifier section)."""
 
@@ -72,15 +71,18 @@ class ClassifierConfig:
     svm_epochs: int = 50
 
 
-@dataclass(frozen=True)
-class ExperimentConfig(ClassifierConfig):
-    """Classifier hyper-parameters plus the base of the per-fold seeds."""
+class ExperimentConfig(NamedTuple):
+    """Classifier hyper-parameters, with ClassifierConfig's defaults, plus
+    the base of the per-fold seeds."""
 
+    l2_lambda: float = ClassifierConfig.l2_lambda
+    lr_max_iters: int = ClassifierConfig.lr_max_iters
+    lr_tol: float = ClassifierConfig.lr_tol
+    svm_epochs: int = ClassifierConfig.svm_epochs
     seed: int = 7
 
 
-@dataclass(frozen=True)
-class TaskExperimentResult:
+class TaskExperimentResult(NamedTuple):
     task: Task
     feature_set: FeatureSetId
     classifier: classifiers.ModelKind
@@ -89,8 +91,7 @@ class TaskExperimentResult:
     not_converged_folds: tuple[int, ...] = ()  # LR fits stopped at lr_max_iters
 
 
-@dataclass(frozen=True)
-class PrecomputedProvider:
+class PrecomputedProvider(NamedTuple):
     """Fold-independent vectors (acoustic or lexical), one per subject."""
 
     feature_set_id: FeatureSetId
@@ -105,7 +106,7 @@ class PrecomputedProvider:
         return X_train, X_test, frozenset(train_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class TfidfProvider:
     """Fits a vocabulary per fold on training transcripts only.
 
@@ -118,8 +119,8 @@ class TfidfProvider:
     n_range: tuple[int, int] = (1, 2)
     min_doc_freq: int = 2
     feature_set_id: ClassVar[FeatureSetId] = FeatureSetId.NGRAM_TFIDF
-    table: linguistic.NgramTable = field(init=False, repr=False, compare=False)
-    rows: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    table: linguistic.NgramTable = field(init=False)
+    rows: Mapping[str, int] = field(init=False)
 
     def __post_init__(self):
         table = linguistic.ngram_table(list(self.transcripts.values()), self.n_range)
@@ -463,8 +464,7 @@ def fuse_predictions(
     return fused, excluded
 
 
-@dataclass(frozen=True)
-class ConfusionBreakdown:
+class ConfusionBreakdown(NamedTuple):
     """3x2 diagnosis-level table plus its Case/Control collapse.
 
     three_by_two rows follow DIAGNOSIS_ROWS, columns are
@@ -514,8 +514,7 @@ def confusion(
     )
 
 
-@dataclass(frozen=True)
-class MetricSet:
+class MetricSet(NamedTuple):
     precision: float
     recall: float
     f1: float
@@ -615,7 +614,7 @@ def _prediction_rows(preds: Sequence[FoldPrediction]) -> list[list]:
 def _cell_block(keys: Mapping, preds: Sequence[FoldPrediction], corpus: Corpus) -> dict:
     """One report block: keys, confusion tables, every metric mode, predictions."""
     cb = confusion(preds, corpus)
-    docs = {mode.value: asdict(metrics(cb, preds, mode)) for mode in AveragingMode}
+    docs = {mode.value: metrics(cb, preds, mode)._asdict() for mode in AveragingMode}
     return {
         **keys,
         "confusion_3x2": [list(r) for r in cb.three_by_two],

@@ -17,7 +17,7 @@ class FeatureSetId(enum.Enum):
     LEXICAL = "Lexical"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class FeatureVector:
     """Fixed-length numeric vector tagged with its feature-set identity.
 

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,8 +46,7 @@ def ngram_counts(text: str, n_range: tuple[int, int]) -> dict[str, int]:
     return counts
 
 
-@dataclass(frozen=True, eq=False)
-class NgramTable:
+class NgramTable(NamedTuple):
     """n-gram counts of a list of documents over their sorted n-grams.
 
     A gram's id is its position in grams, so ascending ids are
@@ -73,8 +71,7 @@ def ngram_table(texts: Sequence[str], n_range: tuple[int, int]) -> NgramTable:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Vocabulary:
+class Vocabulary(NamedTuple):
     """Kept n-grams of a table with idf weights, tied to the partition it was fit on."""
 
     table: NgramTable

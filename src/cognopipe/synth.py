@@ -19,7 +19,7 @@ import numpy as np
 
 from . import corpus, dsp
 from .config import number_field_problem, read_json_object
-from .errors import SynthError
+from .errors import SynthError, writing
 
 _SHARED_WORDS = (
     "the and then we saw went to a of in house garden water mother boy girl "
@@ -153,11 +153,13 @@ def generate(spec: SynthSpec, out_dir) -> Path:
     Layout: audio/<sid>_<task>.wav, transcripts/<sid>_<task>.txt, and
     the two manifest CSVs with relative paths.  The result is reloaded
     through the normal manifest path before returning, so a generated
-    corpus is valid by construction.
+    corpus is valid by construction.  A directory or file that cannot be
+    written is SynthError("generate", "cannot write <path>: <reason>").
     """
     out = Path(out_dir)
-    (out / "audio").mkdir(parents=True, exist_ok=True)
-    (out / "transcripts").mkdir(parents=True, exist_ok=True)
+    for sub in ("audio", "transcripts"):
+        with writing(SynthError, "generate", out / sub):
+            (out / sub).mkdir(parents=True, exist_ok=True)
 
     n_total = spec.n_case + spec.n_control
     q = spec.linguistic_separation / (1.0 + spec.linguistic_separation)
@@ -188,21 +190,23 @@ def generate(spec: SynthSpec, out_dir) -> Path:
             x = _render_audio(rng, spec, f0_base, jitter_amount, pause_scale)
             wav_rel = f"audio/{sid}_{task.value}.wav"
             txt_rel = f"transcripts/{sid}_{task.value}.txt"
-            dsp.write_wav(out / wav_rel, x, spec.sample_rate_hz)
+            with writing(SynthError, "generate", out / wav_rel):
+                dsp.write_wav(out / wav_rel, x, spec.sample_rate_hz)
             n_words = int(rng.integers(30, 50))
-            (out / txt_rel).write_text(
-                _transcript(rng, q, is_case, n_words), encoding="utf-8"
-            )
+            with writing(SynthError, "generate", out / txt_rel):
+                (out / txt_rel).write_text(
+                    _transcript(rng, q, is_case, n_words), encoding="utf-8"
+                )
             recording_rows.append([sid, task.value, wav_rel, txt_rel])
 
-    with open(out / corpus.SUBJECTS_FILE, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(corpus.SUBJECT_COLUMNS)
-        w.writerows(subject_rows)
-    with open(out / corpus.RECORDINGS_FILE, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(corpus.RECORDING_COLUMNS)
-        w.writerows(recording_rows)
+    for name, columns, rows in ((corpus.SUBJECTS_FILE, corpus.SUBJECT_COLUMNS, subject_rows),
+                                (corpus.RECORDINGS_FILE, corpus.RECORDING_COLUMNS,
+                                 recording_rows)):
+        with (writing(SynthError, "generate", out / name),
+              open(out / name, "w", encoding="utf-8", newline="") as fh):
+            w = csv.writer(fh)
+            w.writerow(columns)
+            w.writerows(rows)
 
     corpus.load_manifest(out)  # a generated corpus must validate cleanly
     return out

@@ -234,7 +234,7 @@ def test_analysis_plan_holds_what_the_rate_and_config_derive(sr):
         assert np.array_equal(getattr(plan, name), want), name
     assert np.array_equal(plan.mel, acoustic._mel_filterbank(cfg.n_mel_filters, plan.nfft, sr).T)
     assert np.array_equal(plan.dct, acoustic._dct_rows(acoustic.N_MFCC, cfg.n_mel_filters).T)
-    arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+    arrays = [v for v in plan._asdict().values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 10 and not any(a.flags.writeable for a in arrays)
     assert acoustic.analysis_plan(sr, AcousticConfig()) is plan  # an equal config, one plan
 

@@ -118,6 +118,8 @@ def test_config_rejects_bad_enum_values(tmp_path):
     pytest.param({"classifier": {"l2_lambda": 10 ** 400}},
                  f"config.parse: classifier.l2_lambda must be finite, got {10 ** 400}",
                  id="classifier.l2_lambda:10**400"),
+    ({"vad": {"bridge_gap_s": -1.0}}, "vad.bridge_gap_s"),
+    ({"vad": {"min_segment_s": -0.5}}, "vad.min_segment_s"),
 ])
 def test_config_rejects_out_of_range_sections(tmp_path, doc, field):
     cfg_file = tmp_path / "run.json"
@@ -909,6 +911,51 @@ def test_train_eval_never_loads_numpy_ma(small_manifest, tmp_path, features):
     assert (tmp_path / "out" / "report.json").is_file()
 
 
+# Config sections, which config walks with dataclasses.fields, and classes
+# that check or build their fields in __post_init__.  Each dataclass execs several
+# generated methods at import; records that only hold values are NamedTuples.
+_DATACLASSES = ["acoustic.AcousticConfig", "acoustic.CompareGrid", "acoustic.LldMatrix",
+                "classifiers.StandardizerParams", "config.NgramConfig", "config.RunConfig",
+                "corpus.Corpus", "dsp.AudioBuffer", "dsp.SegmentSet", "dsp.VadConfig",
+                "evaluation.ClassifierConfig", "evaluation.TfidfProvider",
+                "features.FeatureVector"]
+
+
+def test_cli_import_builds_only_the_kept_dataclasses():
+    code = (
+        "import dataclasses, sys\n"
+        "import cognopipe.cli\n"
+        "modules = [m for name, m in sys.modules.items() if name.startswith('cognopipe.')]\n"
+        "print(sorted(f'{m.__name__.removeprefix(\"cognopipe.\")}.{name}' for m in modules\n"
+        "             for name, c in vars(m).items() if isinstance(c, type)\n"
+        "             and c.__module__ == m.__name__ and dataclasses.is_dataclass(c)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{_DATACLASSES}\n"
+
+
+def test_train_eval_never_loads_uuid(small_manifest, tmp_path):
+    """An acoustic run reads every WAV header without the uuid module,
+    which loads _uuid and libuuid; only a rejected subformat names its GUID."""
+    code = (
+        "import sys\n"
+        "from cognopipe import cli\n"
+        f"rc = cli.main(['train-eval', '--manifest', {str(small_manifest)!r},\n"
+        f"    '--out', {str(tmp_path / 'out')!r}, '--features', 'EgemapsLike88',\n"
+        "    '--workers', '1'])\n"
+        "assert rc == 0, rc\n"
+        "print('uuid' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -965,6 +1012,15 @@ def test_synth_rejects_bad_spec(tmp_path, capsys):
         assert err.startswith(f"error: {line}"), err
         assert err.count("\n") == 1, err
         assert not (tmp_path / "c" / RECORDINGS_FILE).exists()
+
+
+def test_synth_out_under_a_regular_file_is_one_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = cli.main(["synth", "--out", str(blocker / "corpus")])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: synth.generate: cannot write "
+                                       f"{blocker / 'corpus' / 'audio'}: Not a directory\n")
 
 
 # ---------------------------------------------------------------------------

@@ -564,6 +564,20 @@ def test_detect_speech_bridges_short_gaps():
     assert len(segs.speech) == 1
 
 
+def test_detect_speech_joins_runs_whose_frames_overlap():
+    """Tone runs 400 samples apart: the 25 ms frames that span the gap
+    score as speech, so the two runs overlap by 5 ms and are one segment at
+    the default bridge and at none.  A negative bridge would keep them as
+    two overlapping segments, which the run config rejects."""
+    x = 1e-2 * np.random.default_rng(0).standard_normal(2 * SR)
+    for a, b in ((8000 - 3360, 8000), (8000 + 400, 8000 + 3760)):
+        x[a:b] += 0.5 * np.sin(2 * np.pi * 150 * np.arange(a, b) / SR)
+    audio = dsp.AudioBuffer(x, SR)
+    for bridge_gap_s in (0.2, 0.0):
+        segs = dsp.detect_speech(audio, dsp.VadConfig(bridge_gap_s=bridge_gap_s))
+        assert segs.speech == ((0.27, 0.755),)
+
+
 def test_detect_speech_gain_invariant():
     x = _tone_silence_tone() + 1e-4 * np.random.default_rng(1).standard_normal(3 * SR)
     a = dsp.detect_speech(dsp.AudioBuffer(x, SR))
