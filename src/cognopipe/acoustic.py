@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -27,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import dsp, kernels
-from .errors import FeatureError, writing
+from .errors import FeatureError, check_ranges, writing
 from .features import FeatureSetId, FeatureVector
 
 N_MFCC = 13
@@ -67,10 +66,7 @@ MANIFEST_VERSION = "1.0"
 _EPS = 1e-12
 
 
-@dataclass(frozen=True, repr=False)
-class AcousticConfig:
-    """Frame analysis parameters (the config file's acoustic section)."""
-
+class _AcousticFields(NamedTuple):
     frame_len_s: float = 0.025
     hop_s: float = 0.010
     f0_min_hz: float = 55.0
@@ -79,21 +75,43 @@ class AcousticConfig:
     n_mel_filters: int = 26
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class LldMatrix:
-    """num_frames x len(LLD_NAMES) array of per-frame descriptors."""
+class AcousticConfig(_AcousticFields):
+    """Frame analysis parameters (the config file's acoustic section).
+    Its ranges are checked when made."""
 
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        check_ranges("acoustic", (
+            ("f0_min_hz", self.f0_min_hz, self.f0_min_hz > 0, "> 0"),
+            ("f0_max_hz", self.f0_max_hz, self.f0_max_hz > self.f0_min_hz,
+             "> acoustic.f0_min_hz"),
+            ("voicing_threshold", self.voicing_threshold,
+             0 < self.voicing_threshold < 1, "in (0, 1)"),
+            ("n_mel_filters", self.n_mel_filters, self.n_mel_filters >= 1, ">= 1"),
+        ))
+        return self
+
+
+class _LldFields(NamedTuple):
     values: np.ndarray
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+
+class LldMatrix(_LldFields):
+    """num_frames x len(LLD_NAMES) array of per-frame descriptors."""
+
+    __slots__ = ()
+
+    def __new__(cls, values):
+        vals = np.asarray(values, dtype=np.float64)
         if vals.ndim != 2 or vals.shape[1] != len(LLD_NAMES):
             raise FeatureError(
                 "lld_matrix", f"expected (m, {len(LLD_NAMES)}) array, got {vals.shape}"
             )
         if vals.size and not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
             raise FeatureError("lld_matrix", "non-finite LLD values")
-        object.__setattr__(self, "values", vals)
+        return super().__new__(cls, vals)
 
     @property
     def num_frames(self) -> int:
@@ -430,15 +448,19 @@ def egemaps_manifest() -> tuple[dict, ...]:
     return entries
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class CompareGrid:
-    """LLD x functional grid spec for the extended feature set."""
-
+class _GridFields(NamedTuple):
     llds: tuple[str, ...]
     functionals: tuple[str, ...]
     deltas: bool
 
-    def __post_init__(self):
+
+class CompareGrid(_GridFields):
+    """LLD x functional grid spec for the extended feature set."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.llds or not self.functionals:
             raise FeatureError("compare_like", "empty LLD or functional list")
         for name in self.llds:
@@ -447,6 +469,7 @@ class CompareGrid:
         for name in self.functionals:
             if name not in FUNCTIONAL_NAMES:
                 raise FeatureError("compare_like", f"unknown functional '{name}'")
+        return self
 
 
 @lru_cache(maxsize=1)

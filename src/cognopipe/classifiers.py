@@ -18,7 +18,6 @@ matrix as well.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -32,17 +31,22 @@ class ModelKind(enum.Enum):
     LINEAR_SVM = "LinearSVM"
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class StandardizerParams:
-    """Per-column training mean and std, and the subjects they came from."""
-
+class _StandardizerFields(NamedTuple):
     mean: np.ndarray
     std: np.ndarray
     fitted_subjects: frozenset[str] = frozenset()
 
-    def __post_init__(self):
+
+class StandardizerParams(_StandardizerFields):
+    """Per-column training mean and std, and the subjects they came from."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
             raise TrainingError("fit_standardizer", "mean/std shape mismatch")
+        return self
 
 
 class LinearModel(NamedTuple):

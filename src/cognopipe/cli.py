@@ -33,7 +33,6 @@ gc.disable()
 try:
     import argparse
     import ctypes
-    import dataclasses
     import functools
     import logging
     import sys
@@ -184,7 +183,7 @@ def cmd_train_eval(args) -> int:
     cfg = _run_config(args)
     c = corpus.load_manifest(cfg.manifest)
     folds = corpus.stratified_folds(c, cfg.k, cfg.seed)
-    exp_cfg = evaluation.ExperimentConfig(seed=cfg.seed, **dataclasses.asdict(cfg.classifier))
+    exp_cfg = evaluation.ExperimentConfig(seed=cfg.seed, **cfg.classifier._asdict())
     providers = evaluation.build_providers(
         c,
         cfg.tasks,
@@ -238,7 +237,7 @@ def cmd_synth(args) -> int:
 
     spec = synth.load_spec(args.config) if args.config else synth.SynthSpec()
     if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+        spec = synth.SynthSpec(**{**spec._asdict(), "seed": args.seed})
     manifest = synth.generate(spec, args.out)
     print(f"wrote manifest {manifest}")
     return 0

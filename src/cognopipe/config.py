@@ -11,25 +11,38 @@ from __future__ import annotations
 import enum
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .acoustic import AcousticConfig
 from .classifiers import ModelKind
 from .corpus import Task
 from .dsp import VadConfig
-from .errors import ConfigError
+from .errors import ConfigError, check_ranges
 from .evaluation import ClassifierConfig, TieBreak
 from .features import FeatureSetId
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class NgramConfig:
-    """Word n-gram range and document-frequency floor (the ngram section)."""
-
+class _NgramFields(NamedTuple):
     n_lo: int = 1
     n_hi: int = 2
     min_doc_freq: int = 2
+
+
+class NgramConfig(_NgramFields):
+    """Word n-gram range and document-frequency floor (the ngram section).
+    Its ranges are checked when made."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        check_ranges("ngram", (
+            ("n_lo", self.n_lo, self.n_lo >= 1, ">= 1"),
+            ("n_hi", self.n_hi, self.n_hi >= self.n_lo, ">= ngram.n_lo"),
+            ("min_doc_freq", self.min_doc_freq, self.min_doc_freq >= 1, ">= 1"),
+        ))
+        return self
 
 
 DEFAULT_TASKS = tuple(Task)
@@ -37,10 +50,7 @@ DEFAULT_FEATURE_SETS = (FeatureSetId.EGEMAPS_LIKE_88, FeatureSetId.NGRAM_TFIDF)
 DEFAULT_CLASSIFIERS = (ModelKind.LOGISTIC_REGRESSION, ModelKind.LINEAR_SVM)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class RunConfig:
-    """The effective run configuration; every range is checked when made."""
-
+class _RunFields(NamedTuple):
     manifest: str | None = None
     out_dir: str = "out"
     tasks: tuple[Task, ...] = DEFAULT_TASKS
@@ -50,12 +60,20 @@ class RunConfig:
     seed: int = 7
     tie_break: TieBreak = TieBreak.SCORE_SUM
     workers: int | None = None  # None = available parallelism
-    vad: VadConfig = field(default_factory=VadConfig)
-    acoustic: AcousticConfig = field(default_factory=AcousticConfig)
-    ngram: NgramConfig = field(default_factory=NgramConfig)
-    classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
+    vad: VadConfig = VadConfig()
+    acoustic: AcousticConfig = AcousticConfig()
+    ngram: NgramConfig = NgramConfig()
+    classifier: ClassifierConfig = ClassifierConfig()
 
-    def __post_init__(self):
+
+class RunConfig(_RunFields):
+    """The effective run configuration.  Each section checks its own
+    ranges when made; the run's own fields are checked here."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.k < 2:
             raise ConfigError("run_config", f"k must be >= 2, got {self.k}")
         if self.workers is not None and self.workers < 1:
@@ -66,29 +84,9 @@ class RunConfig:
             raise ConfigError("run_config", "no feature sets selected")
         if not self.classifiers:
             raise ConfigError("run_config", "no classifiers selected")
-        c, g, a, v = self.classifier, self.ngram, self.acoustic, self.vad
-        for name, value, ok, rule in (
-            ("seed", self.seed, self.seed >= 0, ">= 0"),
-            ("vad.noise_floor_percentile", v.noise_floor_percentile,
-             0 <= v.noise_floor_percentile <= 100, "in [0, 100]"),
-            ("vad.bridge_gap_s", v.bridge_gap_s, v.bridge_gap_s >= 0, ">= 0"),
-            ("vad.min_segment_s", v.min_segment_s, v.min_segment_s >= 0, ">= 0"),
-            ("acoustic.f0_min_hz", a.f0_min_hz, a.f0_min_hz > 0, "> 0"),
-            ("acoustic.f0_max_hz", a.f0_max_hz, a.f0_max_hz > a.f0_min_hz,
-             "> acoustic.f0_min_hz"),
-            ("acoustic.voicing_threshold", a.voicing_threshold,
-             0 < a.voicing_threshold < 1, "in (0, 1)"),
-            ("acoustic.n_mel_filters", a.n_mel_filters, a.n_mel_filters >= 1, ">= 1"),
-            ("classifier.l2_lambda", c.l2_lambda, c.l2_lambda > 0, "> 0"),
-            ("classifier.lr_max_iters", c.lr_max_iters, c.lr_max_iters >= 1, ">= 1"),
-            ("classifier.lr_tol", c.lr_tol, c.lr_tol > 0, "> 0"),
-            ("classifier.svm_epochs", c.svm_epochs, c.svm_epochs >= 1, ">= 1"),
-            ("ngram.n_lo", g.n_lo, g.n_lo >= 1, ">= 1"),
-            ("ngram.n_hi", g.n_hi, g.n_hi >= g.n_lo, ">= ngram.n_lo"),
-            ("ngram.min_doc_freq", g.min_doc_freq, g.min_doc_freq >= 1, ">= 1"),
-        ):
-            if not ok:
-                raise ConfigError("run_config", f"{name} must be {rule}, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError("run_config", f"seed must be >= 0, got {self.seed}")
+        return self
 
 
 def _parse_enum_list(raw, enum_cls, what: str) -> tuple:
@@ -145,24 +143,24 @@ def read_json_object(path, error, op: str, what: str) -> dict:
 
 
 def number_field_problem(cls, doc: dict, what: str, prefix: str = "") -> str | None:
-    """The first problem with doc as the numeric fields of dataclass cls.
+    """The first problem with doc as the numeric fields of record cls.
 
     Returns "unknown <what> keys: [...]", "<prefix><name> must be ...,
     got ..." or None.  A field with an int default takes an int; one with
     a float default takes a finite int or float; a bool is neither.
     Missing fields keep their defaults.
     """
-    unknown = set(doc) - {f.name for f in fields(cls)}
+    unknown = set(doc) - set(cls._fields)
     if unknown:
         return f"unknown {what} keys: {sorted(unknown)}"
-    for f in fields(cls):
-        v = doc.get(f.name, f.default)
-        is_float = isinstance(f.default, float)
+    for name, default in cls._field_defaults.items():
+        v = doc.get(name, default)
+        is_float = isinstance(default, float)
         if isinstance(v, bool) or not isinstance(v, (int, float) if is_float else int):
-            return f"{prefix}{f.name} must be {'a number' if is_float else 'an integer'}, got {v!r}"
+            return f"{prefix}{name} must be {'a number' if is_float else 'an integer'}, got {v!r}"
         # NaN compares false; an int beyond the float range compares exactly
         if is_float and not abs(v) <= sys.float_info.max:
-            return f"{prefix}{f.name} must be finite, got {v!r}"
+            return f"{prefix}{name} must be finite, got {v!r}"
     return None
 
 
@@ -182,7 +180,7 @@ def _coerce(key: str, value):
     if key in _SECTIONS:
         if not isinstance(value, dict):
             raise ConfigError("parse", f"{key} section must be an object, got {value!r}")
-        # every section field is an int or a float, and no section class checks more
+        # every section field is an int or a float; the section checks its ranges
         problem = number_field_problem(_SECTIONS[key], value, key, f"{key}.")
         if problem:
             raise ConfigError("parse", problem)
@@ -193,7 +191,7 @@ def _coerce(key: str, value):
 def load_config_file(path) -> dict:
     """Parse the JSON config document into RunConfig keyword arguments."""
     doc = read_json_object(path, ConfigError, "load", "config")
-    unknown = set(doc) - {f.name for f in fields(RunConfig)}
+    unknown = set(doc) - set(RunConfig._fields)
     if unknown:
         raise ConfigError("load", f"unknown config keys: {sorted(unknown)}")
     return {key: _coerce(key, value) for key, value in doc.items()}
@@ -214,10 +212,10 @@ def merge_config(file_path=None, **flag_overrides) -> RunConfig:
 def _echo(value):
     if isinstance(value, enum.Enum):
         return value.value
+    if hasattr(value, "_asdict"):  # a section: before tuple, which it also is
+        return value._asdict()
     if isinstance(value, tuple):
         return [_echo(v) for v in value]
-    if is_dataclass(value):
-        return asdict(value)
     return value
 
 
@@ -227,5 +225,5 @@ _EXECUTION_FIELDS = ("workers", "out_dir")
 
 def config_echo(cfg: RunConfig) -> dict:
     """JSON-able view of the effective config, minus _EXECUTION_FIELDS."""
-    return {f.name: _echo(getattr(cfg, f.name)) for f in fields(cfg)
-            if f.name not in _EXECUTION_FIELDS}
+    return {name: _echo(value) for name, value in cfg._asdict().items()
+            if name not in _EXECUTION_FIELDS}

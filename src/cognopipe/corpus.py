@@ -12,7 +12,6 @@ import csv
 import enum
 import functools
 import os
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -92,22 +91,26 @@ class TaskRecording(NamedTuple):
     sample_rate_hz: int
 
 
-@dataclass(frozen=True, repr=False)
-class Corpus:
-    """A validated set of subjects and their recordings."""
-
+class _CorpusFields(NamedTuple):
     subjects: tuple[SubjectRecord, ...]
     recordings: tuple[TaskRecording, ...]
+    by_id: Mapping[str, SubjectRecord]  # derived: each subject by its id
 
-    def __post_init__(self):
-        ids = [s.subject_id for s in self.subjects]
-        if len(set(ids)) != len(ids):
+
+class Corpus(_CorpusFields):
+    """A validated set of subjects and their recordings."""
+
+    __slots__ = ()
+
+    def __new__(cls, subjects: tuple[SubjectRecord, ...],
+                recordings: tuple[TaskRecording, ...]):
+        by_id = {s.subject_id: s for s in subjects}
+        if len(by_id) != len(subjects):
             raise ManifestError("corpus", "duplicate subject_id")
-        known = set(ids)
         pairs = set()
         covered = set()
-        for r in self.recordings:
-            if r.subject_id not in known:
+        for r in recordings:
+            if r.subject_id not in by_id:
                 raise ManifestError(
                     "corpus", f"recording references unknown subject '{r.subject_id}'"
                 )
@@ -118,18 +121,19 @@ class Corpus:
                 )
             pairs.add(key)
             covered.add(r.subject_id)
-        missing = known - covered
+        missing = by_id.keys() - covered
         if missing:
             raise ManifestError(
                 "corpus", f"subjects without recordings: {sorted(missing)}"
             )
+        return super().__new__(cls, subjects, recordings, by_id)
 
-    @functools.cached_property
-    def _by_id(self) -> dict[str, SubjectRecord]:
-        return {s.subject_id: s for s in self.subjects}
+    def __getnewargs__(self):
+        # a pickled corpus is made again from its inputs, and checked again
+        return self.subjects, self.recordings
 
     def subject(self, subject_id: str) -> SubjectRecord:
-        return self._by_id[subject_id]
+        return self.by_id[subject_id]
 
     def diagnosis_counts(self) -> dict[Diagnosis, int]:
         counts = {d: 0 for d in Diagnosis}

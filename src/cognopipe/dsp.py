@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .errors import AudioFormatError
+from .errors import AudioFormatError, check_ranges
 
 SNR_CAP_DB = 120.0
 _LOG_FLOOR = 1e-12  # mean-square floor, i.e. -120 dB
@@ -22,14 +21,18 @@ _ENERGY_CHUNK = 1024
 _DECODE_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class AudioBuffer:
-    """Mono audio with samples normalized to [-1, 1]."""
-
+class _AudioFields(NamedTuple):
     samples: np.ndarray
     sample_rate_hz: int
 
-    def __post_init__(self):
+
+class AudioBuffer(_AudioFields):
+    """Mono audio with samples normalized to [-1, 1]."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.samples.size == 0:
             raise AudioFormatError("audio_buffer", "audio buffer is empty")
         # NaN reaches both extremes and an infinity one: no bool per sample
@@ -37,24 +40,30 @@ class AudioBuffer:
             raise AudioFormatError("audio_buffer", "audio buffer contains non-finite samples")
         if self.sample_rate_hz <= 0:
             raise AudioFormatError("audio_buffer", f"invalid sample rate {self.sample_rate_hz}")
+        return self
 
     @property
     def duration_s(self) -> float:
         return self.samples.size / self.sample_rate_hz
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class SegmentSet:
-    """Sorted, non-overlapping speech intervals in seconds."""
-
+class _SegmentFields(NamedTuple):
     speech: tuple[tuple[float, float], ...]
 
-    def __post_init__(self):
+
+class SegmentSet(_SegmentFields):
+    """Sorted, non-overlapping speech intervals in seconds."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         prev_end = 0.0
         for start, end in self.speech:
             if start < prev_end - 1e-12 or end <= start:
                 raise ValueError(f"segments not sorted/disjoint: {self.speech}")
             prev_end = end
+        return self
 
     def sample_bounds(self, n_samples: int, sample_rate_hz: int) -> list[tuple[int, int]]:
         """Each interval as sample indices [a, b), rounded to the nearest
@@ -64,10 +73,7 @@ class SegmentSet:
                 for start, end in self.speech]
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class VadConfig:
-    """Energy VAD parameters; see detect_speech."""
-
+class _VadFields(NamedTuple):
     frame_len_s: float = 0.025
     hop_s: float = 0.010
     noise_floor_percentile: float = 10.0
@@ -79,6 +85,23 @@ class VadConfig:
     # file is labeled speech iff its median energy clears the absolute floor.
     homogeneous_range_db: float = 10.0
     homogeneous_speech_floor_db: float = -60.0
+
+
+class VadConfig(_VadFields):
+    """Energy VAD parameters (the config file's vad section); see
+    detect_speech.  Its ranges are checked when made."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        check_ranges("vad", (
+            ("noise_floor_percentile", self.noise_floor_percentile,
+             0 <= self.noise_floor_percentile <= 100, "in [0, 100]"),
+            ("bridge_gap_s", self.bridge_gap_s, self.bridge_gap_s >= 0, ">= 0"),
+            ("min_segment_s", self.min_segment_s, self.min_segment_s >= 0, ">= 0"),
+        ))
+        return self
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,16 @@ class SynthError(PipelineError):
     module = "synth"
 
 
+def check_ranges(section: str, rules) -> None:
+    """Raise ConfigError("run_config", "<section>.<name> must be <rule>,
+    got <value>") for the first (name, value, ok, rule) in rules whose ok
+    is false.  Each config section checks its own ranges with it when
+    made, so a run's config and a library caller get the same line."""
+    for name, value, ok, rule in rules:
+        if not ok:
+            raise ConfigError("run_config", f"{section}.{name} must be {rule}, got {value!r}")
+
+
 @contextmanager
 def writing(error: type[PipelineError], op: str, path):
     """Turn an OSError raised in the block into error(op, "cannot write

@@ -15,15 +15,14 @@ import enum
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import acoustic, classifiers, dsp, linguistic
 from .corpus import Corpus, Diagnosis, FoldAssignment, Label, Task, TaskRecording
-from .errors import EvaluationError, writing
+from .errors import EvaluationError, check_ranges, writing
 from .features import FeatureSetId, FeatureVector
 
 REPORT_SCHEMA_VERSION = "1.5"
@@ -61,24 +60,40 @@ class FoldPrediction(NamedTuple):
     score: float
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class ClassifierConfig:
-    """Classifier hyper-parameters (the config file's classifier section)."""
-
+class _ClassifierFields(NamedTuple):
     l2_lambda: float = 1.0
     lr_max_iters: int = 500
     lr_tol: float = 1e-6
     svm_epochs: int = 50
 
 
+class ClassifierConfig(_ClassifierFields):
+    """Classifier hyper-parameters (the config file's classifier section).
+    Its ranges are checked when made."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        check_ranges("classifier", (
+            ("l2_lambda", self.l2_lambda, self.l2_lambda > 0, "> 0"),
+            ("lr_max_iters", self.lr_max_iters, self.lr_max_iters >= 1, ">= 1"),
+            # fits on `synth --seed 0` start at gradients whose largest entry
+            # is 0.10-0.41: a looser tolerance ends a fit at step 0, converged
+            ("lr_tol", self.lr_tol, 0 < self.lr_tol <= 1e-3, "in (0, 1e-3]"),
+            ("svm_epochs", self.svm_epochs, self.svm_epochs >= 1, ">= 1"),
+        ))
+        return self
+
+
 class ExperimentConfig(NamedTuple):
     """Classifier hyper-parameters, with ClassifierConfig's defaults, plus
     the base of the per-fold seeds."""
 
-    l2_lambda: float = ClassifierConfig.l2_lambda
-    lr_max_iters: int = ClassifierConfig.lr_max_iters
-    lr_tol: float = ClassifierConfig.lr_tol
-    svm_epochs: int = ClassifierConfig.svm_epochs
+    l2_lambda: float = ClassifierConfig._field_defaults["l2_lambda"]
+    lr_max_iters: int = ClassifierConfig._field_defaults["lr_max_iters"]
+    lr_tol: float = ClassifierConfig._field_defaults["lr_tol"]
+    svm_epochs: int = ClassifierConfig._field_defaults["svm_epochs"]
     seed: int = 7
 
 
@@ -106,8 +121,15 @@ class PrecomputedProvider(NamedTuple):
         return X_train, X_test, frozenset(train_ids)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class TfidfProvider:
+class _TfidfFields(NamedTuple):
+    transcripts: Mapping[str, str]
+    n_range: tuple[int, int]
+    min_doc_freq: int
+    table: linguistic.NgramTable  # derived: the transcripts' n-gram counts
+    rows: Mapping[str, int]  # derived: each subject's row of table
+
+
+class TfidfProvider(_TfidfFields):
     """Fits a vocabulary per fold on training transcripts only.
 
     The transcripts' n-grams are counted once, into one table, when the
@@ -115,17 +137,18 @@ class TfidfProvider:
     training rows, and each partition's matrix is one scatter of its rows.
     """
 
-    transcripts: Mapping[str, str]
-    n_range: tuple[int, int] = (1, 2)
-    min_doc_freq: int = 2
-    feature_set_id: ClassVar[FeatureSetId] = FeatureSetId.NGRAM_TFIDF
-    table: linguistic.NgramTable = field(init=False)
-    rows: Mapping[str, int] = field(init=False)
+    __slots__ = ()
+    feature_set_id = FeatureSetId.NGRAM_TFIDF
 
-    def __post_init__(self):
-        table = linguistic.ngram_table(list(self.transcripts.values()), self.n_range)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "rows", {s: r for r, s in enumerate(self.transcripts)})
+    def __new__(cls, transcripts: Mapping[str, str], n_range: tuple[int, int] = (1, 2),
+                min_doc_freq: int = 2):
+        table = linguistic.ngram_table(list(transcripts.values()), n_range)
+        rows = {s: r for r, s in enumerate(transcripts)}
+        return super().__new__(cls, transcripts, n_range, min_doc_freq, table, rows)
+
+    def __getnewargs__(self):
+        # a pickled provider is made again from its inputs
+        return self.transcripts, self.n_range, self.min_doc_freq
 
     def available_subjects(self) -> tuple[str, ...]:
         return tuple(sorted(self.transcripts))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,27 +17,30 @@ class FeatureSetId(enum.Enum):
     LEXICAL = "Lexical"
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class FeatureVector:
+class _VectorFields(NamedTuple):
+    feature_set_id: FeatureSetId
+    values: np.ndarray
+    empty_speech: bool = False
+
+
+class FeatureVector(_VectorFields):
     """Fixed-length numeric vector tagged with its feature-set identity.
 
     empty_speech marks vectors that are all-zero because the recording
     contained no detected speech (the value is still usable downstream).
     """
 
-    feature_set_id: FeatureSetId
-    values: np.ndarray
-    empty_speech: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+    def __new__(cls, feature_set_id: FeatureSetId, values, empty_speech: bool = False):
+        vals = np.asarray(values, dtype=np.float64)
         if vals.ndim != 1:
             raise FeatureError("feature_vector", f"values must be 1-D, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise FeatureError(
-                "feature_vector", f"non-finite values in {self.feature_set_id.value} vector"
+                "feature_vector", f"non-finite values in {feature_set_id.value} vector"
             )
-        object.__setattr__(self, "values", vals)
+        return super().__new__(cls, feature_set_id, vals, empty_speech)
 
     @property
     def dim(self) -> int:

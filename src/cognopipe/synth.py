@@ -12,8 +12,8 @@ are reproducible fixtures.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ _CONTROL_WORDS = (
 _FILLER_WORDS = ("um", "uh", "er")
 
 
-@dataclass(frozen=True)
-class SynthSpec:
+class _SpecFields(NamedTuple):
     n_case: int = 10
     n_control: int = 10
     seed: int = 0
@@ -51,7 +50,15 @@ class SynthSpec:
     duration_s: float = 6.0
     sample_rate_hz: int = 16000
 
-    def __post_init__(self):
+
+class SynthSpec(_SpecFields):
+    """What generate makes: class sizes, seed, separations, noise and
+    recording format.  Its ranges are checked when made."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.seed < 0:
             raise SynthError("spec", f"seed must be >= 0, got {self.seed}")
         if self.n_case < 1 or self.n_control < 1:
@@ -63,6 +70,7 @@ class SynthSpec:
         if self.sample_rate_hz < corpus.MIN_SAMPLE_RATE_HZ:
             raise SynthError("spec", f"sample rate must be >= {corpus.MIN_SAMPLE_RATE_HZ}, "
                              f"got {self.sample_rate_hz}")
+        return self
 
 
 def load_spec(path) -> SynthSpec:

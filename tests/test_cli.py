@@ -14,7 +14,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from cognopipe import cli, config as cfgmod, dsp, evaluation, synth
+from cognopipe import acoustic, cli, config as cfgmod, dsp, evaluation, synth
 from cognopipe.corpus import (
     RECORDING_COLUMNS,
     RECORDINGS_FILE,
@@ -120,6 +120,7 @@ def test_config_rejects_bad_enum_values(tmp_path):
                  id="classifier.l2_lambda:10**400"),
     ({"vad": {"bridge_gap_s": -1.0}}, "vad.bridge_gap_s"),
     ({"vad": {"min_segment_s": -0.5}}, "vad.min_segment_s"),
+    ({"classifier": {"lr_tol": 1e300}}, "classifier.lr_tol"),
 ])
 def test_config_rejects_out_of_range_sections(tmp_path, doc, field):
     cfg_file = tmp_path / "run.json"
@@ -129,6 +130,52 @@ def test_config_rejects_out_of_range_sections(tmp_path, doc, field):
     expected = field if field.startswith("config.") else f"config.run_config: {field} must be "
     assert str(exc.value).startswith(expected)
     assert "\n" not in str(exc.value)
+
+
+# Each section row of the table above, as a library caller makes the section.
+@pytest.mark.parametrize("section, cls, kwargs", [
+    ("classifier", evaluation.ClassifierConfig, {"l2_lambda": -1}),
+    ("classifier", evaluation.ClassifierConfig, {"l2_lambda": 0.0}),
+    ("classifier", evaluation.ClassifierConfig, {"lr_max_iters": 0}),
+    ("classifier", evaluation.ClassifierConfig, {"lr_tol": 0.0}),
+    ("classifier", evaluation.ClassifierConfig, {"svm_epochs": 0}),
+    ("ngram", cfgmod.NgramConfig, {"n_lo": 0, "n_hi": 1}),
+    ("ngram", cfgmod.NgramConfig, {"n_lo": 2, "n_hi": 1}),
+    ("ngram", cfgmod.NgramConfig, {"min_doc_freq": 0}),
+    ("acoustic", acoustic.AcousticConfig, {"f0_min_hz": 0}),
+    ("acoustic", acoustic.AcousticConfig, {"f0_max_hz": 0}),
+    ("acoustic", acoustic.AcousticConfig, {"f0_min_hz": 700}),
+    ("acoustic", acoustic.AcousticConfig, {"n_mel_filters": 0}),
+    ("acoustic", acoustic.AcousticConfig, {"n_mel_filters": -3}),
+    ("vad", dsp.VadConfig, {"noise_floor_percentile": 150}),
+    ("vad", dsp.VadConfig, {"noise_floor_percentile": -1}),
+    ("acoustic", acoustic.AcousticConfig, {"voicing_threshold": 1.5}),
+    ("acoustic", acoustic.AcousticConfig, {"voicing_threshold": 1.0}),
+    ("acoustic", acoustic.AcousticConfig, {"voicing_threshold": 0.0}),
+    ("vad", dsp.VadConfig, {"bridge_gap_s": -1.0}),
+    ("vad", dsp.VadConfig, {"min_segment_s": -0.5}),
+    ("classifier", evaluation.ClassifierConfig, {"lr_tol": 1e300}),
+])
+def test_sections_check_their_own_ranges(tmp_path, section, cls, kwargs):
+    """A section made directly raises the line a run's config file gets."""
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({section: kwargs}))
+    with pytest.raises(ConfigError) as from_file:
+        cfgmod.merge_config(cfg_file)
+    with pytest.raises(ConfigError) as direct:
+        cls(**kwargs)
+    assert str(direct.value) == str(from_file.value)
+    assert str(direct.value).startswith(f"config.run_config: {section}.")
+    assert "\n" not in str(direct.value)
+
+
+def test_a_section_from_the_library_names_its_field():
+    with pytest.raises(ConfigError) as exc:
+        dsp.VadConfig(bridge_gap_s=-1.0)
+    assert str(exc.value) == "config.run_config: vad.bridge_gap_s must be >= 0, got -1.0"
+    with pytest.raises(ConfigError) as exc:
+        evaluation.ClassifierConfig(lr_tol=1e300)
+    assert str(exc.value) == "config.run_config: classifier.lr_tol must be in (0, 1e-3], got 1e+300"
 
 
 def test_config_file_encodings(tmp_path):
@@ -911,30 +958,25 @@ def test_train_eval_never_loads_numpy_ma(small_manifest, tmp_path, features):
     assert (tmp_path / "out" / "report.json").is_file()
 
 
-# Config sections, which config walks with dataclasses.fields, and classes
-# that check or build their fields in __post_init__.  Each dataclass execs several
-# generated methods at import; records that only hold values are NamedTuples.
-_DATACLASSES = ["acoustic.AcousticConfig", "acoustic.CompareGrid", "acoustic.LldMatrix",
-                "classifiers.StandardizerParams", "config.NgramConfig", "config.RunConfig",
-                "corpus.Corpus", "dsp.AudioBuffer", "dsp.SegmentSet", "dsp.VadConfig",
-                "evaluation.ClassifierConfig", "evaluation.TfidfProvider",
-                "features.FeatureVector"]
-
-
 def test_cli_import_builds_only_the_kept_dataclasses():
+    """None: every record is a NamedTuple, whose class costs one small exec,
+    where a dataclass execs several generated methods; and the import does
+    not load the dataclasses module at all."""
     code = (
-        "import dataclasses, sys\n"
+        "import sys\n"
         "import cognopipe.cli\n"
+        "loaded = 'dataclasses' in sys.modules\n"
+        "import dataclasses\n"
         "modules = [m for name, m in sys.modules.items() if name.startswith('cognopipe.')]\n"
-        "print(sorted(f'{m.__name__.removeprefix(\"cognopipe.\")}.{name}' for m in modules\n"
-        "             for name, c in vars(m).items() if isinstance(c, type)\n"
-        "             and c.__module__ == m.__name__ and dataclasses.is_dataclass(c)))\n"
+        "print(loaded, sorted(f'{m.__name__.removeprefix(\"cognopipe.\")}.{name}' for m in modules\n"
+        "                     for name, c in vars(m).items() if isinstance(c, type)\n"
+        "                     and c.__module__ == m.__name__ and dataclasses.is_dataclass(c)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{_DATACLASSES}\n"
+    assert proc.stdout == "False []\n"
 
 
 def test_train_eval_never_loads_uuid(small_manifest, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cognopipe import dsp
-from cognopipe.errors import AudioFormatError
+from cognopipe.errors import AudioFormatError, ConfigError
 
 from conftest import SR, tone
 
@@ -576,6 +576,20 @@ def test_detect_speech_joins_runs_whose_frames_overlap():
     for bridge_gap_s in (0.2, 0.0):
         segs = dsp.detect_speech(audio, dsp.VadConfig(bridge_gap_s=bridge_gap_s))
         assert segs.speech == ((0.27, 0.755),)
+
+
+def test_a_negative_bridge_fails_before_detect_speech(monkeypatch):
+    """The signal whose runs a negative bridge would keep as two
+    overlapping segments: VadConfig rejects the bridge in one line, so
+    detect_speech never runs."""
+    x = 1e-2 * np.random.default_rng(0).standard_normal(2 * SR)
+    for a, b in ((8000 - 3360, 8000), (8000 + 400, 8000 + 3760)):
+        x[a:b] += 0.5 * np.sin(2 * np.pi * 150 * np.arange(a, b) / SR)
+    audio = dsp.AudioBuffer(x, SR)
+    monkeypatch.setattr(dsp, "frame_energies_db", lambda *a: pytest.fail("the VAD ran"))
+    with pytest.raises(ConfigError) as exc:
+        dsp.detect_speech(audio, dsp.VadConfig(bridge_gap_s=-1.0))
+    assert str(exc.value) == "config.run_config: vad.bridge_gap_s must be >= 0, got -1.0"
 
 
 def test_detect_speech_gain_invariant():
