@@ -253,8 +253,7 @@ def _pair_rel_diff(x: np.ndarray, valid_pair: np.ndarray, out: np.ndarray) -> No
 _COLUMN = {name: j for j, name in enumerate(LLD_NAMES)}
 _PAIRWISE = [_COLUMN[name] for name in ("jitter_local", "shimmer_local", "spectral_flux")]
 
-# Most frames per _llds_for_frames call, past one overlap row: consecutive
-# segments are packed up to it, and a longer segment is cut at it.  On a
+# Speech frames per _llds_for_frames call, past one overlap row.  On a
 # 2-CPU VM a call had a fixed cost of about 170 us, and past about 512
 # frames the cost per frame doubled
 _BLOCK_FRAMES = 256
@@ -346,14 +345,12 @@ def extract_llds(
     """Compute per-frame LLDs over the speech segments only.
 
     Frames never straddle a segment boundary; pairwise descriptors
-    (jitter, shimmer, flux) reset at each segment start.  Consecutive
-    segments are analysed together, in blocks of up to _BLOCK_FRAMES
-    frames.  A longer segment is cut into pieces of _BLOCK_FRAMES frames
-    (the last may be shorter); a piece after the first starts a block, led
-    by the frame before it as an extra row whose output is dropped, so its
-    pairwise descriptors carry across the cut.  Each row thus equals
-    its segment's own analysis up to the rounding of the block's matrix
-    products, and no call holds more than _BLOCK_FRAMES + 1 frames.  No
+    (jitter, shimmer, flux) reset at each segment start.  The speech
+    frames, in order across segments, are analysed _BLOCK_FRAMES at a
+    time; a block after the first is led by the frame before it, as an
+    extra row whose output is dropped, so no call holds more than
+    _BLOCK_FRAMES + 1 frames.  Each row thus equals its segment's own
+    analysis up to the rounding of the block's matrix products.  No
     speech segments (or segments too short for one frame) yield an empty
     matrix.  The rate's analysis_plan comes first, so a config that breaks
     its pitch rules is an error whatever the speech.
@@ -367,27 +364,16 @@ def extract_llds(
             segs.append(frames)
     if not segs:
         return LldMatrix(np.zeros((0, len(LLD_NAMES))))
-    # each block: whether its first row is an overlap row, and its frames
-    blocks, rows = [], _BLOCK_FRAMES
-    for frames in segs:
-        for a in range(0, frames.shape[0], _BLOCK_FRAMES):
-            piece = frames[a:a + _BLOCK_FRAMES]
-            # a piece after a segment's first follows a full one, so it
-            # always starts a block, and that block starts at the frame before
-            if rows + piece.shape[0] > _BLOCK_FRAMES:
-                blocks.append((int(a > 0), []))
-                rows = 0
-            blocks[-1][1].append(frames[a - 1:a + _BLOCK_FRAMES] if a else piece)
-            rows += piece.shape[0]
-    values = np.empty((sum(frames.shape[0] for frames in segs), len(LLD_NAMES)))
-    at = 0
-    for overlap, parts in blocks:
-        out = _llds_for_frames(np.concatenate(parts) if len(parts) > 1 else parts[0], plan)
-        out = out[overlap:]
-        values[at:at + out.shape[0]] = out
-        at += out.shape[0]
-    firsts = np.cumsum([0] + [frames.shape[0] for frames in segs[:-1]])
-    values[firsts[:, None], _PAIRWISE] = 0.0  # each segment's first row
+    starts = np.cumsum([0] + [frames.shape[0] for frames in segs])
+    values = np.empty((starts[-1], len(LLD_NAMES)))
+    for at in range(0, starts[-1], _BLOCK_FRAMES):
+        lo, hi = max(at - 1, 0), min(at + _BLOCK_FRAMES, starts[-1])
+        # the segments holding the block's first and last rows
+        first, last = np.searchsorted(starts, (lo, hi - 1), side="right") - 1
+        parts = [segs[k][max(lo - starts[k], 0):hi - starts[k]] for k in range(first, last + 1)]
+        block = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        values[at:hi] = _llds_for_frames(block, plan)[at - lo:]
+    values[starts[:-1, None], _PAIRWISE] = 0.0  # each segment's first row
     return LldMatrix(values)
 
 

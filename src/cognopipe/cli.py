@@ -183,7 +183,7 @@ def cmd_train_eval(args) -> int:
     cfg = _run_config(args)
     c = corpus.load_manifest(cfg.manifest)
     folds = corpus.stratified_folds(c, cfg.k, cfg.seed)
-    exp_cfg = evaluation.ExperimentConfig(seed=cfg.seed, **cfg.classifier._asdict())
+    exp_cfg = evaluation.ExperimentConfig(cfg.classifier, cfg.seed)
     providers = evaluation.build_providers(
         c,
         cfg.tasks,

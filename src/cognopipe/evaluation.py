@@ -87,13 +87,10 @@ class ClassifierConfig(_ClassifierFields):
 
 
 class ExperimentConfig(NamedTuple):
-    """Classifier hyper-parameters, with ClassifierConfig's defaults, plus
-    the base of the per-fold seeds."""
+    """The classifier section, checked when made, plus the base of the
+    per-fold seeds."""
 
-    l2_lambda: float = ClassifierConfig._field_defaults["l2_lambda"]
-    lr_max_iters: int = ClassifierConfig._field_defaults["lr_max_iters"]
-    lr_tol: float = ClassifierConfig._field_defaults["lr_tol"]
-    svm_epochs: int = ClassifierConfig._field_defaults["svm_epochs"]
+    classifier: ClassifierConfig = ClassifierConfig()
     seed: int = 7
 
 
@@ -319,12 +316,17 @@ def run_task_experiments(
     Each fold's features and standardizer are built once; every kind is
     then trained, audited and scored on them, in the order given, and
     gets one result.  Subjects without a usable recording for the task
-    are skipped and listed.  A fold whose training partition collapses to
+    are skipped and listed; a set with no such subject at all is an error
+    naming the task and set.  A fold whose training partition collapses to
     a single class is a hard error naming the fold.  After each fit, the
     fitted artifacts are audited for train/test disjointness.  Folds whose
     logistic fit stopped without converging are listed per kind.
     """
     available = set(provider.available_subjects())
+    if not available:
+        raise EvaluationError("run_task_experiment", f"no subject has a usable {task.value} "
+                              f"recording for {provider.feature_set_id.value}")
+    clf = config.classifier
     skipped = tuple(sorted(set(folds.fold_of_subject) - available))
     predictions: list[list[FoldPrediction]] = [[] for _ in classifier_kinds]
     not_converged: list[list[int]] = [[] for _ in classifier_kinds]
@@ -353,16 +355,16 @@ def run_task_experiments(
         ):
             if kind is classifiers.ModelKind.LOGISTIC_REGRESSION:
                 model = classifiers.train_logistic(
-                    Xs_train, y_train, l2_lambda=config.l2_lambda,
-                    max_iters=config.lr_max_iters, tol=config.lr_tol, fitted_subjects=train_set,
+                    Xs_train, y_train, l2_lambda=clf.l2_lambda,
+                    max_iters=clf.lr_max_iters, tol=clf.lr_tol, fitted_subjects=train_set,
                 )
                 if not model.training_meta["converged"]:
                     kind_not_converged.append(f)
             else:
                 seed = fold_seed(config.seed, task, provider.feature_set_id, kind, f)
                 model = classifiers.train_linear_svm(
-                    Xs_train, 2.0 * y_train - 1.0, l2_lambda=config.l2_lambda,
-                    epochs=config.svm_epochs, seed=seed, fitted_subjects=train_set,
+                    Xs_train, 2.0 * y_train - 1.0, l2_lambda=clf.l2_lambda,
+                    epochs=clf.svm_epochs, seed=seed, fitted_subjects=train_set,
                 )
             audit_no_leakage((std.fitted_subjects, model.fitted_subjects, fitted_on), test_ids)
             scores = classifiers.decision_score(Xs_test, model)

@@ -332,12 +332,11 @@ _LAYOUT_SIGNAL = np.concatenate([
 @example([(0, 128), (3, 128), (5, 300), (0, 1)])  # a block of exactly 256, one of 300
 @example([(0, 512), (2, 513), (0, 257), (4, 100)])  # cuts at whole blocks and one past
 def test_blocks_equal_one_call_per_segment(layout):
-    """Segments of (gap hops, frames) packed into blocks, and cut where
-    longer than one, give each segment's own LLDs: the pairwise
-    descriptors are 0 at its first row and carry across each cut.  Each
-    call packs the next pieces, as many as fit in a block, and a piece
-    that continues a segment starts a call with the frame before it, so
-    no call holds more than _BLOCK_FRAMES + 1 rows."""
+    """Segments of (gap hops, frames), their speech frames taken a block
+    at a time, give each segment's own LLDs: the pairwise descriptors are
+    0 at its first row and carry across each cut.  Every call after the
+    first is led by the frame before its block, so the calls hold
+    _BLOCK_FRAMES rows, then _BLOCK_FRAMES + 1, the last one fewer."""
     block = acoustic._BLOCK_FRAMES
     plan = acoustic.analysis_plan(SR, AcousticConfig())
     frame, hop = dsp.frame_geometry(SR, 0.025, 0.010)
@@ -366,20 +365,29 @@ def test_blocks_equal_one_call_per_segment(layout):
     cuts = [first + a for first, (_, count) in zip(firsts, layout) for a in range(block, count, block)]
     assert got.column("spectral_flux")[cuts].all()
 
-    # (new frames, continues a segment) of each piece, in order
-    pieces = [(min(block, count - a), a > 0) for _, count in layout for a in range(0, count, block)]
-    for rows in calls:
-        assert rows <= block + 1
-        new, overlap = pieces[0]
-        k, total = 1, new + overlap
-        while total < rows:
-            assert not pieces[k][1]
-            total += pieces[k][0]
-            k += 1
-        assert total == rows
-        pieces = pieces[k:]
-        assert not pieces or pieces[0][1] or rows - overlap + pieces[0][0] > block
-    assert pieces == []
+    total = sum(count for _, count in layout)
+    assert calls == [min(block, total)] + [min(block, total - a) + 1
+                                           for a in range(block, total, block)]
+
+
+def test_consecutive_segments_are_analysed_a_block_at_a_time():
+    """Three consecutive 100-frame segments make a block of 256 frames,
+    then one of the 44 left led by the frame before them."""
+    frame, hop = dsp.frame_geometry(SR, 0.025, 0.010)
+    span = 99 * hop + frame
+    x = _LAYOUT_SIGNAL[:3 * span]
+    calls = []
+    kernel = acoustic._llds_for_frames
+
+    def recording(frames, plan_):
+        calls.append(frames.shape[0])
+        return kernel(frames, plan_)
+
+    with mock.patch.object(acoustic, "_llds_for_frames", recording):
+        llds = acoustic.extract_llds(dsp.AudioBuffer(x, SR), dsp.SegmentSet(
+            tuple((k * span / SR, (k + 1) * span / SR) for k in range(3))))
+    assert llds.num_frames == 300
+    assert calls == [256, 45]
 
 
 def test_a_long_segment_is_cut_into_calls_of_one_block_and_one_row():

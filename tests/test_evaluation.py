@@ -11,9 +11,10 @@ import pytest
 from cognopipe import (acoustic, classifiers, corpus as corpusmod, dsp, evaluation as ev,
                        linguistic, synth)
 from cognopipe.corpus import Diagnosis, FoldAssignment, Label, Task, label_of
-from cognopipe.errors import EvaluationError, LeakageError, PipelineError
+from cognopipe.errors import ConfigError, EvaluationError, LeakageError, PipelineError
 from cognopipe.evaluation import (
     AveragingMode,
+    ClassifierConfig,
     ExperimentConfig,
     FoldPrediction,
     PrecomputedProvider,
@@ -362,6 +363,27 @@ def test_run_task_experiment_single_class_fold_is_error():
     assert "single-class" in str(exc.value)
 
 
+@pytest.mark.parametrize("fsid", [FeatureSetId.EGEMAPS_LIKE_88, FeatureSetId.NGRAM_TFIDF])
+def test_a_task_with_no_usable_recording_is_named(fsid):
+    corp = memory_corpus(6, 6)
+    corp = corpusmod.Corpus(corp.subjects, tuple(r for r in corp.recordings
+                                                 if r.task is not Task.LONG_TERM))
+    provider = ev.build_provider(corp, Task.LONG_TERM, fsid)
+    folds = corpusmod.stratified_folds(corp, 3, seed=0)
+    with pytest.raises(EvaluationError) as exc:
+        ev.run_task_experiments(corp, Task.LONG_TERM, provider, BOTH_KINDS, folds)
+    assert str(exc.value) == (f"evaluation.run_task_experiment: no subject has a usable "
+                              f"LongTerm recording for {fsid.value}")
+
+
+def test_experiment_config_checks_the_classifier_section():
+    with pytest.raises(TypeError):
+        ExperimentConfig(lr_tol=1e300)  # the flat keywords are gone
+    with pytest.raises(ConfigError, match=r"^config\.run_config: classifier\.lr_tol "):
+        ExperimentConfig(ClassifierConfig(lr_tol=1e300))
+    assert ExperimentConfig(seed=3) == (ClassifierConfig(), 3)
+
+
 class _CheatingProvider:
     """Claims to have fitted on a test subject; the audit must object."""
 
@@ -427,7 +449,7 @@ def test_run_task_experiments_list_the_folds_that_did_not_converge():
     folds = corpusmod.stratified_folds(corp, 3, seed=0)
     provider = _vector_provider(corp)
     lr, svm = ev.run_task_experiments(corp, Task.SHORT_TERM, provider, BOTH_KINDS, folds,
-                                      ExperimentConfig(lr_max_iters=1))
+                                      ExperimentConfig(ClassifierConfig(lr_max_iters=1)))
     assert lr.not_converged_folds == (0, 1, 2)  # one Newton step reaches no fold's lr_tol
     assert svm.not_converged_folds == ()
     lr, svm = ev.run_task_experiments(corp, Task.SHORT_TERM, provider, BOTH_KINDS, folds)
