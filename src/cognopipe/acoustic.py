@@ -20,13 +20,12 @@ import csv
 import json
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import dsp, kernels
-from .errors import FeatureError, check_ranges, writing
+from .errors import FeatureError, check_ranges
 from .features import FeatureSetId, FeatureVector
 
 N_MFCC = 13
@@ -535,22 +534,19 @@ def write_feature_matrix(path, rows, feature_set_id: FeatureSetId, dim: int) -> 
     Layout: three key,value metadata lines (feature_set_id, version,
     dim), then a column-header line, then one line per recording.
     """
-    path = Path(path)
-    with writing(FeatureError, "write_feature_matrix", path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["feature_set_id", feature_set_id.value])
-            w.writerow(["version", MANIFEST_VERSION])
-            w.writerow(["dim", dim])
-            w.writerow(["subject_id", "task", "empty_speech"] + [f"v{i}" for i in range(dim)])
-            for subject_id, task_value, vec in rows:
-                if vec.dim != dim:
-                    raise FeatureError(
-                        "write_feature_matrix",
-                        f"vector dim {vec.dim} != contracted dim {dim} for {subject_id}",
-                    )
-                w.writerow(
-                    [subject_id, task_value, int(vec.empty_speech)]
-                    + [repr(float(v)) for v in vec.values]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["feature_set_id", feature_set_id.value])
+        w.writerow(["version", MANIFEST_VERSION])
+        w.writerow(["dim", dim])
+        w.writerow(["subject_id", "task", "empty_speech"] + [f"v{i}" for i in range(dim)])
+        for subject_id, task_value, vec in rows:
+            if vec.dim != dim:
+                raise FeatureError(
+                    "write_feature_matrix",
+                    f"vector dim {vec.dim} != contracted dim {dim} for {subject_id}",
                 )
+            w.writerow(
+                [subject_id, task_value, int(vec.empty_speech)]
+                + [repr(float(v)) for v in vec.values]
+            )

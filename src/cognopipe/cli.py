@@ -5,8 +5,9 @@ Every hard error surfaces as one "module.operation: detail" line and a
 nonzero exit code.  Every command writes its files after its last
 check, so a command that fails a check writes none.  A file that cannot
 be written is one "module.operation: cannot write <path>: <reason>"
-line, and extract then keeps none of its feature matrices: each is
-written under a temporary name and renamed once all are written.
+line.  summarize, extract and train-eval write through one path
+(_write_all): each file goes under a temporary name and all are renamed
+once all are written, so a failed command keeps none of its files.
 COGNOPIPE_LOG sets verbosity (DEBUG, INFO, WARNING, ...).
 """
 
@@ -39,7 +40,8 @@ try:
     from pathlib import Path
 
     from . import acoustic, config as cfgmod, corpus, evaluation
-    from .errors import ConfigError, FeatureError, ManifestError, PipelineError, writing
+    from .errors import (ConfigError, EvaluationError, FeatureError, ManifestError,
+                         PipelineError, writing)
 finally:
     gc.freeze()
     gc.enable()
@@ -101,8 +103,9 @@ def _write_all(files, error: type[PipelineError], op: str) -> None:
     """Write every (path, write) file, or none of them.
 
     write(tmp) writes a file's content at tmp, its path with ".tmp"
-    appended.  The files are renamed onto their paths only once all are
-    written, and a rename that fails is error(op, "cannot write <path>:
+    appended, in a directory made here if it is missing.  The files are
+    renamed onto their paths only once all are written.  A directory, a
+    write or a rename that fails is error(op, "cannot write <path>:
     <reason>").  On any failure the temporary files and those already
     renamed are removed; a directory found at one of these paths is left
     as it was.
@@ -111,7 +114,9 @@ def _write_all(files, error: type[PipelineError], op: str) -> None:
     try:
         for path, write in files:
             staged.append(path.with_name(path.name + ".tmp"))
-            write(staged[-1])
+            with writing(error, op, staged[-1]):
+                path.parent.mkdir(parents=True, exist_ok=True)
+                write(staged[-1])
         for tmp, (path, _write) in zip(staged, files):
             with writing(error, op, path):
                 os.replace(tmp, path)
@@ -129,13 +134,8 @@ def cmd_summarize(args) -> int:
     text = "\n".join(corpus.summarize(c, cfg.vad)) + "\n"
     print(text, end="")
     path = Path(cfg.out_dir) / "summary.csv"
-
-    def write(tmp: Path) -> None:
-        with writing(ConfigError, "out_dir", tmp):
-            tmp.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(text, encoding="utf-8")
-
-    _write_all([(path, write)], ConfigError, "out_dir")
+    _write_all([(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))],
+               ConfigError, "out_dir")
     log.info("wrote %s", path)
     return 0
 
@@ -147,10 +147,10 @@ def cmd_extract(args) -> int:
     vectors = evaluation.extract_task_features(
         c, cfg.tasks, cfg.feature_sets, cfg.vad, cfg.acoustic, _effective_workers(cfg)
     )
-    files, lines = [], []
+    files, lines, skips = [], [], []
     for (task, fsid), cell in vectors.items():
         if not cell:
-            log.info("no recordings for %s/%s", task.value, fsid.value)
+            skips.append(f"no recordings for {task.value}/{fsid.value}; no file written")
             continue
         dim = next(iter(cell.values())).dim
         path = out_dir / f"features_{task.value}_{fsid.value}.csv"
@@ -159,7 +159,7 @@ def cmd_extract(args) -> int:
                                               feature_set_id=fsid, dim=dim)))
         lines.append(f"wrote {path} ({len(rows)} rows, dim {dim})")
     _write_all(files, FeatureError, "write_feature_matrix")
-    for line in lines:
+    for line in lines + skips:
         print(line)
     return 0
 
@@ -204,7 +204,8 @@ def cmd_train_eval(args) -> int:
         c, folds, experiments, cfgmod.config_echo(cfg), cfg.tie_break
     )
     report_path = Path(cfg.out_dir) / "report.json"
-    evaluation.write_report(report, report_path)
+    _write_all([(report_path, functools.partial(evaluation.write_report, report))],
+               EvaluationError, "write_report")
     print(f"wrote {report_path}")
     _print_report_summary(report)
     return 0

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import acoustic, classifiers, dsp, linguistic
 from .corpus import Corpus, Diagnosis, FoldAssignment, Label, Task, TaskRecording
-from .errors import EvaluationError, check_ranges, writing
+from .errors import EvaluationError, check_ranges
 from .features import FeatureSetId, FeatureVector
 
 REPORT_SCHEMA_VERSION = "1.5"
@@ -200,6 +200,12 @@ def _task_recordings(corpus: Corpus, task: Task, feature_set: FeatureSetId
     )
 
 
+def _no_usable_recording(task: Task, feature_set: FeatureSetId) -> EvaluationError:
+    """The error of a (task, feature set) that no subject has a recording for."""
+    return EvaluationError("run_task_experiment", f"no subject has a usable {task.value} "
+                           f"recording for {feature_set.value}")
+
+
 def extract_task_features(
     corpus: Corpus,
     tasks: Sequence[Task],
@@ -263,11 +269,17 @@ def build_providers(
 ) -> Iterator[tuple[tuple[Task, FeatureSetId], PrecomputedProvider | TfidfProvider]]:
     """The provider of every (task, feature set), in that order.
 
-    The fold-independent sets are extracted up front, by one
-    extract_task_features call.  Each NgramTfidf provider counts its
-    task's transcripts into one table when it is yielded, so a caller
-    that drops it before the next one holds one task's table at a time.
+    A (task, set) that no subject has a usable recording for is an error
+    before any recording is decoded.  The fold-independent sets are then
+    extracted up front, by one extract_task_features call.  Each NgramTfidf
+    provider counts its task's transcripts into one table when it is
+    yielded, so a caller that drops it before the next one holds one
+    task's table at a time.
     """
+    for task in tasks:
+        for fsid in feature_sets:
+            if not _task_recordings(corpus, task, fsid):
+                raise _no_usable_recording(task, fsid)
     fixed = [fsid for fsid in feature_sets if fsid is not FeatureSetId.NGRAM_TFIDF]
     vectors = extract_task_features(corpus, tasks, fixed, vad_cfg, ac_cfg, workers)
     for task in tasks:
@@ -324,8 +336,7 @@ def run_task_experiments(
     """
     available = set(provider.available_subjects())
     if not available:
-        raise EvaluationError("run_task_experiment", f"no subject has a usable {task.value} "
-                              f"recording for {provider.feature_set_id.value}")
+        raise _no_usable_recording(task, provider.feature_set_id)
     clf = config.classifier
     skipped = tuple(sorted(set(folds.fold_of_subject) - available))
     predictions: list[list[FoldPrediction]] = [[] for _ in classifier_kinds]
@@ -736,10 +747,7 @@ def build_report(
 
 def write_report(report: Mapping, path) -> None:
     """Serialize with sorted keys so identical runs are byte-identical."""
-    path = Path(path)
-    with writing(EvaluationError, "write_report", path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 _FUSED_KEYS = ("feature_set", "classifier", "confusion_3x2", "confusion_2x2")

@@ -362,6 +362,28 @@ def test_extract_refuses_fold_fitted_features(small_manifest, tmp_path, capsys):
     assert not list(tmp_path.iterdir())  # nothing left behind
 
 
+def test_extract_names_each_cell_it_writes_no_file_for(small_manifest, tmp_path, capsys):
+    """A (task, set) without recordings, here on a manifest without its
+    LongTerm rows, is one stdout line after the written files, and the
+    run still succeeds."""
+    man = shutil.copytree(small_manifest, tmp_path / "m")
+    lines = (man / RECORDINGS_FILE).read_text(encoding="utf-8").splitlines(keepends=True)
+    (man / RECORDINGS_FILE).write_text(
+        "".join(line for line in lines if ",LongTerm," not in line), encoding="utf-8")
+    out = tmp_path / "out"
+    rc = cli.main(["extract", "--manifest", str(man), "--out", str(out),
+                   "--tasks", "ShortTerm,LongTerm", "--features", "Lexical,EgemapsLike88",
+                   "--workers", "1"])
+    assert rc == 0
+    written = [out / f"features_ShortTerm_{fsid}.csv" for fsid in ("Lexical", "EgemapsLike88")]
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"wrote {path} (10 rows, dim {dim})" for path, dim in zip(written, (5, 88))),
+        "no recordings for LongTerm/Lexical; no file written",
+        "no recordings for LongTerm/EgemapsLike88; no file written",
+    ]
+    assert sorted(out.iterdir()) == sorted(written)
+
+
 @pytest.mark.parametrize("command", ["summarize", "extract", "train-eval"])
 def test_an_out_that_cannot_be_written_fails_first(small_manifest, tmp_path, capsys,
                                                    monkeypatch, command):
@@ -391,6 +413,7 @@ def test_an_out_that_cannot_be_written_fails_first(small_manifest, tmp_path, cap
      "1"),
     ("train-eval", "report.json", "evaluation.write_report", "1"),
     ("train-eval", "report.json", "evaluation.write_report", "2"),
+    ("train-eval", "report.json.tmp", "evaluation.write_report", "1"),
 ])
 def test_an_output_file_that_cannot_be_written_is_one_line(small_manifest, tmp_path, capsys,
                                                            command, name, error, workers):
@@ -411,6 +434,31 @@ def test_an_output_file_that_cannot_be_written_is_one_line(small_manifest, tmp_p
                             f"{os.strerror(errno.EISDIR)}\n")
     assert "wrote" not in captured.out
     assert list(out.iterdir()) == [out / name] and not list((out / name).iterdir())
+
+
+def test_a_report_write_that_fails_part_way_keeps_the_old_report(small_manifest, tmp_path,
+                                                                 capsys, monkeypatch):
+    """A disk that fills half-way through report.json: exit 1, one line,
+    the previous report byte for byte, and no temporary file."""
+    out = tmp_path / "out"
+    args = ["train-eval", "--manifest", str(small_manifest), "--out", str(out),
+            "--features", "Lexical", "--workers", "1"]
+    assert cli.main(args) == 0
+    old = (out / "report.json").read_bytes()
+    capsys.readouterr()
+
+    def half_then_full(self, data, encoding=None, errors=None, newline=None):
+        with open(self, "w", encoding=encoding) as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Path, "write_text", half_then_full)
+    assert cli.main(args + ["--seed", "3"]) == 1
+    tmp = out / "report.json.tmp"
+    assert capsys.readouterr().err == (f"error: evaluation.write_report: cannot write {tmp}: "
+                                       f"{os.strerror(errno.ENOSPC)}\n")
+    assert (out / "report.json").read_bytes() == old
+    assert not tmp.exists()
 
 
 # ---------------------------------------------------------------------------

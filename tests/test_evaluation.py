@@ -368,12 +368,29 @@ def test_a_task_with_no_usable_recording_is_named(fsid):
     corp = memory_corpus(6, 6)
     corp = corpusmod.Corpus(corp.subjects, tuple(r for r in corp.recordings
                                                  if r.task is not Task.LONG_TERM))
-    provider = ev.build_provider(corp, Task.LONG_TERM, fsid)
+    provider = (TfidfProvider({}) if fsid is FeatureSetId.NGRAM_TFIDF
+                else PrecomputedProvider(fsid, {}))
     folds = corpusmod.stratified_folds(corp, 3, seed=0)
     with pytest.raises(EvaluationError) as exc:
         ev.run_task_experiments(corp, Task.LONG_TERM, provider, BOTH_KINDS, folds)
     assert str(exc.value) == (f"evaluation.run_task_experiment: no subject has a usable "
                               f"LongTerm recording for {fsid.value}")
+
+
+def test_a_task_with_no_usable_recording_fails_before_any_decode(monkeypatch):
+    """build_providers names the task without recordings before it decodes
+    a recording of any other task."""
+    corp = memory_corpus(6, 6)
+    corp = corpusmod.Corpus(corp.subjects, tuple(r for r in corp.recordings
+                                                 if r.task is not Task.LONG_TERM))
+    decodes = []
+    monkeypatch.setattr(ev, "_extract_one", lambda *a, **k: decodes.append(a))
+    providers = ev.build_providers(corp, TASKS, (FeatureSetId.EGEMAPS_LIKE_88,))
+    with pytest.raises(EvaluationError) as exc:
+        next(providers)
+    assert str(exc.value) == ("evaluation.run_task_experiment: no subject has a usable "
+                              "LongTerm recording for EgemapsLike88")
+    assert decodes == []
 
 
 def test_experiment_config_checks_the_classifier_section():
