@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import dsp, kernels
-from .errors import FeatureError, check_ranges
+from .errors import FeatureError, check_ranges, checked
 from .features import FeatureSetId, FeatureVector
 
 N_MFCC = 13
@@ -65,7 +65,11 @@ MANIFEST_VERSION = "1.0"
 _EPS = 1e-12
 
 
-class _AcousticFields(NamedTuple):
+@checked
+class AcousticConfig(NamedTuple):
+    """Frame analysis parameters (the config file's acoustic section).
+    Its ranges are checked when made."""
+
     frame_len_s: float = 0.025
     hop_s: float = 0.010
     f0_min_hz: float = 55.0
@@ -73,15 +77,7 @@ class _AcousticFields(NamedTuple):
     voicing_threshold: float = 0.45
     n_mel_filters: int = 26
 
-
-class AcousticConfig(_AcousticFields):
-    """Frame analysis parameters (the config file's acoustic section).
-    Its ranges are checked when made."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         check_ranges("acoustic", (
             ("f0_min_hz", self.f0_min_hz, self.f0_min_hz > 0, "> 0"),
             ("f0_max_hz", self.f0_max_hz, self.f0_max_hz > self.f0_min_hz,
@@ -93,24 +89,21 @@ class AcousticConfig(_AcousticFields):
         return self
 
 
-class _LldFields(NamedTuple):
-    values: np.ndarray
-
-
-class LldMatrix(_LldFields):
+@checked
+class LldMatrix(NamedTuple):
     """num_frames x len(LLD_NAMES) array of per-frame descriptors."""
 
-    __slots__ = ()
+    values: np.ndarray
 
-    def __new__(cls, values):
-        vals = np.asarray(values, dtype=np.float64)
+    def _checked(self):
+        vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 2 or vals.shape[1] != len(LLD_NAMES):
             raise FeatureError(
                 "lld_matrix", f"expected (m, {len(LLD_NAMES)}) array, got {vals.shape}"
             )
         if vals.size and not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
             raise FeatureError("lld_matrix", "non-finite LLD values")
-        return super().__new__(cls, vals)
+        return self._replace(values=vals)
 
     @property
     def num_frames(self) -> int:
@@ -433,19 +426,15 @@ def egemaps_manifest() -> tuple[dict, ...]:
     return entries
 
 
-class _GridFields(NamedTuple):
+@checked
+class CompareGrid(NamedTuple):
+    """LLD x functional grid spec for the extended feature set."""
+
     llds: tuple[str, ...]
     functionals: tuple[str, ...]
     deltas: bool
 
-
-class CompareGrid(_GridFields):
-    """LLD x functional grid spec for the extended feature set."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if not self.llds or not self.functionals:
             raise FeatureError("compare_like", "empty LLD or functional list")
         for name in self.llds:

@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import TrainingError
+from .errors import TrainingError, checked
 
 
 class ModelKind(enum.Enum):
@@ -31,19 +31,15 @@ class ModelKind(enum.Enum):
     LINEAR_SVM = "LinearSVM"
 
 
-class _StandardizerFields(NamedTuple):
+@checked
+class StandardizerParams(NamedTuple):
+    """Per-column training mean and std, and the subjects they came from."""
+
     mean: np.ndarray
     std: np.ndarray
     fitted_subjects: frozenset[str] = frozenset()
 
-
-class StandardizerParams(_StandardizerFields):
-    """Per-column training mean and std, and the subjects they came from."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
             raise TrainingError("fit_standardizer", "mean/std shape mismatch")
         return self

@@ -34,6 +34,7 @@ gc.disable()
 try:
     import argparse
     import ctypes
+    import errno
     import functools
     import logging
     import sys
@@ -106,10 +107,15 @@ def _write_all(files, error: type[PipelineError], op: str) -> None:
     appended, in a directory made here if it is missing.  The files are
     renamed onto their paths only once all are written.  A directory, a
     write or a rename that fails is error(op, "cannot write <path>:
-    <reason>").  On any failure the temporary files and those already
-    renamed are removed; a directory found at one of these paths is left
-    as it was.
+    <reason>").  A directory found at one of the paths fails before
+    anything is written, so no file of the run before is replaced.  On
+    any other failure the temporary files and those already renamed are
+    removed; a directory found at one of these paths is left as it was.
     """
+    for path, _write in files:
+        with writing(error, op, path):
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
     staged, renamed = [], []
     try:
         for path, write in files:

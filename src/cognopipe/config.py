@@ -18,25 +18,21 @@ from .acoustic import AcousticConfig
 from .classifiers import ModelKind
 from .corpus import Task
 from .dsp import VadConfig
-from .errors import ConfigError, check_ranges
+from .errors import ConfigError, check_ranges, checked
 from .evaluation import ClassifierConfig, TieBreak
 from .features import FeatureSetId
 
 
-class _NgramFields(NamedTuple):
+@checked
+class NgramConfig(NamedTuple):
+    """Word n-gram range and document-frequency floor (the ngram section).
+    Its ranges are checked when made."""
+
     n_lo: int = 1
     n_hi: int = 2
     min_doc_freq: int = 2
 
-
-class NgramConfig(_NgramFields):
-    """Word n-gram range and document-frequency floor (the ngram section).
-    Its ranges are checked when made."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         check_ranges("ngram", (
             ("n_lo", self.n_lo, self.n_lo >= 1, ">= 1"),
             ("n_hi", self.n_hi, self.n_hi >= self.n_lo, ">= ngram.n_lo"),
@@ -50,7 +46,11 @@ DEFAULT_FEATURE_SETS = (FeatureSetId.EGEMAPS_LIKE_88, FeatureSetId.NGRAM_TFIDF)
 DEFAULT_CLASSIFIERS = (ModelKind.LOGISTIC_REGRESSION, ModelKind.LINEAR_SVM)
 
 
-class _RunFields(NamedTuple):
+@checked
+class RunConfig(NamedTuple):
+    """The effective run configuration.  Each section checks its own
+    ranges when made; the run's own fields are checked here."""
+
     manifest: str | None = None
     out_dir: str = "out"
     tasks: tuple[Task, ...] = DEFAULT_TASKS
@@ -65,15 +65,7 @@ class _RunFields(NamedTuple):
     ngram: NgramConfig = NgramConfig()
     classifier: ClassifierConfig = ClassifierConfig()
 
-
-class RunConfig(_RunFields):
-    """The effective run configuration.  Each section checks its own
-    ranges when made; the run's own fields are checked here."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if self.k < 2:
             raise ConfigError("run_config", f"k must be >= 2, got {self.k}")
         if self.workers is not None and self.workers < 1:
@@ -169,10 +161,11 @@ def _coerce(key: str, value):
     if key in _ENUM_LISTS:
         return _parse_enum_list(value, *_ENUM_LISTS[key])
     if key == "tie_break":
-        parsed = _parse_enum_list(value, TieBreak, "tie_break")
-        if len(parsed) != 1:
-            raise ConfigError("parse", f"tie_break takes one value, got {value!r}")
-        return parsed[0]
+        names = [t.value for t in TieBreak]
+        if value not in names:
+            raise ConfigError("parse", f"tie_break must be one of {', '.join(names)}, "
+                                       f"got {value!r}")
+        return TieBreak(value)
     if key in _SCALARS:
         if isinstance(value, bool) or not isinstance(value, _SCALARS[key]):
             raise ConfigError("parse", f"{key} must be {_SCALARS[key][0].__name__}, got {value!r}")

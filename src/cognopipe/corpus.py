@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import dsp
-from .errors import AudioFormatError, ManifestError
+from .errors import AudioFormatError, ManifestError, checked
 
 SUBJECTS_FILE = "subjects.csv"
 RECORDINGS_FILE = "recordings.csv"
@@ -91,25 +91,22 @@ class TaskRecording(NamedTuple):
     sample_rate_hz: int
 
 
-class _CorpusFields(NamedTuple):
-    subjects: tuple[SubjectRecord, ...]
-    recordings: tuple[TaskRecording, ...]
-    by_id: Mapping[str, SubjectRecord]  # derived: each subject by its id
-
-
-class Corpus(_CorpusFields):
+@checked
+class Corpus(NamedTuple):
     """A validated set of subjects and their recordings."""
 
-    __slots__ = ()
+    subjects: tuple[SubjectRecord, ...]
+    recordings: tuple[TaskRecording, ...]
+    # derived, always again: each subject by its id
+    by_id: Mapping[str, SubjectRecord] | None = None
 
-    def __new__(cls, subjects: tuple[SubjectRecord, ...],
-                recordings: tuple[TaskRecording, ...]):
-        by_id = {s.subject_id: s for s in subjects}
-        if len(by_id) != len(subjects):
+    def _checked(self):
+        by_id = {s.subject_id: s for s in self.subjects}
+        if len(by_id) != len(self.subjects):
             raise ManifestError("corpus", "duplicate subject_id")
         pairs = set()
         covered = set()
-        for r in recordings:
+        for r in self.recordings:
             if r.subject_id not in by_id:
                 raise ManifestError(
                     "corpus", f"recording references unknown subject '{r.subject_id}'"
@@ -126,11 +123,7 @@ class Corpus(_CorpusFields):
             raise ManifestError(
                 "corpus", f"subjects without recordings: {sorted(missing)}"
             )
-        return super().__new__(cls, subjects, recordings, by_id)
-
-    def __getnewargs__(self):
-        # a pickled corpus is made again from its inputs, and checked again
-        return self.subjects, self.recordings
+        return self._replace(by_id=by_id)
 
     def subject(self, subject_id: str) -> SubjectRecord:
         return self.by_id[subject_id]

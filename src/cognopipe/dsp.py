@@ -10,7 +10,7 @@ from typing import BinaryIO, NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import AudioFormatError, check_ranges
+from .errors import AudioFormatError, check_ranges, checked
 
 SNR_CAP_DB = 120.0
 _LOG_FLOOR = 1e-12  # mean-square floor, i.e. -120 dB
@@ -21,18 +21,14 @@ _ENERGY_CHUNK = 1024
 _DECODE_CHUNK = 1 << 16
 
 
-class _AudioFields(NamedTuple):
+@checked
+class AudioBuffer(NamedTuple):
+    """Mono audio with samples normalized to [-1, 1]."""
+
     samples: np.ndarray
     sample_rate_hz: int
 
-
-class AudioBuffer(_AudioFields):
-    """Mono audio with samples normalized to [-1, 1]."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if self.samples.size == 0:
             raise AudioFormatError("audio_buffer", "audio buffer is empty")
         # NaN reaches both extremes and an infinity one: no bool per sample
@@ -47,17 +43,13 @@ class AudioBuffer(_AudioFields):
         return self.samples.size / self.sample_rate_hz
 
 
-class _SegmentFields(NamedTuple):
-    speech: tuple[tuple[float, float], ...]
-
-
-class SegmentSet(_SegmentFields):
+@checked
+class SegmentSet(NamedTuple):
     """Sorted, non-overlapping speech intervals in seconds."""
 
-    __slots__ = ()
+    speech: tuple[tuple[float, float], ...]
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         prev_end = 0.0
         for start, end in self.speech:
             if start < prev_end - 1e-12 or end <= start:
@@ -73,7 +65,11 @@ class SegmentSet(_SegmentFields):
                 for start, end in self.speech]
 
 
-class _VadFields(NamedTuple):
+@checked
+class VadConfig(NamedTuple):
+    """Energy VAD parameters (the config file's vad section); see
+    detect_speech.  Its ranges are checked when made."""
+
     frame_len_s: float = 0.025
     hop_s: float = 0.010
     noise_floor_percentile: float = 10.0
@@ -86,15 +82,7 @@ class _VadFields(NamedTuple):
     homogeneous_range_db: float = 10.0
     homogeneous_speech_floor_db: float = -60.0
 
-
-class VadConfig(_VadFields):
-    """Energy VAD parameters (the config file's vad section); see
-    detect_speech.  Its ranges are checked when made."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         check_ranges("vad", (
             ("noise_floor_percentile", self.noise_floor_percentile,
              0 <= self.noise_floor_percentile <= 100, "in [0, 100]"),

@@ -1,7 +1,10 @@
-"""Exception hierarchy shared by all pipeline stages.
+"""Exception hierarchy shared by all pipeline stages, and the checks that
+raise it when a record is made.
 
 Every hard error names the stage and operation that raised it plus the
-offending entity, so the CLI can surface a single actionable line.
+offending entity, so the CLI can surface a single actionable line.  A
+record that checks, converts or derives its fields is one
+`@checked class X(NamedTuple)` whose `_checked()` does the work.
 """
 
 from contextlib import contextmanager
@@ -64,6 +67,24 @@ class EvaluationError(PipelineError):
 
 class SynthError(PipelineError):
     module = "synth"
+
+
+def checked(cls):
+    """Make NamedTuple cls run its _checked() whenever it is made.
+
+    cls(...) builds the tuple, then returns self._checked(): the record,
+    or a copy with its converted or derived fields replaced; a bad field
+    raises.  A NamedTuple body may not define __new__, so it is replaced
+    here, once the class exists.  _replace and _make skip the check;
+    loading a pickle calls __new__, so a pickled record is checked again.
+    """
+    make = cls.__new__
+
+    def __new__(cls, *args, **kwargs):
+        return make(cls, *args, **kwargs)._checked()
+
+    cls.__new__ = staticmethod(__new__)
+    return cls
 
 
 def check_ranges(section: str, rules) -> None:

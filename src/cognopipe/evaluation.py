@@ -22,7 +22,7 @@ import numpy as np
 
 from . import acoustic, classifiers, dsp, linguistic
 from .corpus import Corpus, Diagnosis, FoldAssignment, Label, Task, TaskRecording
-from .errors import EvaluationError, check_ranges
+from .errors import EvaluationError, check_ranges, checked
 from .features import FeatureSetId, FeatureVector
 
 REPORT_SCHEMA_VERSION = "1.5"
@@ -60,21 +60,17 @@ class FoldPrediction(NamedTuple):
     score: float
 
 
-class _ClassifierFields(NamedTuple):
+@checked
+class ClassifierConfig(NamedTuple):
+    """Classifier hyper-parameters (the config file's classifier section).
+    Its ranges are checked when made."""
+
     l2_lambda: float = 1.0
     lr_max_iters: int = 500
     lr_tol: float = 1e-6
     svm_epochs: int = 50
 
-
-class ClassifierConfig(_ClassifierFields):
-    """Classifier hyper-parameters (the config file's classifier section).
-    Its ranges are checked when made."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         check_ranges("classifier", (
             ("l2_lambda", self.l2_lambda, self.l2_lambda > 0, "> 0"),
             ("lr_max_iters", self.lr_max_iters, self.lr_max_iters >= 1, ">= 1"),
@@ -118,15 +114,8 @@ class PrecomputedProvider(NamedTuple):
         return X_train, X_test, frozenset(train_ids)
 
 
-class _TfidfFields(NamedTuple):
-    transcripts: Mapping[str, str]
-    n_range: tuple[int, int]
-    min_doc_freq: int
-    table: linguistic.NgramTable  # derived: the transcripts' n-gram counts
-    rows: Mapping[str, int]  # derived: each subject's row of table
-
-
-class TfidfProvider(_TfidfFields):
+@checked
+class TfidfProvider(NamedTuple):
     """Fits a vocabulary per fold on training transcripts only.
 
     The transcripts' n-grams are counted once, into one table, when the
@@ -134,18 +123,19 @@ class TfidfProvider(_TfidfFields):
     training rows, and each partition's matrix is one scatter of its rows.
     """
 
-    __slots__ = ()
+    transcripts: Mapping[str, str]
+    n_range: tuple[int, int] = (1, 2)
+    min_doc_freq: int = 2
+    # derived, always again: the transcripts' n-gram counts, each subject's row
+    table: linguistic.NgramTable | None = None
+    rows: Mapping[str, int] | None = None
     feature_set_id = FeatureSetId.NGRAM_TFIDF
 
-    def __new__(cls, transcripts: Mapping[str, str], n_range: tuple[int, int] = (1, 2),
-                min_doc_freq: int = 2):
-        table = linguistic.ngram_table(list(transcripts.values()), n_range)
-        rows = {s: r for r, s in enumerate(transcripts)}
-        return super().__new__(cls, transcripts, n_range, min_doc_freq, table, rows)
-
-    def __getnewargs__(self):
-        # a pickled provider is made again from its inputs
-        return self.transcripts, self.n_range, self.min_doc_freq
+    def _checked(self):
+        return self._replace(
+            table=linguistic.ngram_table(list(self.transcripts.values()), self.n_range),
+            rows={s: r for r, s in enumerate(self.transcripts)},
+        )
 
     def available_subjects(self) -> tuple[str, ...]:
         return tuple(sorted(self.transcripts))

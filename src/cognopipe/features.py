@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FeatureError
+from .errors import FeatureError, checked
 
 
 class FeatureSetId(enum.Enum):
@@ -17,30 +17,27 @@ class FeatureSetId(enum.Enum):
     LEXICAL = "Lexical"
 
 
-class _VectorFields(NamedTuple):
-    feature_set_id: FeatureSetId
-    values: np.ndarray
-    empty_speech: bool = False
-
-
-class FeatureVector(_VectorFields):
+@checked
+class FeatureVector(NamedTuple):
     """Fixed-length numeric vector tagged with its feature-set identity.
 
     empty_speech marks vectors that are all-zero because the recording
     contained no detected speech (the value is still usable downstream).
     """
 
-    __slots__ = ()
+    feature_set_id: FeatureSetId
+    values: np.ndarray
+    empty_speech: bool = False
 
-    def __new__(cls, feature_set_id: FeatureSetId, values, empty_speech: bool = False):
-        vals = np.asarray(values, dtype=np.float64)
+    def _checked(self):
+        vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 1:
             raise FeatureError("feature_vector", f"values must be 1-D, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise FeatureError(
-                "feature_vector", f"non-finite values in {feature_set_id.value} vector"
+                "feature_vector", f"non-finite values in {self.feature_set_id.value} vector"
             )
-        return super().__new__(cls, feature_set_id, vals, empty_speech)
+        return self._replace(values=vals)
 
     @property
     def dim(self) -> int:

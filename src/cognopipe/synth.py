@@ -19,7 +19,7 @@ import numpy as np
 
 from . import corpus, dsp
 from .config import number_field_problem, read_json_object
-from .errors import SynthError, writing
+from .errors import SynthError, checked, writing
 
 _SHARED_WORDS = (
     "the and then we saw went to a of in house garden water mother boy girl "
@@ -40,7 +40,11 @@ _CONTROL_WORDS = (
 _FILLER_WORDS = ("um", "uh", "er")
 
 
-class _SpecFields(NamedTuple):
+@checked
+class SynthSpec(NamedTuple):
+    """What generate makes: class sizes, seed, separations, noise and
+    recording format.  Its ranges are checked when made."""
+
     n_case: int = 10
     n_control: int = 10
     seed: int = 0
@@ -50,15 +54,7 @@ class _SpecFields(NamedTuple):
     duration_s: float = 6.0
     sample_rate_hz: int = 16000
 
-
-class SynthSpec(_SpecFields):
-    """What generate makes: class sizes, seed, separations, noise and
-    recording format.  Its ranges are checked when made."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if self.seed < 0:
             raise SynthError("spec", f"seed must be >= 0, got {self.seed}")
         if self.n_case < 1 or self.n_control < 1:

@@ -71,6 +71,7 @@ def test_config_rejects_bad_enum_values(tmp_path):
     cfg_file = tmp_path / "run.json"
     for doc in ({"tasks": 5}, {"tie_break": 3}, {"vad": 5},
                 {"tie_break": ["always_case", "always_control"]}, {"seed": "x"},
+                {"tie_break": ["always_case"]},
                 {"ngram": {"n_lo": "a"}}, {"acoustic": {"n_mel_filters": 2.5}}):
         cfg_file.write_text(json.dumps(doc))
         with pytest.raises(ConfigError) as exc:
@@ -434,6 +435,27 @@ def test_an_output_file_that_cannot_be_written_is_one_line(small_manifest, tmp_p
                             f"{os.strerror(errno.EISDIR)}\n")
     assert "wrote" not in captured.out
     assert list(out.iterdir()) == [out / name] and not list((out / name).iterdir())
+
+
+def test_a_directory_in_the_way_keeps_the_files_of_the_run_before(small_manifest, tmp_path,
+                                                                  capsys):
+    """extract into the output of an earlier extract, with a directory where
+    one of its new files goes: exit 1, one line, and the earlier run's
+    feature CSV byte for byte, with no temporary file beside it."""
+    out = tmp_path / "out"
+    args = ["extract", "--manifest", str(small_manifest), "--out", str(out),
+            "--tasks", "ShortTerm", "--workers", "1", "--features"]
+    assert cli.main(args + ["Lexical"]) == 0
+    lexical = out / "features_ShortTerm_Lexical.csv"
+    old = lexical.read_bytes()
+    blocked = out / "features_ShortTerm_EgemapsLike88.csv"
+    blocked.mkdir()
+    capsys.readouterr()
+    assert cli.main(args + ["Lexical,EgemapsLike88"]) == 1
+    assert capsys.readouterr().err == (f"error: acoustic.write_feature_matrix: cannot write "
+                                       f"{blocked}: {os.strerror(errno.EISDIR)}\n")
+    assert lexical.read_bytes() == old
+    assert sorted(out.iterdir()) == [blocked, lexical] and not list(blocked.iterdir())
 
 
 def test_a_report_write_that_fails_part_way_keeps_the_old_report(small_manifest, tmp_path,

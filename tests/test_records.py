@@ -1,5 +1,6 @@
-"""Records that check or derive their fields: read-only, and checked again
-when a pickle (how pool results come back) is loaded."""
+"""Records that check or derive their fields: each one @checked NamedTuple
+class, read-only, and checked and derived again when a pickle (how pool
+results come back) is loaded."""
 
 import pickle
 
@@ -63,6 +64,11 @@ def _same(a, b) -> bool:
 
 
 @pytest.mark.parametrize("name", _RECORDS)
+def test_a_record_is_a_single_class(name):
+    assert type(_RECORDS[name]).__bases__ == (tuple,)
+
+
+@pytest.mark.parametrize("name", _RECORDS)
 def test_a_record_refuses_every_assignment(name):
     rec = _RECORDS[name]
     for field in rec._fields:
@@ -92,3 +98,12 @@ def test_a_pickled_record_is_checked_again(name):
     with pytest.raises(error) as exc:
         pickle.loads(data)
     assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("rec, field, forged", [
+    (memory_corpus(2, 2), "by_id", {}),
+    (evaluation.TfidfProvider({"A": "the cat sat", "B": "the dog sat"}), "rows", {"A": 1}),
+], ids=["Corpus.by_id", "TfidfProvider.rows"])
+def test_a_forged_derived_field_is_derived_again_from_a_pickle(rec, field, forged):
+    back = pickle.loads(pickle.dumps(rec._replace(**{field: forged})))
+    assert _same(getattr(back, field), getattr(rec, field))
