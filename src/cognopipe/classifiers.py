@@ -68,16 +68,19 @@ def fit_standardizer(
 
 
 def apply_standardizer(x: np.ndarray, params: StandardizerParams) -> np.ndarray:
-    """(x - mean) / std, with zero-variance columns mapped to 0."""
+    """(x - mean) / std in one new array, with zero-variance columns mapped
+    to 0; x is left unchanged."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != params.mean.size:
         raise TrainingError(
             "apply_standardizer",
             f"dim mismatch: x has {x.shape[-1]}, standardizer has {params.mean.size}",
         )
-    safe = np.where(params.std > 0, params.std, 1.0)
-    out = (x - params.mean) / safe
-    return np.where(params.std > 0, out, 0.0)
+    varies = params.std > 0
+    out = x - params.mean
+    out /= np.where(varies, params.std, 1.0)
+    out[..., ~varies] = 0.0
+    return out
 
 
 def balanced_class_weights(n_case: int, n_control: int) -> tuple[float, float]:

@@ -315,14 +315,16 @@ def run_task_experiments(
 ) -> tuple[TaskExperimentResult, ...]:
     """Train and predict every fold of one (task, feature set), per classifier.
 
-    Each fold's features and standardizer are built once; every kind is
-    then trained, audited and scored on them, in the order given, and
-    gets one result.  Subjects without a usable recording for the task
-    are skipped and listed; a set with no such subject at all is an error
-    naming the task and set.  A fold whose training partition collapses to
-    a single class is a hard error naming the fold.  After each fit, the
-    fitted artifacts are audited for train/test disjointness.  Folds whose
-    logistic fit stopped without converging are listed per kind.
+    Each fold's features and standardizer are built once, and the raw
+    matrices give way to their standardized copies before the first fit;
+    every kind is then trained, audited and scored on them, in the order
+    given, and gets one result.  Subjects without a usable recording for
+    the task are skipped and listed; a set with no such subject at all is
+    an error naming the task and set.  A fold whose training partition
+    collapses to a single class is a hard error naming the fold.  After
+    each fit, the fitted artifacts are audited for train/test disjointness.
+    Folds whose logistic fit stopped without converging are listed per
+    kind.
     """
     available = set(provider.available_subjects())
     if not available:
@@ -348,15 +350,15 @@ def run_task_experiments(
         X_train, X_test, fitted_on = provider.fold_features(train_ids, test_ids, fold_name)
 
         std = classifiers.fit_standardizer(X_train, fitted_subjects=train_set)
-        Xs_train = classifiers.apply_standardizer(X_train, std)
-        Xs_test = classifiers.apply_standardizer(X_test, std)
+        X_train = classifiers.apply_standardizer(X_train, std)
+        X_test = classifiers.apply_standardizer(X_test, std)
         true_labels = [corpus.subject(sid).binary_label for sid in test_ids]
         for kind, kind_predictions, kind_not_converged in zip(
             classifier_kinds, predictions, not_converged
         ):
             if kind is classifiers.ModelKind.LOGISTIC_REGRESSION:
                 model = classifiers.train_logistic(
-                    Xs_train, y_train, l2_lambda=clf.l2_lambda,
+                    X_train, y_train, l2_lambda=clf.l2_lambda,
                     max_iters=clf.lr_max_iters, tol=clf.lr_tol, fitted_subjects=train_set,
                 )
                 if not model.training_meta["converged"]:
@@ -364,11 +366,11 @@ def run_task_experiments(
             else:
                 seed = fold_seed(config.seed, task, provider.feature_set_id, kind, f)
                 model = classifiers.train_linear_svm(
-                    Xs_train, 2.0 * y_train - 1.0, l2_lambda=clf.l2_lambda,
+                    X_train, 2.0 * y_train - 1.0, l2_lambda=clf.l2_lambda,
                     epochs=clf.svm_epochs, seed=seed, fitted_subjects=train_set,
                 )
             audit_no_leakage((std.fitted_subjects, model.fitted_subjects, fitted_on), test_ids)
-            scores = classifiers.decision_score(Xs_test, model)
+            scores = classifiers.decision_score(X_test, model)
             kind_predictions.extend(
                 FoldPrediction(
                     subject_id=sid,
@@ -736,8 +738,13 @@ def build_report(
 
 
 def write_report(report: Mapping, path) -> None:
-    """Serialize with sorted keys so identical runs are byte-identical."""
-    Path(path).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    """Serialize with sorted keys so identical runs are byte-identical.
+
+    The JSON is encoded and written to the file a piece at a time, so the
+    report is never held as one string."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 _FUSED_KEYS = ("feature_set", "classifier", "confusion_3x2", "confusion_2x2")

@@ -96,6 +96,31 @@ def test_standardizer_affine_invariance():
     assert np.allclose(shifted, base, atol=1e-12)
 
 
+def _standardize_with_where(x, params):
+    """The textbook formula: divide by a safe std, then map zero-variance
+    columns to 0 in a second pass."""
+    safe = np.where(params.std > 0, params.std, 1.0)
+    return np.where(params.std > 0, (x - params.mean) / safe, 0.0)
+
+
+def test_standardizer_is_bit_identical_to_the_where_formula():
+    rng = np.random.default_rng(5)
+    X = rng.normal(scale=1e3, size=(37, 9)) * rng.uniform(1e-6, 1e6, size=9)
+    X[:, 2] = 0.0  # zero variance, zero mean
+    X[:, 5] = -3.75  # all equal, not zero
+    X[:, 7] = 1e-300  # all equal, near the bottom of the range
+    p = cl.fit_standardizer(X)
+    assert p.std[2] == p.std[5] == p.std[7] == 0.0 and p.mean[5] == -3.75
+    Y = rng.normal(scale=1e3, size=(11, 9))
+    for x in (X, Y, X[4], Y[0], Y[:0]):
+        before = x.copy()
+        z = cl.apply_standardizer(x, p)
+        assert z.shape == x.shape and z.dtype == np.float64
+        assert np.array_equal(z, _standardize_with_where(x, p))
+        assert not np.signbit(z[..., [2, 5, 7]]).any()
+        assert np.array_equal(x, before)  # the input is left as it was
+
+
 def test_standardizer_errors():
     with pytest.raises(TrainingError):
         cl.fit_standardizer(np.empty((0, 3)))

@@ -458,6 +458,18 @@ def test_a_directory_in_the_way_keeps_the_files_of_the_run_before(small_manifest
     assert sorted(out.iterdir()) == [blocked, lexical] and not list(blocked.iterdir())
 
 
+def test_train_eval_writes_the_bytes_of_json_dumps(small_manifest, tmp_path, monkeypatch):
+    reports = []
+    write_report = evaluation.write_report
+    monkeypatch.setattr(evaluation, "write_report",
+                        lambda report, path: reports.append(report) or write_report(report, path))
+    assert cli.main(["train-eval", "--manifest", str(small_manifest), "--out", str(tmp_path),
+                     "--features", "EgemapsLike88,Lexical", "--workers", "1"]) == 0
+    (report,) = reports
+    expected = json.dumps(report, indent=1, sort_keys=True) + "\n"
+    assert (tmp_path / "report.json").read_bytes() == expected.encode("utf-8")
+
+
 def test_a_report_write_that_fails_part_way_keeps_the_old_report(small_manifest, tmp_path,
                                                                  capsys, monkeypatch):
     """A disk that fills half-way through report.json: exit 1, one line,
@@ -469,12 +481,29 @@ def test_a_report_write_that_fails_part_way_keeps_the_old_report(small_manifest,
     old = (out / "report.json").read_bytes()
     capsys.readouterr()
 
-    def half_then_full(self, data, encoding=None, errors=None, newline=None):
-        with open(self, "w", encoding=encoding) as fh:
-            fh.write(data[: len(data) // 2])
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    class FullHalfWay:
+        """The file write_report opens, on a disk that has room for half
+        of the previous report."""
 
-    monkeypatch.setattr(Path, "write_text", half_then_full)
+        def __init__(self, *args, **kwargs):
+            self.fh = open(*args, **kwargs)
+            self.room = len(old) // 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            if len(text) > self.room:
+                self.fh.write(text[: self.room])
+                self.room = 0
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            self.room -= len(text)
+            return self.fh.write(text)
+
+    monkeypatch.setattr(evaluation, "open", FullHalfWay, raising=False)
     assert cli.main(args + ["--seed", "3"]) == 1
     tmp = out / "report.json.tmp"
     assert capsys.readouterr().err == (f"error: evaluation.write_report: cannot write {tmp}: "

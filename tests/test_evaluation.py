@@ -1,6 +1,7 @@
 """Vote fusion, confusion tables, metrics, cross-validated experiments, reports."""
 
 import itertools
+import json
 import os
 import tracemalloc
 from collections import Counter
@@ -858,6 +859,46 @@ def test_report_round_trip_and_byte_identity(tiny_report, tmp_path):
     rep2 = ev.build_report(corp, folds, experiments, {"seed": 7, "manifest": "mem"})
     ev.write_report(rep2, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _large_report(n_rows):
+    """A report-shaped document of n_rows prediction rows per block, with
+    non-ASCII ids, escapes and floats at the ends of the range."""
+    floats = (1e-300, -5e-324, 1.7976931348623157e308, -0.0, 0.1, 2.0 / 3.0)
+    rows = [[f"Ü{i:05d}-被験者", "ShortTerm", i % 5, "Case", "Control", floats[i % 6] * (i + 1)]
+            for i in range(n_rows)]
+    return {
+        "schema_version": ev.REPORT_SCHEMA_VERSION,
+        "disclaimers": ["tab\there, \"quoted\", a\\b, bell\x07, é ✓ 𝄞"],
+        "config": {"seed": 7, "manifest": "/data/Zoë", "workers": None, "flag": True},
+        "per_task": [{"task": t.value, "predictions": rows, "z_first": {"b": 1, "a": 2}}
+                     for t in TASKS],
+        "per_task_csv": "task,f1\nShortTerm,0.5\n",
+    }
+
+
+def test_write_report_writes_the_bytes_of_json_dumps(tmp_path):
+    rep = _large_report(1000)
+    chunks = sum(1 for _ in json.JSONEncoder(indent=1, sort_keys=True).iterencode(rep))
+    assert chunks > 20_000
+    ev.write_report(rep, tmp_path / "r.json")
+    expected = (json.dumps(rep, indent=1, sort_keys=True) + "\n").encode("utf-8")
+    assert (tmp_path / "r.json").read_bytes() == expected
+
+
+def test_write_report_never_holds_the_report_as_one_string(tmp_path):
+    rep = _large_report(4000)
+    path = tmp_path / "r.json"
+    ev.write_report(rep, path)  # the encoder's first use, untraced
+    tracemalloc.start()
+    try:
+        ev.write_report(rep, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 1e6
+    assert peak < 0.5 * size
 
 
 def test_report_prediction_rows_sorted(tiny_report):
