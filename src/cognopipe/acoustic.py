@@ -332,7 +332,7 @@ def _llds_for_frames(frames: np.ndarray, plan: AnalysisPlan) -> np.ndarray:
 def extract_llds(
     audio: dsp.AudioBuffer,
     segments: dsp.SegmentSet,
-    config: AcousticConfig | None = None,
+    config: AcousticConfig = AcousticConfig(),
 ) -> LldMatrix:
     """Compute per-frame LLDs over the speech segments only.
 
@@ -347,7 +347,7 @@ def extract_llds(
     matrix.  The rate's analysis_plan comes first, so a config that breaks
     its pitch rules is an error whatever the speech.
     """
-    plan = analysis_plan(audio.sample_rate_hz, config or AcousticConfig())
+    plan = analysis_plan(audio.sample_rate_hz, config)
     sr, cfg = plan.sr, plan.cfg
     segs = []
     for lo, hi in segments.sample_bounds(audio.samples.size, sr):
@@ -495,7 +495,7 @@ def vectors_from_llds(
 def egemaps_like(
     audio: dsp.AudioBuffer,
     segments: dsp.SegmentSet,
-    config: AcousticConfig | None = None,
+    config: AcousticConfig = AcousticConfig(),
 ) -> FeatureVector:
     """The 88-dimension manifest-defined feature vector."""
     llds = extract_llds(audio, segments, config)
@@ -505,7 +505,7 @@ def egemaps_like(
 def compare_like(
     audio: dsp.AudioBuffer,
     segments: dsp.SegmentSet,
-    config: AcousticConfig | None = None,
+    config: AcousticConfig = AcousticConfig(),
 ) -> FeatureVector:
     """Config-derived grid vector: plain block, then delta block.
 

@@ -23,12 +23,34 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import TrainingError, checked
+from .errors import TrainingError, check_ranges, checked
 
 
 class ModelKind(enum.Enum):
     LOGISTIC_REGRESSION = "LogisticRegression"
     LINEAR_SVM = "LinearSVM"
+
+
+@checked
+class ClassifierConfig(NamedTuple):
+    """Classifier hyper-parameters (the config file's classifier section).
+    Its ranges are checked when made."""
+
+    l2_lambda: float = 1.0
+    lr_max_iters: int = 500
+    lr_tol: float = 1e-6
+    svm_epochs: int = 50
+
+    def _checked(self):
+        check_ranges("classifier", (
+            ("l2_lambda", self.l2_lambda, self.l2_lambda > 0, "> 0"),
+            ("lr_max_iters", self.lr_max_iters, self.lr_max_iters >= 1, ">= 1"),
+            # fits on `synth --seed 0` start at gradients whose largest entry
+            # is 0.10-0.41: a looser tolerance ends a fit at step 0, converged
+            ("lr_tol", self.lr_tol, 0 < self.lr_tol <= 1e-3, "in (0, 1e-3]"),
+            ("svm_epochs", self.svm_epochs, self.svm_epochs >= 1, ">= 1"),
+        ))
+        return self
 
 
 @checked
@@ -164,9 +186,7 @@ def _newton_direction(X: np.ndarray, G: np.ndarray, s: np.ndarray, lam: float,
 def train_logistic(
     X: np.ndarray,
     y: np.ndarray,
-    l2_lambda: float = 1.0,
-    max_iters: int = 500,
-    tol: float = 1e-6,
+    config: ClassifierConfig = ClassifierConfig(),
     class_weights: tuple[float, float] | None = None,
     fitted_subjects: frozenset[str] = frozenset(),
 ) -> LinearModel:
@@ -175,15 +195,14 @@ def train_logistic(
     y is {0, 1} with Case = 1.  Each step moves along the Newton direction
     of _newton_direction, halving the step from 1 until the Armijo
     condition holds; G = X X^T is built once per fit.  Stops when the
-    gradient infinity-norm drops below tol or after max_iters accepted
-    Newton steps.  The objective is asserted non-increasing at every
-    accepted step.
+    gradient infinity-norm drops below config.lr_tol or after
+    config.lr_max_iters accepted Newton steps.  The objective is asserted
+    non-increasing at every accepted step.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_training_inputs("train_logistic", X, y, (0.0, 1.0))
-    if l2_lambda <= 0:
-        raise TrainingError("train_logistic", f"l2_lambda must be > 0, got {l2_lambda}")
+    l2_lambda = config.l2_lambda
     if class_weights is None:
         class_weights = balanced_class_weights(int(y.sum()), int((1 - y).sum()))
     cw = np.where(y == 1.0, class_weights[0], class_weights[1])
@@ -198,10 +217,10 @@ def train_logistic(
     iters = 0
     converged = False
     while True:
-        if max(np.max(np.abs(gw)), abs(gb)) < tol:
+        if max(np.max(np.abs(gw)), abs(gb)) < config.lr_tol:
             converged = True
             break
-        if iters == max_iters:
+        if iters == config.lr_max_iters:
             break
         p = _sigmoid(X @ w + b)
         dw, db = _newton_direction(X, G, cw * p * (1.0 - p) / W, l2_lambda, gw, gb)
@@ -250,23 +269,21 @@ def svm_objective(
 def train_linear_svm(
     X: np.ndarray,
     y: np.ndarray,
-    l2_lambda: float = 1.0,
-    epochs: int = 50,
+    config: ClassifierConfig = ClassifierConfig(),
     seed: int = 0,
     class_weights: tuple[float, float] | None = None,
     fitted_subjects: frozenset[str] = frozenset(),
 ) -> LinearModel:
     """Pegasos with averaged iterates; y is {-1, +1} with Case = +1.
 
-    Visits epochs*N uniformly sampled (with replacement) training rows;
-    the sample index sequence is floor(u_t * N) over seeded uniforms, so
-    runs are deterministic given the seed.
+    Visits config.svm_epochs * N uniformly sampled (with replacement)
+    training rows; the sample index sequence is floor(u_t * N) over seeded
+    uniforms, so runs are deterministic given the seed.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_training_inputs("train_linear_svm", X, y, (-1.0, 1.0))
-    if l2_lambda <= 0:
-        raise TrainingError("train_linear_svm", f"l2_lambda must be > 0, got {l2_lambda}")
+    l2_lambda, epochs = config.l2_lambda, config.svm_epochs
     n = X.shape[0]
     if class_weights is None:
         class_weights = balanced_class_weights(int((y > 0).sum()), int((y < 0).sum()))

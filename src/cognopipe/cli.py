@@ -190,16 +190,8 @@ def cmd_train_eval(args) -> int:
     c = corpus.load_manifest(cfg.manifest)
     folds = corpus.stratified_folds(c, cfg.k, cfg.seed)
     exp_cfg = evaluation.ExperimentConfig(cfg.classifier, cfg.seed)
-    providers = evaluation.build_providers(
-        c,
-        cfg.tasks,
-        cfg.feature_sets,
-        cfg.vad,
-        cfg.acoustic,
-        (cfg.ngram.n_lo, cfg.ngram.n_hi),
-        cfg.ngram.min_doc_freq,
-        _effective_workers(cfg),
-    )
+    providers = evaluation.build_providers(c, cfg.tasks, cfg.feature_sets, cfg.vad,
+                                           cfg.acoustic, cfg.ngram, _effective_workers(cfg))
     experiments = []
     for (task, fsid), provider in providers:
         log.info("experiment %s / %s", task.value, fsid.value)
@@ -209,6 +201,7 @@ def cmd_train_eval(args) -> int:
     report = evaluation.build_report(
         c, folds, experiments, cfgmod.config_echo(cfg), cfg.tie_break
     )
+    del experiments  # the report holds every prediction now
     report_path = Path(cfg.out_dir) / "report.json"
     _write_all([(report_path, functools.partial(evaluation.write_report, report))],
                EvaluationError, "write_report")

@@ -15,30 +15,13 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .acoustic import AcousticConfig
-from .classifiers import ModelKind
+from .classifiers import ClassifierConfig, ModelKind
 from .corpus import Task
 from .dsp import VadConfig
-from .errors import ConfigError, check_ranges, checked
-from .evaluation import ClassifierConfig, TieBreak
+from .errors import ConfigError, checked
+from .evaluation import TieBreak
 from .features import FeatureSetId
-
-
-@checked
-class NgramConfig(NamedTuple):
-    """Word n-gram range and document-frequency floor (the ngram section).
-    Its ranges are checked when made."""
-
-    n_lo: int = 1
-    n_hi: int = 2
-    min_doc_freq: int = 2
-
-    def _checked(self):
-        check_ranges("ngram", (
-            ("n_lo", self.n_lo, self.n_lo >= 1, ">= 1"),
-            ("n_hi", self.n_hi, self.n_hi >= self.n_lo, ">= ngram.n_lo"),
-            ("min_doc_freq", self.min_doc_freq, self.min_doc_freq >= 1, ">= 1"),
-        ))
-        return self
+from .linguistic import NgramConfig
 
 
 DEFAULT_TASKS = tuple(Task)

@@ -361,7 +361,7 @@ def _sorted_mean_std(values) -> tuple[float, float]:
     return float(np.mean(v)), float(np.std(v))
 
 
-def summarize(corpus: Corpus, vad_config: dsp.VadConfig | None = None) -> list[str]:
+def summarize(corpus: Corpus, vad_config: dsp.VadConfig = dsp.VadConfig()) -> list[str]:
     """The corpus census as CSV lines, the text of ``summary.csv``.
 
     First the subject and recording counts and the count of each

@@ -329,7 +329,7 @@ def frame_energies_db(samples: np.ndarray, frame: int, hop: int) -> np.ndarray:
     return 10.0 * np.log10(mean_sq + _LOG_FLOOR)
 
 
-def detect_speech(audio: AudioBuffer, config: VadConfig | None = None) -> SegmentSet:
+def detect_speech(audio: AudioBuffer, config: VadConfig = VadConfig()) -> SegmentSet:
     """Energy-based speech/non-speech segmentation.
 
     A frame is speech when its energy exceeds the noise floor (the
@@ -345,20 +345,19 @@ def detect_speech(audio: AudioBuffer, config: VadConfig | None = None) -> Segmen
     segment times are the bounds of the frames scored: a run of frames
     [i, j) spans i*hop/sr to (j-1)*hop/sr + frame/sr seconds.
     """
-    cfg = config or VadConfig()
     sr = audio.sample_rate_hz
-    frame, hop = frame_geometry(sr, cfg.frame_len_s, cfg.hop_s)
+    frame, hop = frame_geometry(sr, config.frame_len_s, config.hop_s)
     energies = frame_energies_db(audio.samples, frame, hop)
     if energies.size == 0:
         return SegmentSet(())
     ranked = np.sort(energies)
-    lo, hi = sorted_percentiles(ranked, (cfg.noise_floor_percentile, 90.0))
-    if hi - lo < cfg.homogeneous_range_db:
+    lo, hi = sorted_percentiles(ranked, (config.noise_floor_percentile, 90.0))
+    if hi - lo < config.homogeneous_range_db:
         n = ranked.size
         median = (ranked[(n - 1) // 2] + ranked[n // 2]) / 2
-        mask = np.full(n, median > cfg.homogeneous_speech_floor_db)
+        mask = np.full(n, median > config.homogeneous_speech_floor_db)
     else:
-        mask = energies > lo + cfg.threshold_margin_db
+        mask = energies > lo + config.threshold_margin_db
     if not mask.any():
         return SegmentSet(())
 
@@ -372,10 +371,10 @@ def detect_speech(audio: AudioBuffer, config: VadConfig | None = None) -> Segmen
         # inherits the final frame's label
         ends[-1] = dur
     # a run that starts under bridge_gap_s after the previous one ends joins it
-    first = np.flatnonzero(np.append(True, starts[1:] - ends[:-1] >= cfg.bridge_gap_s))
+    first = np.flatnonzero(np.append(True, starts[1:] - ends[:-1] >= config.bridge_gap_s))
     last = np.append(first[1:] - 1, ends.size - 1)
     starts, ends = starts[first], np.minimum(ends[last], dur)
-    keep = ends - starts >= cfg.min_segment_s
+    keep = ends - starts >= config.min_segment_s
     return SegmentSet(tuple(zip(starts[keep].tolist(), ends[keep].tolist())))
 
 

@@ -21,8 +21,9 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import acoustic, classifiers, dsp, linguistic
+from .classifiers import ClassifierConfig
 from .corpus import Corpus, Diagnosis, FoldAssignment, Label, Task, TaskRecording
-from .errors import EvaluationError, check_ranges, checked
+from .errors import EvaluationError, checked
 from .features import FeatureSetId, FeatureVector
 
 REPORT_SCHEMA_VERSION = "1.5"
@@ -58,28 +59,6 @@ class FoldPrediction(NamedTuple):
     true_label: Label
     predicted_label: Label
     score: float
-
-
-@checked
-class ClassifierConfig(NamedTuple):
-    """Classifier hyper-parameters (the config file's classifier section).
-    Its ranges are checked when made."""
-
-    l2_lambda: float = 1.0
-    lr_max_iters: int = 500
-    lr_tol: float = 1e-6
-    svm_epochs: int = 50
-
-    def _checked(self):
-        check_ranges("classifier", (
-            ("l2_lambda", self.l2_lambda, self.l2_lambda > 0, "> 0"),
-            ("lr_max_iters", self.lr_max_iters, self.lr_max_iters >= 1, ">= 1"),
-            # fits on `synth --seed 0` start at gradients whose largest entry
-            # is 0.10-0.41: a looser tolerance ends a fit at step 0, converged
-            ("lr_tol", self.lr_tol, 0 < self.lr_tol <= 1e-3, "in (0, 1e-3]"),
-            ("svm_epochs", self.svm_epochs, self.svm_epochs >= 1, ">= 1"),
-        ))
-        return self
 
 
 class ExperimentConfig(NamedTuple):
@@ -163,8 +142,9 @@ class TfidfProvider(NamedTuple):
 
 
 def _extract_one(rec: TaskRecording, feature_sets: tuple[FeatureSetId, ...],
-                 vad_cfg: dsp.VadConfig | None,
-                 ac_cfg: acoustic.AcousticConfig | None) -> tuple[FeatureVector, ...]:
+                 vad_cfg: dsp.VadConfig = dsp.VadConfig(),
+                 ac_cfg: acoustic.AcousticConfig = acoustic.AcousticConfig()
+                 ) -> tuple[FeatureVector, ...]:
     """Worker: one recording -> its vector of each acoustic set, in order.
 
     The sets share one decode, VAD pass and LLD matrix.
@@ -200,8 +180,8 @@ def extract_task_features(
     corpus: Corpus,
     tasks: Sequence[Task],
     feature_sets: Sequence[FeatureSetId],
-    vad_cfg: dsp.VadConfig | None = None,
-    ac_cfg: acoustic.AcousticConfig | None = None,
+    vad_cfg: dsp.VadConfig = dsp.VadConfig(),
+    ac_cfg: acoustic.AcousticConfig = acoustic.AcousticConfig(),
     workers: int = 1,
 ) -> dict[tuple[Task, FeatureSetId], dict[str, FeatureVector]]:
     """Per-subject vectors of every (task, fold-independent set) of a run.
@@ -219,12 +199,11 @@ def extract_task_features(
                               "select acoustic or Lexical sets")
     shared = tuple(f for f in feature_sets if f in acoustic.FEATURE_SETS)
     jobs = [r for task in tasks if shared for r in _task_recordings(corpus, task, shared[0])]
-    vad = vad_cfg or dsp.VadConfig()
     for fsid in shared:  # each set's cells are read and checked once, before any fork
         acoustic._cells(fsid)
     for sr in dict.fromkeys(r.sample_rate_hz for r in jobs):  # a bad config fails before a decode
-        acoustic.analysis_plan(sr, ac_cfg or acoustic.AcousticConfig())
-        dsp.frame_geometry(sr, vad.frame_len_s, vad.hop_s)
+        acoustic.analysis_plan(sr, ac_cfg)
+        dsp.frame_geometry(sr, vad_cfg.frame_len_s, vad_cfg.hop_s)
     extract = functools.partial(_extract_one, feature_sets=shared, vad_cfg=vad_cfg, ac_cfg=ac_cfg)
     if workers <= 1 or len(jobs) <= 1:
         vectors = list(map(extract, jobs))
@@ -251,10 +230,9 @@ def build_providers(
     corpus: Corpus,
     tasks: Sequence[Task],
     feature_sets: Sequence[FeatureSetId],
-    vad_cfg: dsp.VadConfig | None = None,
-    ac_cfg: acoustic.AcousticConfig | None = None,
-    ngram_range: tuple[int, int] = (1, 2),
-    min_doc_freq: int = 2,
+    vad_cfg: dsp.VadConfig = dsp.VadConfig(),
+    ac_cfg: acoustic.AcousticConfig = acoustic.AcousticConfig(),
+    ngram: linguistic.NgramConfig = linguistic.NgramConfig(),
     workers: int = 1,
 ) -> Iterator[tuple[tuple[Task, FeatureSetId], PrecomputedProvider | TfidfProvider]]:
     """The provider of every (task, feature set), in that order.
@@ -277,7 +255,8 @@ def build_providers(
             if fsid is FeatureSetId.NGRAM_TFIDF:
                 transcripts = {r.subject_id: r.transcript
                                for r in _task_recordings(corpus, task, fsid)}
-                yield (task, fsid), TfidfProvider(transcripts, ngram_range, min_doc_freq)
+                yield (task, fsid), TfidfProvider(transcripts, (ngram.n_lo, ngram.n_hi),
+                                                  ngram.min_doc_freq)
             else:
                 yield (task, fsid), PrecomputedProvider(fsid, vectors[task, fsid])
 
@@ -286,15 +265,14 @@ def build_provider(
     corpus: Corpus,
     task: Task,
     feature_set: FeatureSetId,
-    vad_cfg: dsp.VadConfig | None = None,
-    ac_cfg: acoustic.AcousticConfig | None = None,
-    ngram_range: tuple[int, int] = (1, 2),
-    min_doc_freq: int = 2,
+    vad_cfg: dsp.VadConfig = dsp.VadConfig(),
+    ac_cfg: acoustic.AcousticConfig = acoustic.AcousticConfig(),
+    ngram: linguistic.NgramConfig = linguistic.NgramConfig(),
     workers: int = 1,
 ) -> PrecomputedProvider | TfidfProvider:
     """The provider of one (task, feature set) (extracting if needed)."""
-    providers = build_providers(corpus, (task,), (feature_set,), vad_cfg, ac_cfg,
-                                ngram_range, min_doc_freq, workers)
+    providers = build_providers(corpus, (task,), (feature_set,), vad_cfg, ac_cfg, ngram,
+                                workers)
     return next(providers)[1]
 
 
@@ -329,7 +307,6 @@ def run_task_experiments(
     available = set(provider.available_subjects())
     if not available:
         raise _no_usable_recording(task, provider.feature_set_id)
-    clf = config.classifier
     skipped = tuple(sorted(set(folds.fold_of_subject) - available))
     predictions: list[list[FoldPrediction]] = [[] for _ in classifier_kinds]
     not_converged: list[list[int]] = [[] for _ in classifier_kinds]
@@ -358,16 +335,15 @@ def run_task_experiments(
         ):
             if kind is classifiers.ModelKind.LOGISTIC_REGRESSION:
                 model = classifiers.train_logistic(
-                    X_train, y_train, l2_lambda=clf.l2_lambda,
-                    max_iters=clf.lr_max_iters, tol=clf.lr_tol, fitted_subjects=train_set,
+                    X_train, y_train, config.classifier, fitted_subjects=train_set
                 )
                 if not model.training_meta["converged"]:
                     kind_not_converged.append(f)
             else:
                 seed = fold_seed(config.seed, task, provider.feature_set_id, kind, f)
                 model = classifiers.train_linear_svm(
-                    X_train, 2.0 * y_train - 1.0, l2_lambda=clf.l2_lambda,
-                    epochs=clf.svm_epochs, seed=seed, fitted_subjects=train_set,
+                    X_train, 2.0 * y_train - 1.0, config.classifier, seed,
+                    fitted_subjects=train_set,
                 )
             audit_no_leakage((std.fitted_subjects, model.fitted_subjects, fitted_on), test_ids)
             scores = classifiers.decision_score(X_test, model)

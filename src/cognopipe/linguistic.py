@@ -23,10 +23,28 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import LeakageError, TextError
+from .errors import LeakageError, TextError, check_ranges, checked
 from .features import FeatureSetId, FeatureVector
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+
+@checked
+class NgramConfig(NamedTuple):
+    """Word n-gram range and document-frequency floor (the ngram section).
+    Its ranges are checked when made."""
+
+    n_lo: int = 1
+    n_hi: int = 2
+    min_doc_freq: int = 2
+
+    def _checked(self):
+        check_ranges("ngram", (
+            ("n_lo", self.n_lo, self.n_lo >= 1, ">= 1"),
+            ("n_hi", self.n_hi, self.n_hi >= self.n_lo, ">= ngram.n_lo"),
+            ("min_doc_freq", self.min_doc_freq, self.min_doc_freq >= 1, ">= 1"),
+        ))
+        return self
 
 
 def tokenize(text: str) -> list[str]:

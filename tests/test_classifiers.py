@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cognopipe import classifiers as cl
-from cognopipe.errors import TrainingError
+from cognopipe.errors import ConfigError, TrainingError
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,7 @@ def test_logistic_gradient_matches_central_differences():
 
 def test_logistic_separable_blobs():
     X, y = blobs(15, 1.5, 0.3, seed=2)
-    m = cl.train_logistic(X, y, l2_lambda=0.01)
+    m = cl.train_logistic(X, y, cl.ClassifierConfig(l2_lambda=0.01))
     p = cl.decision_score(X, m) + 0.5
     assert np.all((p > 0.5) == (y == 1.0))
     J0 = cl.logistic_objective_grad(
@@ -174,10 +174,10 @@ def test_logistic_class_weight_equals_duplication():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(30, 4))
     y = (rng.random(30) < 0.4).astype(float)
-    m1 = cl.train_logistic(X, y, l2_lambda=0.1, class_weights=(2.0, 1.0))
+    m1 = cl.train_logistic(X, y, cl.ClassifierConfig(l2_lambda=0.1), class_weights=(2.0, 1.0))
     Xd = np.concatenate([X, X[y == 1.0]])
     yd = np.concatenate([y, np.ones(int(y.sum()))])
-    m2 = cl.train_logistic(Xd, yd, l2_lambda=0.1, class_weights=(1.0, 1.0))
+    m2 = cl.train_logistic(Xd, yd, cl.ClassifierConfig(l2_lambda=0.1), class_weights=(1.0, 1.0))
     assert np.allclose(m1.weights, m2.weights, atol=1e-12)
     assert abs(m1.bias - m2.bias) < 1e-12
 
@@ -186,8 +186,9 @@ def test_logistic_label_flip_negates_model():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(30, 4))
     y = (rng.random(30) < 0.4).astype(float)
-    m1 = cl.train_logistic(X, y, l2_lambda=0.1, class_weights=(2.0, 1.0))
-    m2 = cl.train_logistic(X, 1.0 - y, l2_lambda=0.1, class_weights=(1.0, 2.0))
+    m1 = cl.train_logistic(X, y, cl.ClassifierConfig(l2_lambda=0.1), class_weights=(2.0, 1.0))
+    m2 = cl.train_logistic(X, 1.0 - y, cl.ClassifierConfig(l2_lambda=0.1),
+                           class_weights=(1.0, 2.0))
     assert np.allclose(m2.weights, -m1.weights, atol=1e-12)
     assert abs(m2.bias + m1.bias) < 1e-12
 
@@ -204,8 +205,8 @@ def test_logistic_rejects_bad_inputs():
     Xn[0, 0] = np.nan
     with pytest.raises(TrainingError):
         cl.train_logistic(Xn, np.array([0.0, 1.0, 0.0, 1.0]))
-    with pytest.raises(TrainingError):
-        cl.train_logistic(X, np.array([0.0, 1.0, 0.0, 1.0]), l2_lambda=0.0)
+    with pytest.raises(ConfigError, match=r"classifier\.l2_lambda must be > 0, got 0\.0"):
+        cl.ClassifierConfig(l2_lambda=0.0)
 
 
 @pytest.mark.parametrize("n, d, n_dup, lam", [
@@ -281,7 +282,7 @@ def test_logistic_converges_to_the_optimum(shape, case_share, separation, lam, s
     y = np.zeros(n)
     y[: max(1, round(case_share * n))] = 1.0
     X = rng.normal(size=(n, d)) + separation * np.outer(2.0 * y - 1.0, rng.normal(size=d))
-    m = cl.train_logistic(X, y, l2_lambda=lam)
+    m = cl.train_logistic(X, y, cl.ClassifierConfig(l2_lambda=lam))
     cw = np.where(y == 1.0, *m.class_weights)
     J, gw, gb = cl.logistic_objective_grad(X, y, cw, lam, m.weights, m.bias)
     J0 = cl.logistic_objective_grad(X, y, cw, lam, np.zeros(d), 0.0)[0]
@@ -300,7 +301,7 @@ def _pm(y01):
 def test_svm_separates_easy_blobs_with_zero_hinge():
     X, y01 = blobs(15, 3.0, 0.1, seed=7)
     y = _pm(y01)
-    m = cl.train_linear_svm(X, y, l2_lambda=0.01, epochs=50, seed=7)
+    m = cl.train_linear_svm(X, y, cl.ClassifierConfig(l2_lambda=0.01, svm_epochs=50), seed=7)
     margins = y * (X @ m.weights + m.bias)
     assert np.all(margins >= 1.0)  # hinge loss exactly zero
     # objective then reduces to the regularization term alone
@@ -314,10 +315,10 @@ def test_svm_duplicated_rows_with_halved_epochs_identical():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(30, 4))
     y = _pm((rng.random(30) < 0.4).astype(float))
-    m1 = cl.train_linear_svm(X, y, l2_lambda=0.1, epochs=20, seed=5,
+    m1 = cl.train_linear_svm(X, y, cl.ClassifierConfig(l2_lambda=0.1, svm_epochs=20), seed=5,
                              class_weights=(2.0, 1.0))
     m2 = cl.train_linear_svm(np.repeat(X, 2, axis=0), np.repeat(y, 2),
-                             l2_lambda=0.1, epochs=10, seed=5,
+                             cl.ClassifierConfig(l2_lambda=0.1, svm_epochs=10), seed=5,
                              class_weights=(2.0, 1.0))
     assert np.array_equal(m1.weights, m2.weights)
     assert m1.bias == m2.bias
@@ -327,10 +328,9 @@ def test_svm_label_flip_negates_model_exactly():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(30, 4))
     y = _pm((rng.random(30) < 0.4).astype(float))
-    m1 = cl.train_linear_svm(X, y, l2_lambda=0.1, epochs=20, seed=5,
-                             class_weights=(2.0, 1.0))
-    m2 = cl.train_linear_svm(X, -y, l2_lambda=0.1, epochs=20, seed=5,
-                             class_weights=(1.0, 2.0))
+    config = cl.ClassifierConfig(l2_lambda=0.1, svm_epochs=20)
+    m1 = cl.train_linear_svm(X, y, config, seed=5, class_weights=(2.0, 1.0))
+    m2 = cl.train_linear_svm(X, -y, config, seed=5, class_weights=(1.0, 2.0))
     assert np.array_equal(m2.weights, -m1.weights)
     assert m2.bias == -m1.bias
 
@@ -339,7 +339,8 @@ def test_svm_objective_improves_with_epochs():
     X, y01 = blobs(20, 1.5, 0.4, seed=11)
     y = _pm(y01)
     objs = [
-        cl.train_linear_svm(X, y, l2_lambda=0.5, epochs=e, seed=3).training_meta[
+        cl.train_linear_svm(X, y, cl.ClassifierConfig(l2_lambda=0.5, svm_epochs=e),
+                            seed=3).training_meta[
             "final_objective"
         ]
         for e in (1, 10, 100)
@@ -366,9 +367,10 @@ def test_svm_determinism_and_seed_sensitivity():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(24, 5))
     y = _pm((rng.random(24) < 0.5).astype(float))
-    a = cl.train_linear_svm(X, y, epochs=10, seed=1)
-    b = cl.train_linear_svm(X, y, epochs=10, seed=1)
-    c = cl.train_linear_svm(X, y, epochs=10, seed=2)
+    config = cl.ClassifierConfig(svm_epochs=10)
+    a = cl.train_linear_svm(X, y, config, seed=1)
+    b = cl.train_linear_svm(X, y, config, seed=1)
+    c = cl.train_linear_svm(X, y, config, seed=2)
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
     assert not np.array_equal(a.weights, c.weights)
 
@@ -379,8 +381,8 @@ def test_svm_rejects_bad_inputs():
         cl.train_linear_svm(X, np.ones(4))  # single class
     with pytest.raises(TrainingError):
         cl.train_linear_svm(X, np.array([0.0, 1.0, 0.0, 1.0]))  # wants {-1,+1}
-    with pytest.raises(TrainingError):
-        cl.train_linear_svm(X, np.array([-1.0, 1.0, -1.0, 1.0]), l2_lambda=0.0)
+    with pytest.raises(ConfigError, match=r"classifier\.l2_lambda must be > 0, got 0\.0"):
+        cl.ClassifierConfig(l2_lambda=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +390,9 @@ def test_svm_rejects_bad_inputs():
 
 def _tiny_models():
     X, y01 = blobs(10, 1.5, 0.3, seed=9)
-    lr = cl.train_logistic(X, y01, l2_lambda=0.1)
-    svm = cl.train_linear_svm(X, _pm(y01), l2_lambda=0.1, epochs=10, seed=9)
+    lr = cl.train_logistic(X, y01, cl.ClassifierConfig(l2_lambda=0.1))
+    svm = cl.train_linear_svm(X, _pm(y01), cl.ClassifierConfig(l2_lambda=0.1, svm_epochs=10),
+                              seed=9)
     return X, lr, svm
 
 

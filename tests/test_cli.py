@@ -10,11 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from cognopipe import acoustic, cli, config as cfgmod, dsp, evaluation, synth
+from cognopipe import acoustic, cli, config as cfgmod, corpus, dsp, evaluation, synth
 from cognopipe.corpus import (
     RECORDING_COLUMNS,
     RECORDINGS_FILE,
@@ -177,6 +178,81 @@ def test_a_section_from_the_library_names_its_field():
     with pytest.raises(ConfigError) as exc:
         evaluation.ClassifierConfig(lr_tol=1e300)
     assert str(exc.value) == "config.run_config: classifier.lr_tol must be in (0, 1e-3], got 1e+300"
+
+
+# One valid non-default value for every field of the four sections.
+_SECTION_FIELD_VALUES = [
+    ("vad", "frame_len_s", 0.03),
+    ("vad", "hop_s", 0.0125),
+    ("vad", "noise_floor_percentile", 20.0),
+    ("vad", "threshold_margin_db", 6.0),
+    ("vad", "bridge_gap_s", 0.3),
+    ("vad", "min_segment_s", 1.0),
+    ("vad", "homogeneous_range_db", 0.0),
+    ("vad", "homogeneous_speech_floor_db", -10.0),
+    ("acoustic", "frame_len_s", 0.03),
+    ("acoustic", "hop_s", 0.0125),
+    ("acoustic", "f0_min_hz", 70.0),
+    ("acoustic", "f0_max_hz", 400.0),
+    ("acoustic", "voicing_threshold", 0.6),
+    ("acoustic", "n_mel_filters", 20),
+    ("ngram", "n_lo", 2),
+    ("ngram", "n_hi", 1),
+    ("ngram", "min_doc_freq", 1),
+    ("classifier", "l2_lambda", 0.1),
+    ("classifier", "lr_max_iters", 1),
+    ("classifier", "lr_tol", 1e-3),
+    ("classifier", "svm_epochs", 5),
+]
+
+
+def test_the_section_value_table_names_every_field():
+    want = {(name, field) for name, cls in cfgmod._SECTIONS.items() for field in cls._fields}
+    assert {(name, field) for name, field, _ in _SECTION_FIELD_VALUES} == want
+
+
+@pytest.fixture(scope="module")
+def section_run(tmp_path_factory):
+    """(runner, the default run's output per command) on a 4 + 4 subject
+    corpus of 2 s recordings whose first recording is a constant-level
+    tone, so that the VAD's homogeneous-file fallback decides it."""
+    root = tmp_path_factory.mktemp("sections")
+    manifest = synth.generate(synth.SynthSpec(n_case=4, n_control=4, duration_s=2.0),
+                              root / "m")
+    rec = corpus.load_manifest(manifest).recordings[0]
+    t = np.arange(round(rec.duration_s * rec.sample_rate_hz)) / rec.sample_rate_hz
+    dsp.write_wav(rec.audio_path, 0.1 * np.sin(2 * np.pi * 150.0 * t), rec.sample_rate_hz)
+    flags = {"extract": ["--tasks", rec.task.value, "--features", "EgemapsLike88,CompareLike"],
+             "train-eval": ["--features", "NgramTfidf,Lexical", "--k", "4"]}
+
+    def run(command: str, doc: dict | None) -> dict[str, bytes]:
+        out = tmp_path_factory.mktemp("run")
+        args = [command, "--manifest", str(manifest), "--out", str(out / "out"),
+                "--workers", "1"]
+        if doc is not None:
+            (out / "run.json").write_text(json.dumps(doc))
+            args += ["--config", str(out / "run.json")]
+        assert cli.main(args + flags[command]) == 0
+        written = {p.name: p.read_bytes() for p in sorted((out / "out").iterdir())}
+        if command == "train-eval":  # every byte but the config echo
+            report = json.loads(written["report.json"])
+            del report["config"]
+            written["report.json"] = json.dumps(report, sort_keys=True).encode()
+        return written
+
+    return run, {command: run(command, None) for command in flags}
+
+
+@pytest.mark.parametrize("section, field, value", _SECTION_FIELD_VALUES,
+                         ids=[f"{s}.{f}" for s, f, _ in _SECTION_FIELD_VALUES])
+def test_every_section_field_reaches_its_stage(section_run, section, field, value):
+    """A config file that sets one field alone changes what its command
+    writes: extract's CSVs for vad and acoustic, and for ngram and
+    classifier train-eval's report past its config echo, which names every
+    field whether or not a stage reads it."""
+    run, default = section_run
+    command = "extract" if section in ("vad", "acoustic") else "train-eval"
+    assert run(command, {section: {field: value}}) != default[command]
 
 
 def test_config_file_encodings(tmp_path):

@@ -495,11 +495,11 @@ def test_trainers_leave_their_inputs_unchanged():
     X = rng.normal(size=(12, 4))
     y01 = np.array([1.0, 0.0] * 6)
     X0, y0 = X.copy(), y01.copy()
-    classifiers.train_logistic(X, y01)
+    classifiers.train_logistic(X, y01, ClassifierConfig())
     assert np.array_equal(X, X0) and np.array_equal(y01, y0)
     y_pm = 2.0 * y01 - 1.0
     y_pm0 = y_pm.copy()
-    classifiers.train_linear_svm(X, y_pm, epochs=3)
+    classifiers.train_linear_svm(X, y_pm, ClassifierConfig(svm_epochs=3))
     assert np.array_equal(X, X0) and np.array_equal(y_pm, y_pm0)
 
 
@@ -683,10 +683,11 @@ def test_an_extraction_job_holds_its_recording_fixed_buffers_and_lld_copies(tmp_
     assert llds.num_frames > 70 * seconds
     signal_bytes, lld_bytes = audio.samples.nbytes, llds.values.nbytes
     del audio, llds
-    ev._extract_one(rec, sets, None, None)  # numpy's FFT plan caches, once
+    sections = (dsp.VadConfig(), acoustic.AcousticConfig())
+    ev._extract_one(rec, sets, *sections)  # numpy's FFT plan caches, once
     tracemalloc.start()
     try:
-        ev._extract_one(rec, sets, None, None)
+        ev._extract_one(rec, sets, *sections)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
