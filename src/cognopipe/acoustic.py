@@ -306,13 +306,15 @@ def _llds_for_frames(frames: np.ndarray, plan: AnalysisPlan) -> np.ndarray:
     col("spectral_slope_500_1500")[:] = _band_slope(db_spec, plan.freqs, plan.slope_hi)
     del db_spec
 
-    power = mag * mag
-    alpha_lo = power[:, plan.alpha_lo].sum(axis=1)
-    alpha_hi = power[:, plan.alpha_hi].sum(axis=1)
+    # each band squares its own bins before the power spectrum is built, so
+    # no band's copy sits beside the two whole spectra
+    alpha_lo = np.square(mag[:, plan.alpha_lo]).sum(axis=1)
+    alpha_hi = np.square(mag[:, plan.alpha_hi]).sum(axis=1)
     col("alpha_ratio_db")[:] = 10.0 * np.log10((alpha_lo + _EPS) / (alpha_hi + _EPS))
-    ham_lo = power[:, plan.ham_lo].max(axis=1) if plan.ham_lo.size else np.zeros(m)
-    ham_hi = power[:, plan.ham_hi].max(axis=1) if plan.ham_hi.size else np.zeros(m)
+    ham_lo = np.square(mag[:, plan.ham_lo]).max(axis=1) if plan.ham_lo.size else np.zeros(m)
+    ham_hi = np.square(mag[:, plan.ham_hi]).max(axis=1) if plan.ham_hi.size else np.zeros(m)
     col("hammarberg_index_db")[:] = 10.0 * np.log10((ham_lo + _EPS) / (ham_hi + _EPS))
+    power = mag * mag
     out[:, _COLUMN["mfcc_1"]:] = np.log(power @ plan.mel + _EPS) @ plan.dct
     # each norm is np.linalg.norm's: sqrt(add.reduce(x * x))
     norm = np.sqrt(np.add.reduce(power, axis=1))
@@ -363,7 +365,10 @@ def extract_llds(
         # the segments holding the block's first and last rows
         first, last = np.searchsorted(starts, (lo, hi - 1), side="right") - 1
         parts = [segs[k][max(lo - starts[k], 0):hi - starts[k]] for k in range(first, last + 1)]
-        block = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        # the one place frames become float64: a copy of the block's frames
+        # (none for a one-segment block of float64 samples)
+        block = (np.concatenate(parts, dtype=np.float64) if len(parts) > 1
+                 else parts[0].astype(np.float64, copy=False))
         values[at:hi] = _llds_for_frames(block, plan)[at - lo:]
     values[starts[:-1, None], _PAIRWISE] = 0.0  # each segment's first row
     return LldMatrix(values)

@@ -8,7 +8,7 @@ be written is one "module.operation: cannot write <path>: <reason>"
 line.  summarize, extract and train-eval write through one path
 (_write_all): each file goes under a temporary name and all are renamed
 once all are written, so a failed command keeps none of its files.
-COGNOPIPE_LOG sets verbosity (DEBUG, INFO, WARNING, ...).
+COGNOPIPE_LOG=INFO (or DEBUG, or NOTSET) prints progress lines on stderr.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ try:
     import ctypes
     import errno
     import functools
-    import logging
     import sys
     from pathlib import Path
 
@@ -62,17 +61,12 @@ else:
     _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: 32 MiB
     _mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: 256 MiB
 
-log = logging.getLogger("cognopipe")
 
-
-def _setup_logging() -> None:
-    level_name = os.environ.get("COGNOPIPE_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(
-        level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-    )
+def _info(message: str) -> None:
+    """One "INFO cognopipe: <message>" line on stderr when COGNOPIPE_LOG
+    names a level that shows INFO: DEBUG, INFO or NOTSET, in any case."""
+    if os.environ.get("COGNOPIPE_LOG", "").upper() in ("DEBUG", "INFO", "NOTSET"):
+        print(f"INFO cognopipe: {message}", file=sys.stderr)
 
 
 def _effective_workers(cfg: cfgmod.RunConfig) -> int:
@@ -142,7 +136,7 @@ def cmd_summarize(args) -> int:
     path = Path(cfg.out_dir) / "summary.csv"
     _write_all([(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))],
                ConfigError, "out_dir")
-    log.info("wrote %s", path)
+    _info(f"wrote {path}")
     return 0
 
 
@@ -194,7 +188,7 @@ def cmd_train_eval(args) -> int:
                                            cfg.acoustic, cfg.ngram, _effective_workers(cfg))
     experiments = []
     for (task, fsid), provider in providers:
-        log.info("experiment %s / %s", task.value, fsid.value)
+        _info(f"experiment {task.value} / {fsid.value}")
         experiments.extend(
             evaluation.run_task_experiments(c, task, provider, cfg.classifiers, folds, exp_cfg)
         )
@@ -303,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)

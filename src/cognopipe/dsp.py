@@ -16,14 +16,16 @@ SNR_CAP_DB = 120.0
 _LOG_FLOOR = 1e-12  # mean-square floor, i.e. -120 dB
 # Frames per chunk of frame_energies_db: bounds its squared-signal buffer.
 _ENERGY_CHUNK = 1024
-# Samples per chunk of read_wav's PCM buffer: the decode holds one float64
+# Samples per chunk of read_wav's PCM buffer: the decode holds one float32
 # copy of the recording and this many int16 samples.
 _DECODE_CHUNK = 1 << 16
 
 
 @checked
 class AudioBuffer(NamedTuple):
-    """Mono audio with samples normalized to [-1, 1]."""
+    """Mono audio with samples normalized to [-1, 1], as float32 (what
+    read_wav gives) or float64.  Every computation takes the samples as
+    float64, so both dtypes give the same results for the same values."""
 
     samples: np.ndarray
     sample_rate_hz: int
@@ -196,14 +198,18 @@ def _readinto_all(fh, buf: np.ndarray) -> int:
 
 
 def read_wav(path: str | Path) -> AudioBuffer:
-    """Read a PCM-16 mono WAV file; samples are scaled by 1/32768."""
+    """Read a PCM-16 mono WAV file; samples are scaled by 1/32768.
+
+    The samples are float32: each k/32768 for a 16-bit k is exact in it,
+    so the recording takes half the bytes of float64 with the same values.
+    """
     try:
         with open(path, "rb", buffering=0) as fh:
             sample_rate, offset, length = _read_wav_header(fh, path)
             if length == 0:
                 raise AudioFormatError("read_wav", f"{path}: empty data chunk")
             fh.seek(offset)
-            samples = np.empty(length // 2)
+            samples = np.empty(length // 2, dtype=np.float32)
             # the PCM is read _DECODE_CHUNK samples at a time into one
             # buffer, and 2**-15 is 1/32768 exactly
             pcm = np.empty(min(samples.size, _DECODE_CHUNK), dtype="<i2")
@@ -316,13 +322,14 @@ def frame_energies_db(samples: np.ndarray, frame: int, hop: int) -> np.ndarray:
     Each energy is 10*log10(mean(x**2) + 1e-12) of its frame x, bit for
     bit: the mean runs over the strided frames of the squared signal,
     taken _ENERGY_CHUNK frames at a time, so no frames x frame matrix and
-    no squared copy of the whole signal is built.
+    no squared copy of the whole signal is built.  Each chunk is squared
+    as float64, whatever the samples' dtype.
     """
     num = 0 if samples.size < frame else 1 + (samples.size - frame) // hop
     mean_sq = np.empty(num)
     for lo in range(0, num, _ENERGY_CHUNK):
         hi = min(num, lo + _ENERGY_CHUNK)
-        sq = np.square(samples[lo * hop:(hi - 1) * hop + frame])
+        sq = np.square(samples[lo * hop:(hi - 1) * hop + frame], dtype=np.float64)
         np.mean(np.lib.stride_tricks.sliding_window_view(sq, frame)[::hop], axis=1,
                 out=mean_sq[lo:hi])
         del sq
@@ -379,10 +386,11 @@ def detect_speech(audio: AudioBuffer, config: VadConfig = VadConfig()) -> Segmen
 
 
 def _sum_squares(samples: np.ndarray, spans) -> tuple[float, int]:
-    """(sum of x**2, count) over the samples of the [a, b) spans."""
+    """(sum of x**2, count) over the samples of the [a, b) spans, each
+    span taken as float64 (a copy only of a float32 span)."""
     total, count = 0.0, 0
     for a, b in spans:
-        span = samples[a:b]
+        span = samples[a:b].astype(np.float64, copy=False)
         total += float(np.dot(span, span))
         count += b - a
     return total, count
@@ -394,8 +402,8 @@ def estimate_snr(audio: AudioBuffer, segments: SegmentSet) -> float:
     Powers are mean squared amplitudes over the samples inside vs outside
     the speech segments (their sample_bounds).  No speech -> -120; no (or
     silent) non-speech -> +120.  Each power is a sum of squares over the
-    speech spans or the gaps between them, a dot product of each span's
-    view with itself, so no copy of the signal is built.
+    speech spans or the gaps between them, a dot product of each span
+    with itself as float64, so at most one span is copied at a time.
     """
     x = audio.samples
     speech, noise, at = [], [], 0

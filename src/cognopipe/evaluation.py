@@ -147,11 +147,14 @@ def _extract_one(rec: TaskRecording, feature_sets: tuple[FeatureSetId, ...],
                  ) -> tuple[FeatureVector, ...]:
     """Worker: one recording -> its vector of each acoustic set, in order.
 
-    The sets share one decode, VAD pass and LLD matrix.
+    The sets share one decode, VAD pass and LLD matrix.  The recording is
+    released before the functionals, so their copies of the LLD matrix
+    never sit beside it.
     """
     audio = dsp.read_wav(rec.audio_path)
     segments = dsp.detect_speech(audio, vad_cfg)
     llds = acoustic.extract_llds(audio, segments, ac_cfg)
+    del audio, segments
     return acoustic.vectors_from_llds(llds, feature_sets)
 
 

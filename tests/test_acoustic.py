@@ -415,6 +415,45 @@ def test_a_long_segment_is_cut_into_calls_of_one_block_and_one_row():
     assert llds.column("voiced_flag").all() and llds.column("jitter_local")[1:].all()
 
 
+def _bursts(seconds: float, on_s: float) -> np.ndarray:
+    """glide(seconds), with only faint noise in the second on_s of every
+    2 * on_s seconds."""
+    x = glide(seconds)
+    off = np.mod(np.arange(x.size), int(2 * on_s * SR)) >= on_s * SR
+    x[off] = 0.003 * np.random.default_rng(1).standard_normal(np.count_nonzero(off))
+    return x
+
+
+@pytest.mark.parametrize("x, one_segment", [(glide(4.0), True), (_bursts(8.0, 0.4), False)],
+                         ids=["one-segment-blocks", "multi-segment-blocks"])
+def test_a_float32_recording_gives_the_bits_of_its_float64_copy(tmp_path, x, one_segment):
+    """read_wav's float32 samples give the frame energies, segments, LLDs,
+    vectors and SNR of the same samples as float64, bit for bit: each
+    stage takes the samples as float64 before any arithmetic.  Over 256
+    speech frames, as one segment (blocks of one segment each) and as
+    short bursts (blocks that span several segments)."""
+    path = tmp_path / "x.wav"
+    dsp.write_wav(path, x, SR)
+    a32 = dsp.read_wav(path)
+    a64 = dsp.AudioBuffer(a32.samples.astype(np.float64), SR)
+    assert a32.samples.dtype == np.float32
+    vad = dsp.VadConfig()
+    frame, hop = dsp.frame_geometry(SR, vad.frame_len_s, vad.hop_s)
+    assert np.array_equal(dsp.frame_energies_db(a32.samples, frame, hop),
+                          dsp.frame_energies_db(a64.samples, frame, hop))
+    segments = dsp.detect_speech(a32)
+    assert segments == dsp.detect_speech(a64)
+    assert (len(segments.speech) == 1) == one_segment
+    llds = acoustic.extract_llds(a32, segments)
+    assert llds.num_frames > acoustic._BLOCK_FRAMES
+    assert np.array_equal(llds.values, acoustic.extract_llds(a64, segments).values)
+    for extract in (acoustic.egemaps_like, acoustic.compare_like):
+        assert np.array_equal(extract(a32, segments).values, extract(a64, segments).values)
+    snr = dsp.estimate_snr(a32, segments)
+    assert snr == dsp.estimate_snr(a64, segments)
+    assert (abs(snr) == dsp.SNR_CAP_DB) == one_segment  # the bursts have noise between
+
+
 def test_extraction_memory_holds_one_block_past_its_output():
     """Past the LLD matrix it returns, extract_llds holds what one call on
     _BLOCK_FRAMES + 1 frames holds, on a 30 s segment and on one twice as

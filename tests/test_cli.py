@@ -1154,6 +1154,42 @@ def test_cli_import_builds_only_the_kept_dataclasses():
     assert proc.stdout == "False []\n"
 
 
+def test_cli_import_never_loads_logging():
+    """The two INFO lines are printed without the logging module, whose
+    import also loads traceback and string."""
+    code = ("import sys\n"
+            "import cognopipe.cli\n"
+            "print(sorted(m for m in ('logging', 'traceback', 'string') if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("level, shown", [(None, False), ("WARNING", False), ("error", False),
+                                          ("NOLEVEL", False), ("INFO", True), ("debug", True),
+                                          ("NOTSET", True)])
+def test_cognopipe_log_prints_the_info_lines(small_manifest, tmp_path, capsys, monkeypatch,
+                                              level, shown):
+    """At a level that shows INFO, train-eval prints one experiment line per
+    (task, set) and summarize its written file, on stderr; otherwise, or
+    with no COGNOPIPE_LOG, stderr stays empty."""
+    if level is None:
+        monkeypatch.delenv("COGNOPIPE_LOG", raising=False)
+    else:
+        monkeypatch.setenv("COGNOPIPE_LOG", level)
+    assert cli.main(["train-eval", "--manifest", str(small_manifest), "--out", str(tmp_path),
+                     "--tasks", "ShortTerm,LongTerm", "--features", "Lexical,NgramTfidf",
+                     "--classifiers", "LogisticRegression", "--workers", "1"]) == 0
+    experiments = [f"INFO cognopipe: experiment {task} / {fsid}"
+                   for task in ("ShortTerm", "LongTerm") for fsid in ("Lexical", "NgramTfidf")]
+    assert sorted(capsys.readouterr().err.splitlines()) == sorted(experiments) * shown
+    assert cli.main(["summarize", "--manifest", str(small_manifest), "--out",
+                     str(tmp_path)]) == 0
+    assert capsys.readouterr().err == f"INFO cognopipe: wrote {tmp_path / 'summary.csv'}\n" * shown
+
+
 def test_train_eval_never_loads_uuid(small_manifest, tmp_path):
     """An acoustic run reads every WAV header without the uuid module,
     which loads _uuid and libuuid; only a rejected subformat names its GUID."""

@@ -65,7 +65,19 @@ def test_read_wav_in_chunks_is_bit_identical(tmp_path, monkeypatch, n):
     for chunk in (1, 2, 7, 1 << 20):
         monkeypatch.setattr(dsp, "_DECODE_CHUNK", chunk)
         got = dsp.read_wav(p).samples
-        assert got.dtype == np.float64 and np.array_equal(got, want), chunk
+        assert got.dtype == np.float32 and np.array_equal(got, want), chunk
+
+
+def test_read_wav_holds_every_16_bit_value_exactly_as_float32(tmp_path):
+    """All 65,536 PCM values in one file decode to float32 samples whose
+    float64 values are pcm / 32768 exactly: float32 holds each k * 2**-15."""
+    pcm = np.arange(-32768, 32768).astype("<i2")
+    p = tmp_path / "all.wav"
+    dsp.write_wav(p, pcm / 32768.0, SR)
+    assert p.read_bytes()[44:] == pcm.tobytes()
+    got = dsp.read_wav(p).samples
+    assert got.dtype == np.float32
+    assert np.array_equal(got.astype(np.float64), pcm / 32768.0)
 
 
 def test_read_wav_rejects_pcm_that_ends_early(tmp_path, monkeypatch):
